@@ -1,107 +1,232 @@
-"""Command-line entry point.
+"""Command-line entry point: ``python -m repro <command> ...``.
 
-::
-
-    python -m repro list                # available experiments
-    python -m repro table3              # regenerate one table/figure
-    python -m repro all                 # regenerate everything
-    python -m repro report [--jobs N] [--no-cache] [--cache-root DIR]
-                                        # print EXPERIMENTS.md content
-                                        # (cached by default; --jobs N
-                                        # fans misses over N processes)
-    python -m repro exec run <id...> [--jobs N] [--no-cache]
-                                        # run experiments through the engine
-    python -m repro exec cache stats    # result-cache size and contents
-    python -m repro exec cache clear    # drop every cached result
-    python -m repro exec bench [json_path]
-                                        # engine cold/warm benches ->
-                                        # BENCH_exec.json
-    python -m repro obs dump [target..] # run exercises, dump metrics+spans
-    python -m repro store bench [racks [shards [interval_s]]]
-                                        # exercise the sharded envdb store
-    python -m repro bench perf [json_path] [--check] [--smoke]
-                                        # wall-clock hot-path benches ->
-                                        # BENCH_moneq.json perf baseline
-                                        # (--check: compare against the
-                                        # committed file, exit 1 on
-                                        # regression, write nothing;
-                                        # --smoke alone: measure the
-                                        # reduced profile 3x and write
-                                        # BENCH_smoke.json medians+spread;
-                                        # --check --smoke: one reduced
-                                        # run vs absolute floors AND
-                                        # relative floors from the
-                                        # committed BENCH_smoke.json,
-                                        # writes nothing)
-    python -m repro fleet sweep [--smoke] [--json PATH]
-                                        # federated multi-cluster sweep
-                                        # + channel-cache ablation ->
-                                        # BENCH_fleet.json (default:
-                                        # the 10x-Mira fleet; --smoke:
-                                        # 2 sites x 4 racks, no write
-                                        # unless --json is given)
-    python -m repro serve [--host H] [--port P] [--racks N]
-                          [--shards N] [--sweeps N]
-                                        # stand up a populated simulated
-                                        # machine and serve the live
-                                        # monitoring query service on it
-    python -m repro service bench [json_path] [--racks N] [--shards N]
-                                        [--requests N] [--sweeps N]
-                                        # sustained mixed query load ->
-                                        # BENCH_service.json
-    python -m repro service smoke       # boot in-process: /ready, one
-                                        # planned query, one 403 — the
-                                        # CI gate, exit 1 on any miss
-    python -m repro mech list           # the declared mechanism registry
-                                        # (channel, latency, min interval,
-                                        # capabilities per vendor path)
-    python -m repro chaos list          # the chaos scenario catalog
-    python -m repro chaos run <scenario> [--seed N] [--duration S]
-                                        [--rate R]
-                                        # run one fault-injection
-                                        # scenario over the fleet; the
-                                        # summary line is byte-stable
-                                        # for a given (scenario, seed)
-                                        # (pack-backed: the catalog is
-                                        # the chaos-kind manifests)
-    python -m repro pack list           # the scenario-pack catalog
-    python -m repro pack show <name> [--json]
-                                        # one validated manifest
-    python -m repro pack run <name...> [--smoke] [--json] [--jobs N]
-                          [--no-cache] [--cache-root DIR] [--seed N]
-                          [--duration S] [--rate R]
-                                        # compile manifests onto the
-                                        # exec engine and run them
-                                        # (--smoke: the fixed CI pair;
-                                        # --json: payloads as JSON)
+Every command is one row of :data:`COMMANDS`: its words, its
+positional arguments, its declared flags, a one-line summary and its
+handler.  ``--help`` and each command's usage error are rendered from
+those rows, and :func:`parse_flags` parses every command's flags.  A
+name from ``python -m repro list`` regenerates that one experiment.
 """
 
 from __future__ import annotations
 
 import sys
+import textwrap
+from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.errors import ChaosError, ExperimentExecutionError, PackError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import report as report_module
 
+_PROG = "python -m repro"
 
-def _obs_command(args: list[str]) -> int:
-    """``repro obs dump [target ...]`` — run the named exercises (every
-    one of them by default) and print the Prometheus exposition plus the
-    finished spans."""
+
+class UsageError(Exception):
+    """Bad command-line input; reported as ``<command>: <message>``
+    with exit status 2."""
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One declared ``--flag``.  ``kind`` converts its value (``int``,
+    ``float``, ``str``); a ``bool`` flag is a switch and takes none."""
+
+    kind: type
+    default: object = None
+    metavar: str = "N"
+
+    def usage(self, name: str) -> str:
+        if self.kind is bool:
+            return f"[--{name}]"
+        return f"[--{name} {self.metavar}]"
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table."""
+
+    words: tuple[str, ...]
+    #: The positional part of the usage line; empty means the command
+    #: takes no positional arguments.
+    args: str
+    summary: str
+    #: ``handler(positional, **flags)`` -> exit status; flag names map
+    #: to keywords with ``-`` turned into ``_``.
+    handler: Callable[..., int]
+    flags: dict[str, Flag] = field(default_factory=dict)
+
+    def usage(self, indent: str = "") -> str:
+        """The usage line, wrapped between whole tokens."""
+        tokens = [*self.words] + ([self.args] if self.args else [])
+        tokens += [flag.usage(name) for name, flag in self.flags.items()]
+        lines = [indent + _PROG]
+        for token in tokens:
+            if len(lines[-1]) + 1 + len(token) > 76:
+                lines.append(indent + " " * 4 + token)
+            else:
+                lines[-1] += " " + token
+        return "\n".join(lines)
+
+
+def parse_flags(args: list[str], flags: dict[str, Flag]
+                ) -> tuple[dict[str, object], list[str]]:
+    """Split ``args`` into declared flag values and positionals.
+
+    Accepts ``--name value`` and ``--name=value``; a ``bool`` flag is
+    a switch.  Returns ``(values, positional)`` with every declared
+    flag present in ``values`` (its default when absent).  Unknown
+    flags, missing values and values the flag's type rejects raise
+    :class:`UsageError`.
+    """
+    values = {name.replace("-", "_"): flag.default
+              for name, flag in flags.items()}
+    positional: list[str] = []
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if not arg.startswith("--"):
+            positional.append(arg)
+            continue
+        name, has_value, text = arg[2:].partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            raise UsageError(f"unknown flag --{name}")
+        key = name.replace("-", "_")
+        if flag.kind is bool:
+            if has_value:
+                raise UsageError(f"--{name} takes no value")
+            values[key] = True
+            continue
+        if not has_value:
+            if i >= len(args):
+                raise UsageError(f"--{name} needs a value")
+            text = args[i]
+            i += 1
+        try:
+            values[key] = flag.kind(text)
+        except ValueError as exc:
+            raise UsageError(f"--{name}: {exc}") from None
+    return values, positional
+
+
+# -- shared flag sets ---------------------------------------------------------
+
+#: The exec engine's knobs, shared by ``report``, ``exec run`` and
+#: ``pack run``.
+_ENGINE_FLAGS = {
+    "jobs": Flag(int, 1),
+    "no-cache": Flag(bool, False),
+    "cache-root": Flag(str, None, "DIR"),
+}
+
+#: Run-time overrides of a scenario's manifest (``None``: keep it).
+_OVERRIDE_FLAGS = {
+    "seed": Flag(int),
+    "duration": Flag(float, metavar="S"),
+    "rate": Flag(float, metavar="R"),
+}
+
+
+def _optional_path(args: list[str], default: str) -> str:
+    if len(args) > 1:
+        raise UsageError(f"unexpected argument(s) {args[1:]}")
+    return args[0] if args else default
+
+
+# -- experiments --------------------------------------------------------------
+
+
+def _list(args: list[str]) -> int:
+    for name in ALL_EXPERIMENTS:
+        print(name)
+    return 0
+
+
+def _all(args: list[str]) -> int:
+    for name, module in ALL_EXPERIMENTS.items():
+        print(f"==== {name} " + "=" * (60 - len(name)))
+        module.main()
+        print()
+    return 0
+
+
+def _report(args: list[str], jobs: int, no_cache: bool,
+            cache_root: str | None) -> int:
+    report_module.main(jobs=jobs, cache=not no_cache, cache_root=cache_root)
+    return 0
+
+
+def _exec_run(args: list[str], jobs: int, no_cache: bool,
+              cache_root: str | None) -> int:
+    from repro.exec import Engine
+    from repro.experiments.report import render_block
+
+    if not args:
+        raise UsageError("name at least one experiment "
+                         f"(see '{_PROG} list')")
+    engine = Engine(jobs=jobs, cache=not no_cache, cache_root=cache_root)
+    blocks = engine.run(args)
+    for block in blocks.values():
+        print("\n".join(render_block(block)))
+    stats = engine.stats
+    print(f"# {stats.executed} executed, {stats.cache_hits} cached, "
+          f"{stats.retries} retried, {stats.wall_s * 1e3:.1f} ms "
+          f"(jobs={jobs})")
+    return 0
+
+
+def _exec_cache(args: list[str]) -> int:
+    from repro.analysis.tables import format_table
+    from repro.exec import ResultCache
+
+    if args not in (["stats"], ["clear"]):
+        raise UsageError("name one action: stats or clear")
+    cache = ResultCache()
+    if args == ["clear"]:
+        removed = cache.clear()
+        print(f"removed {removed} cached result(s) from {cache.root}")
+        return 0
+    stats = cache.stats()
+    rows = [(exp_id, str(n)) for exp_id, n
+            in sorted(stats.experiments.items())]
+    rows.append(("total entries", str(stats.entries)))
+    rows.append(("total bytes", str(stats.total_bytes)))
+    print(format_table(("experiment", "entries"), rows,
+                       title=f"[repro exec cache] {stats.root}"))
+    return 0
+
+
+def _exec_bench(args: list[str]) -> int:
+    from repro.analysis.tables import format_table
+    from repro.exec import bench as exec_bench
+
+    json_path = _optional_path(args, "BENCH_exec.json")
+    results = exec_bench.run(json_path)
+    rows = [(name, f"{r['wall_s'] * 1e3:.1f} ms",
+             ", ".join(f"{k}={v:g}" if isinstance(v, (int, float))
+                       else f"{k}={v}"
+                       for k, v in r.items() if k != "wall_s"))
+            for name, r in results["runs"].items()]
+    rows.append(("byte_identical", str(results["byte_identical"]), ""))
+    rows.append(("cpus", str(results["cpus"]), ""))
+    print(format_table(("run", "wall", "detail"), rows,
+                       title=f"[repro exec bench] wrote {json_path}"))
+    return 0 if results["byte_identical"] else 1
+
+
+# -- observability and benches ------------------------------------------------
+
+
+def _obs_dump(args: list[str]) -> int:
     import repro.obs as obs
     from repro.obs import demo
 
-    if not args or args[0] != "dump":
-        print("usage: python -m repro obs dump [target ...]\n"
-              f"targets: {' '.join(demo.EXERCISES)} (default: all)",
-              file=sys.stderr)
-        return 2
-    targets = args[1:] or list(demo.EXERCISES)
+    targets = args or list(demo.EXERCISES)
     unknown = [t for t in targets if t not in demo.EXERCISES]
     if unknown:
-        print(f"unknown obs target(s) {unknown}; "
-              f"have {sorted(demo.EXERCISES)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown obs target(s) {unknown}; "
+                         f"have {sorted(demo.EXERCISES)}")
     for target in targets:
         summary = demo.EXERCISES[target]()
         detail = ", ".join(f"{k}={v:g}" for k, v in summary.items())
@@ -115,11 +240,7 @@ def _obs_command(args: list[str]) -> int:
     return 0
 
 
-def _store_command(args: list[str]) -> int:
-    """``repro store bench [racks [shards [interval_s]]]`` — stand up a
-    sharded envdb, run polling sweeps, exercise every query kind, and
-    print the paper-vs-store numbers plus the ``repro_store_*`` metric
-    families from the existing exporter."""
+def _store_bench(args: list[str]) -> int:
     import time
 
     import repro.obs as obs
@@ -127,18 +248,15 @@ def _store_command(args: list[str]) -> int:
     from repro.bgq.machine import BgqMachine
     from repro.sim.rng import RngRegistry
 
-    if not args or args[0] != "bench":
-        print("usage: python -m repro store bench [racks [shards [interval_s]]]",
-              file=sys.stderr)
-        return 2
+    if len(args) > 3:
+        raise UsageError(f"unexpected argument(s) {args[3:]}")
     try:
-        racks = int(args[1]) if len(args) > 1 else 4
-        shards = int(args[2]) if len(args) > 2 else 4
-        interval_s = float(args[3]) if len(args) > 3 else 240.0
+        racks = int(args[0]) if len(args) > 0 else 4
+        shards = int(args[1]) if len(args) > 1 else 4
+        interval_s = float(args[2]) if len(args) > 2 else 240.0
     except ValueError:
-        print("store bench arguments must be numeric: "
-              "[racks [shards [interval_s]]]", file=sys.stderr)
-        return 2
+        raise UsageError("arguments must be numeric: "
+                         "[racks [shards [interval_s]]]") from None
 
     sweeps = 6
     machine = BgqMachine(racks=racks, rng=RngRegistry(0x5708E),
@@ -182,38 +300,21 @@ def _store_command(args: list[str]) -> int:
     return 0
 
 
-def _bench_command(args: list[str]) -> int:
-    """``repro bench perf [json_path] [--check] [--smoke]`` — run the
-    hot-path wall-clock benches (block-sampling engine, heap scheduler,
-    full session).  Without flags, write the full-profile trajectory
-    file future PRs regress against; ``--smoke`` alone measures the
-    reduced profile three times and writes the smoke trajectory
-    (medians plus runner-variance spread); ``--check`` compares fresh
-    speedups to the committed file(s) and exits 1 on regression
-    without rewriting anything."""
+def _bench_perf(args: list[str], check: bool, smoke: bool) -> int:
     from repro import perfbench
     from repro.analysis.tables import format_table
 
-    if not args or args[0] != "perf":
-        print("usage: python -m repro bench perf [json_path] "
-              "[--check] [--smoke]", file=sys.stderr)
-        return 2
-    checking = "--check" in args
-    smoke = "--smoke" in args
-    positional = [a for a in args[1:] if a not in ("--check", "--smoke")]
-
-    if checking:
-        json_path = positional[0] if positional else "BENCH_moneq.json"
+    # Smoke sizes never touch the full-profile trajectory file — they
+    # get their own, medians over repetitions plus spread.
+    json_path = _optional_path(
+        args, perfbench.SMOKE_TRAJECTORY_PATH if smoke and not check
+        else "BENCH_moneq.json")
+    if check:
         failures, results = perfbench.check(json_path, smoke=smoke)
     elif smoke:
-        # Smoke sizes never touch the full-profile trajectory file —
-        # they get their own, medians over repetitions plus spread.
-        json_path = (positional[0] if positional
-                     else perfbench.SMOKE_TRAJECTORY_PATH)
         _, results = perfbench.run_smoke_trajectory(json_path)
         failures = []
     else:
-        json_path = positional[0] if positional else "BENCH_moneq.json"
         failures, results = [], perfbench.run(json_path)
     rows = []
     for name, r in results.items():
@@ -224,10 +325,10 @@ def _bench_command(args: list[str]) -> int:
         )
         rows.append((name, f"{r['wall_s'] * 1e3:.1f} ms",
                      f"{r['speedup_vs_scalar']:.1f}x", detail))
-    if checking and smoke:
+    if check and smoke:
         title = ("[repro bench perf] smoke profile vs absolute + "
                  "relative floors")
-    elif checking:
+    elif check:
         title = f"[repro bench perf] checked against {json_path}"
     elif smoke:
         title = f"[repro bench perf] smoke x3 -> wrote {json_path}"
@@ -239,157 +340,125 @@ def _bench_command(args: list[str]) -> int:
         print("FAIL: block-sampled output diverged from scalar",
               file=sys.stderr)
         return 1
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
-def _fleet_command(args: list[str]) -> int:
-    """Deprecated alias: ``repro fleet sweep`` now runs as the
-    ``fleet-sweep`` scenario pack; the command itself lives in
-    :func:`repro.packs.shims.fleet_command` (same flags, same stdout
-    bytes, same exit codes)."""
-    from repro._compat import deprecated_alias
-    from repro.packs import shims
+def _fleet_sweep(args: list[str], smoke: bool, json: str | None) -> int:
+    import json as json_module
 
-    command = deprecated_alias(
-        "repro.__main__._fleet_command",
-        "repro.packs.shims.fleet_command",
-        shims.fleet_command,
-    )
-    return command(args)
+    import repro.fleet
+    from repro.analysis.tables import format_table
+    from repro.fleet.sweep import CACHE_REDUCTION_FLOOR, REALTIME_FLOOR
+
+    json_path = json if json is not None or smoke else "BENCH_fleet.json"
+    # Looked up at call time: tests swap in canned results.
+    results = repro.fleet.fleet_bench(json_path=None, smoke=smoke)
+    if json_path is not None:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json_module.dump(results, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    rows = [(f"sweep.{key}", f"{value:g}")
+            for key, value in results["fleet_sweep"].items()]
+    rows += [(f"cache.{key}",
+              str(value) if isinstance(value, bool) else f"{value:g}")
+             for key, value in results["cache_ablation"].items()]
+    wrote = f"wrote {json_path}" if json_path else "nothing written"
+    print(format_table(
+        ("metric", "value"), rows,
+        title=f"[repro fleet sweep] "
+              f"{'smoke' if smoke else 'full'} profile, {wrote}"))
+
+    failures = []
+    realtime = results["fleet_sweep"]["speedup_vs_scalar"]
+    if realtime < REALTIME_FLOOR:
+        failures.append(f"sweep realtime factor {realtime:.1f}x below "
+                        f"the {REALTIME_FLOOR:g}x floor")
+    reduction = results["cache_ablation"]["crossings_reduction"]
+    if reduction < CACHE_REDUCTION_FLOOR:
+        failures.append(f"cache crossings reduction {reduction:.1f}x below "
+                        f"the {CACHE_REDUCTION_FLOOR:g}x floor")
+    if not results["cache_ablation"]["byte_identical"]:
+        failures.append("channel cache changed MonEQ output bytes")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
-def _int_flags(args: list[str], flags: dict[str, object]
-               ) -> tuple[dict[str, object], list[str]]:
-    """Parse ``--name value`` pairs out of ``args`` into ``flags``
-    (values coerced to the default's type); returns the rest."""
-    positional: list[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        key = arg[2:].replace("-", "_") if arg.startswith("--") else None
-        if key in flags:
-            if i + 1 >= len(args):
-                raise ValueError(f"{arg} needs a value")
-            kind = type(flags[key])
-            flags[key] = kind(args[i + 1])
-            i += 2
-        else:
-            positional.append(arg)
-            i += 1
-    return flags, positional
+# -- the monitoring service ---------------------------------------------------
 
 
-def _serve_command(args: list[str]) -> int:
-    """``repro serve`` — build the populated 64-shard rig (reduced with
-    ``--racks/--shards/--sweeps``) and serve it under wsgiref."""
+def _serve(args: list[str], host: str, port: int, racks: int, shards: int,
+           sweeps: int) -> int:
     from repro.service import build_rig, serve
 
-    try:
-        flags, extra = _int_flags(args, {
-            "host": "127.0.0.1", "port": 8340,
-            "racks": 64, "shards": 64, "sweeps": 2,
-        })
-    except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    if extra:
-        print(f"serve: unexpected argument(s) {extra}", file=sys.stderr)
-        return 2
-    machine, app, _ = build_rig(racks=flags["racks"], shards=flags["shards"],
-                                sweeps=flags["sweeps"])
-    print(f"# rig: {flags['racks']} racks over "
+    machine, app, _ = build_rig(racks=racks, shards=shards, sweeps=sweeps)
+    print(f"# rig: {racks} racks over "
           f"{machine.envdb.store.n_shards} shards, "
           f"{machine.envdb.store.records_ingested} records ingested")
-    serve(app, host=flags["host"], port=flags["port"])
+    serve(app, host=host, port=port)
     return 0
 
 
-def _service_command(args: list[str]) -> int:
-    """``repro service bench|smoke`` — the load generator (writes
-    ``BENCH_service.json``) or the boot-and-probe CI gate."""
+def _service_bench(args: list[str], racks: int, shards: int, requests: int,
+                   sweeps: int) -> int:
     from repro.analysis.tables import format_table
+    from repro.service import write_bench
 
-    usage = ("usage: python -m repro service bench [json_path] [--racks N] "
-             "[--shards N] [--requests N] [--sweeps N]\n"
-             "       python -m repro service smoke")
-    if not args:
-        print(usage, file=sys.stderr)
-        return 2
-
-    if args[0] == "bench":
-        from repro.service import write_bench
-
-        try:
-            flags, positional = _int_flags(args[1:], {
-                "racks": 64, "shards": 64, "requests": 400, "sweeps": 16,
-            })
-        except ValueError as exc:
-            print(f"service bench: {exc}", file=sys.stderr)
-            return 2
-        json_path = positional[0] if positional else "BENCH_service.json"
-        result = write_bench(json_path, racks=flags["racks"],
-                             shards=flags["shards"],
-                             requests=flags["requests"],
-                             sweeps=flags["sweeps"])
-        rows = [(key, f"{value:g}" if isinstance(value, float) else str(value))
-                for key, value in result.items()]
-        print(format_table(("metric", "value"), rows,
-                           title=f"[repro service bench] wrote {json_path}"))
-        return 0
-
-    if args[0] == "smoke":
-        from repro.service import ServiceApp, ServiceClient, build_rig
-        from repro.testbeds import fleet_node
-
-        machine, app, client = build_rig(racks=4, shards=4, sweeps=2)
-        _, backends = fleet_node(seed=0x510, hostname="smoke-host",
-                                 grant_msr_access=False)
-        gated = ServiceClient(ServiceApp(machine.envdb.store,
-                                         backends=backends))
-        checks = []
-        ready = client.get("/ready")
-        checks.append(("/ready is 200", ready.status == 200))
-        query = client.get("/v2/query/latest", {"table": "bpm"})
-        payload = query.json() if query.status == 200 else {}
-        checks.append(("planned query serves rows",
-                       query.status == 200 and payload.get("count", 0) > 0
-                       and payload.get("plan", {}).get("fan_out", 0) >= 1))
-        denied = gated.get("/v2/mech/rapl_msr/read", {"t": 10.0})
-        origin = (denied.json().get("error", {}).get("origin", "")
-                  if denied.status == 403 else "")
-        checks.append(("unprivileged msr read is a structured 403",
-                       denied.status == 403
-                       and origin == "repro.host.permissions"))
-        stream = client.get("/v2/stream/tail", {
-            "table": "bpm", "cursor": 0, "batches": 1})
-        lines = list(stream.lines())
-        checks.append(("streaming tail opens and ends",
-                       stream.status == 200
-                       and lines[0].get("marker") == "open"
-                       and lines[-1].get("marker") == "end"))
-        for label, ok in checks:
-            print(f"{'ok' if ok else 'FAIL'} - {label}")
-        return 0 if all(ok for _, ok in checks) else 1
-
-    print(usage, file=sys.stderr)
-    return 2
+    json_path = _optional_path(args, "BENCH_service.json")
+    result = write_bench(json_path, racks=racks, shards=shards,
+                         requests=requests, sweeps=sweeps)
+    rows = [(key, f"{value:g}" if isinstance(value, float) else str(value))
+            for key, value in result.items()]
+    print(format_table(("metric", "value"), rows,
+                       title=f"[repro service bench] wrote {json_path}"))
+    return 0
 
 
-def _mech_command(args: list[str]) -> int:
-    """``repro mech list`` — print the declared mechanism registry: one
-    row per vendor path with its channel, charged latency per read, the
-    freshness-derived minimum interval, and the capability count."""
+def _service_smoke(args: list[str]) -> int:
+    from repro.service import ServiceApp, ServiceClient, build_rig
+    from repro.testbeds import fleet_node
+
+    machine, app, client = build_rig(racks=4, shards=4, sweeps=2)
+    _, backends = fleet_node(seed=0x510, hostname="smoke-host",
+                             grant_msr_access=False)
+    gated = ServiceClient(ServiceApp(machine.envdb.store,
+                                     backends=backends))
+    checks = []
+    ready = client.get("/ready")
+    checks.append(("/ready is 200", ready.status == 200))
+    query = client.get("/v2/query/latest", {"table": "bpm"})
+    payload = query.json() if query.status == 200 else {}
+    checks.append(("planned query serves rows",
+                   query.status == 200 and payload.get("count", 0) > 0
+                   and payload.get("plan", {}).get("fan_out", 0) >= 1))
+    denied = gated.get("/v2/mech/rapl_msr/read", {"t": 10.0})
+    origin = (denied.json().get("error", {}).get("origin", "")
+              if denied.status == 403 else "")
+    checks.append(("unprivileged msr read is a structured 403",
+                   denied.status == 403
+                   and origin == "repro.host.permissions"))
+    stream = client.get("/v2/stream/tail", {
+        "table": "bpm", "cursor": 0, "batches": 1})
+    lines = list(stream.lines())
+    checks.append(("streaming tail opens and ends",
+                   stream.status == 200
+                   and lines[0].get("marker") == "open"
+                   and lines[-1].get("marker") == "end"))
+    for label, ok in checks:
+        print(f"{'ok' if ok else 'FAIL'} - {label}")
+    return 0 if all(ok for _, ok in checks) else 1
+
+
+# -- mechanisms, chaos and packs ----------------------------------------------
+
+
+def _mech_list(args: list[str]) -> int:
     import repro.core.moneq.backends  # noqa: F401  (registers the fleet)
     from repro.analysis.tables import format_table
     from repro.mech import mechanisms
 
-    if not args or args[0] != "list":
-        print("usage: python -m repro mech list", file=sys.stderr)
-        return 2
     rows = []
     for spec in mechanisms().values():
         rows.append((
@@ -412,346 +481,284 @@ def _mech_command(args: list[str]) -> int:
     return 0
 
 
-def _chaos_command(args: list[str]) -> int:
-    """Deprecated alias: ``repro chaos`` now dispatches the chaos-kind
-    scenario packs; the command itself lives in
-    :func:`repro.packs.shims.chaos_command` (same flags, same stdout
-    bytes, same exit codes)."""
-    from repro._compat import deprecated_alias
-    from repro.packs import shims
+def _chaos_list(args: list[str]) -> int:
+    from repro.analysis.tables import format_table
+    from repro.chaos import SCENARIOS
 
-    command = deprecated_alias(
-        "repro.__main__._chaos_command",
-        "repro.packs.shims.chaos_command",
-        shims.chaos_command,
+    rows = [(s.name, f"{s.default_rate:g}", s.summary)
+            for s in SCENARIOS.values()]
+    print(format_table(("scenario", "rate", "summary"), rows,
+                       title=f"[repro chaos list] {len(rows)} scenarios"))
+    return 0
+
+
+def _chaos_run(args: list[str], seed: int | None, duration: float | None,
+               rate: float | None) -> int:
+    from repro.analysis.tables import format_table
+    from repro.chaos.scenarios import (
+        DEFAULT_DURATION_S,
+        DEFAULT_SEED,
+        SCENARIOS,
+        run_scenario,
     )
-    return command(args)
+    from repro.obs import dump
+
+    if len(args) != 1:
+        raise UsageError(f"name exactly one scenario "
+                         f"(have {sorted(SCENARIOS)})")
+    run = run_scenario(
+        args[0], seed=DEFAULT_SEED if seed is None else seed,
+        duration_s=DEFAULT_DURATION_S if duration is None else duration,
+        rate=rate)
+    if run.error_deltas:
+        rows = [(mechanism, kind, str(count)) for (mechanism, kind), count
+                in sorted(run.error_deltas.items())]
+        print(format_table(("mechanism", "kind", "errors"), rows,
+                           title="[chaos] repro_collector_errors_total "
+                                 "deltas"))
+    else:
+        print("# no collector errors (every fault recovered)")
+    print("\n".join(line for line in dump().splitlines()
+                    if line.startswith(("repro_chaos", "repro_retry"))))
+    print(run.summary_line())
+    return 0
 
 
-def _pack_command(args: list[str]) -> int:
-    """``repro pack list|show|run`` — the declarative scenario packs:
-    inspect the ``packs/`` catalog, show one validated manifest, or
-    compile manifests onto the exec engine and run them."""
-    import json
+def _pack_list(args: list[str]) -> int:
+    from repro import packs
+    from repro.analysis.tables import format_table
+
+    try:
+        catalog = packs.all_packs()
+    except PackError as exc:  # a broken catalog is not a usage error
+        print(f"pack list: {exc}", file=sys.stderr)
+        return 1
+    rows = []
+    for spec in catalog.values():
+        if spec.kind == "experiments":
+            detail = f"{len(spec.experiments)} experiments"
+        elif spec.kind == "fleet":
+            detail = "smoke sweep" if spec.fleet.smoke else "full sweep"
+        else:
+            detail = (f"{spec.testbed.kind} / "
+                      f"{','.join(spec.mechanisms) or 'all'}")
+        rows.append((spec.name, spec.kind, detail, spec.summary))
+    print(format_table(
+        ("pack", "kind", "detail", "summary"), rows,
+        title=f"[repro pack list] {len(rows)} packs in "
+              f"{packs.packs_dir()}"))
+    return 0
+
+
+def _pack_show(args: list[str], json: bool) -> int:
+    import json as json_module
 
     from repro import packs
     from repro.analysis.tables import format_table
-    from repro.errors import ExperimentExecutionError, PackError
+
+    if len(args) != 1:
+        raise UsageError("name exactly one pack")
+    raw = packs.run._resolve(args[0])
+    spec = packs.scenario_from_mapping(raw, source=args[0])
+    if json:
+        print(json_module.dumps(raw, indent=2, sort_keys=True))
+        return 0
+    rows = [
+        ("kind", spec.kind),
+        ("summary", spec.summary),
+        ("seed", str(spec.seed)),
+        ("duration", f"{spec.duration_s:g} s"),
+    ]
+    if spec.kind in ("session", "chaos"):
+        rows.append(("testbed", spec.testbed.kind))
+        rows.append(("mechanisms",
+                     ", ".join(spec.mechanisms) or "(testbed order)"))
+        rows.append(("interval",
+                     f"{spec.interval_s:g} s" if spec.interval_s
+                     is not None else "(mechanism floor)"))
+        if spec.workload is not None:
+            rows.append(("workload",
+                         f"{spec.workload.name}, "
+                         f"{len(spec.workload.phases)} phases"))
+        if spec.faults is not None:
+            rows.append(("fault rules", str(len(spec.faults.rules))))
+    elif spec.kind == "experiments":
+        rows.append(("experiments", ", ".join(spec.experiments)))
+    elif spec.kind == "fleet":
+        rows.append(("profile", "smoke" if spec.fleet.smoke else "full"))
+    print(format_table(("field", "value"), rows,
+                       title=f"[repro pack show] {spec.name}"))
+    return 0
+
+
+def _pack_run(args: list[str], smoke: bool, json: bool, jobs: int,
+              no_cache: bool, cache_root: str | None, seed: int | None,
+              duration: float | None, rate: float | None) -> int:
+    import json as json_module
+
+    from repro import packs
     from repro.experiments.report import render_block
 
-    usage = ("usage: python -m repro pack list\n"
-             "       python -m repro pack show <name> [--json]\n"
-             "       python -m repro pack run <name...> [--smoke] [--json]\n"
-             "           [--jobs N] [--no-cache] [--cache-root DIR]\n"
-             "           [--seed N] [--duration S] [--rate R]")
-    if not args:
-        print(usage, file=sys.stderr)
-        return 2
-
-    if args[0] == "list":
-        try:
-            catalog = packs.all_packs()
-        except PackError as exc:
-            print(f"pack list: {exc}", file=sys.stderr)
-            return 1
-        rows = []
-        for spec in catalog.values():
-            if spec.kind == "experiments":
-                detail = f"{len(spec.experiments)} experiments"
-            elif spec.kind == "fleet":
-                detail = "smoke sweep" if spec.fleet.smoke else "full sweep"
-            else:
-                detail = (f"{spec.testbed.kind} / "
-                          f"{','.join(spec.mechanisms) or 'all'}")
-            rows.append((spec.name, spec.kind, detail, spec.summary))
-        print(format_table(
-            ("pack", "kind", "detail", "summary"), rows,
-            title=f"[repro pack list] {len(rows)} packs in "
-                  f"{packs.packs_dir()}"))
-        return 0
-
-    if args[0] == "show":
-        as_json = "--json" in args
-        names = [a for a in args[1:] if a != "--json"]
-        if len(names) != 1:
-            print("pack show: name exactly one pack", file=sys.stderr)
-            return 2
-        try:
-            raw = packs.run._resolve(names[0])
-            spec = packs.scenario_from_mapping(raw, source=names[0])
-        except PackError as exc:
-            print(f"pack show: {exc}", file=sys.stderr)
-            return 2
-        if as_json:
-            print(json.dumps(raw, indent=2, sort_keys=True))
-            return 0
-        rows = [
-            ("kind", spec.kind),
-            ("summary", spec.summary),
-            ("seed", str(spec.seed)),
-            ("duration", f"{spec.duration_s:g} s"),
-        ]
-        if spec.kind in ("session", "chaos"):
-            rows.append(("testbed", spec.testbed.kind))
-            rows.append(("mechanisms",
-                         ", ".join(spec.mechanisms) or "(testbed order)"))
-            rows.append(("interval",
-                         f"{spec.interval_s:g} s" if spec.interval_s
-                         is not None else "(mechanism floor)"))
-            if spec.workload is not None:
-                rows.append(("workload",
-                             f"{spec.workload.name}, "
-                             f"{len(spec.workload.phases)} phases"))
-            if spec.faults is not None:
-                rows.append(("fault rules", str(len(spec.faults.rules))))
-        elif spec.kind == "experiments":
-            rows.append(("experiments", ", ".join(spec.experiments)))
-        elif spec.kind == "fleet":
-            rows.append(("profile",
-                         "smoke" if spec.fleet.smoke else "full"))
-        print(format_table(("field", "value"), rows,
-                           title=f"[repro pack show] {spec.name}"))
-        return 0
-
-    if args[0] == "run":
-        as_json = "--json" in args
-        smoke = "--smoke" in args
-        rest = [a for a in args[1:] if a not in ("--json", "--smoke")]
-        overrides = {"seed": None, "duration": None, "rate": None}
-        try:
-            jobs, cache, cache_root, rest = _report_flags(rest)
-            names: list[str] = []
-            i = 0
-            while i < len(rest):
-                arg = rest[i]
-                key = arg[2:] if arg.startswith("--") else None
-                if key in overrides:
-                    if i + 1 >= len(rest):
-                        raise ValueError(f"{arg} needs a value")
-                    overrides[key] = (int(rest[i + 1]) if key == "seed"
-                                      else float(rest[i + 1]))
-                    i += 2
-                else:
-                    names.append(arg)
-                    i += 1
-        except ValueError as exc:
-            print(f"pack run: {exc}", file=sys.stderr)
-            return 2
-        if smoke:
-            if names:
-                print("pack run: --smoke runs the fixed CI pair; "
-                      "drop the pack names", file=sys.stderr)
-                return 2
-            names = list(packs.SMOKE_PACKS)
-        if not names:
-            print("pack run: name at least one pack "
-                  "(see 'python -m repro pack list')", file=sys.stderr)
-            return 2
-        documents = []
-        for name in names:
-            try:
-                result = packs.run_pack(
-                    name, jobs=jobs, cache=cache, cache_root=cache_root,
-                    seed=overrides["seed"],
-                    duration_s=overrides["duration"],
-                    rate=overrides["rate"])
-            except PackError as exc:
-                print(f"pack run: {exc}", file=sys.stderr)
-                return 2
-            except ExperimentExecutionError as exc:
-                print(f"pack run failed: {exc}", file=sys.stderr)
-                return 1
-            if as_json:
-                documents.append({
-                    "pack": result.spec.name,
-                    "kind": result.spec.kind,
-                    "exp_id": result.exp_id or None,
-                    "payload": result.payloads.get(result.exp_id),
-                    "blocks": {exp_id: render_block(block)
-                               for exp_id, block in result.blocks.items()},
-                })
-                continue
-            for block in result.blocks.values():
-                print("\n".join(render_block(block)))
-            stats = result.stats
-            print(f"# pack {result.spec.name}: {stats.executed} executed, "
-                  f"{stats.cache_hits} cached, {stats.wall_s * 1e3:.1f} ms "
-                  f"(jobs={jobs})")
-        if as_json:
-            print(json.dumps(documents, indent=2, sort_keys=True))
-        return 0
-
-    print(usage, file=sys.stderr)
-    return 2
-
-
-def _report_flags(args: list[str]) -> tuple[int, bool, str | None, list[str]]:
-    """Parse the shared ``--jobs N --no-cache --cache-root DIR`` flags;
-    returns ``(jobs, cache, cache_root, positional)``."""
-    jobs, cache, cache_root = 1, True, None
-    positional: list[str] = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--jobs":
-            if i + 1 >= len(args):
-                raise ValueError("--jobs needs a value")
-            jobs = int(args[i + 1])
-            i += 2
-        elif arg.startswith("--jobs="):
-            jobs = int(arg.split("=", 1)[1])
-            i += 1
-        elif arg == "--no-cache":
-            cache = False
-            i += 1
-        elif arg == "--cache-root":
-            if i + 1 >= len(args):
-                raise ValueError("--cache-root needs a value")
-            cache_root = args[i + 1]
-            i += 2
-        elif arg.startswith("--cache-root="):
-            cache_root = arg.split("=", 1)[1]
-            i += 1
-        else:
-            positional.append(arg)
-            i += 1
-    return jobs, cache, cache_root, positional
-
-
-def _exec_command(args: list[str]) -> int:
-    """``repro exec run|cache|bench`` — drive the experiment engine
-    directly: run named experiments through the pool and cache, inspect
-    or clear the content-addressed result cache, or time the engine's
-    cold/warm paths into ``BENCH_exec.json``."""
-    from repro.analysis.tables import format_table
-    from repro.errors import ExperimentExecutionError
-    from repro.exec import Engine, ResultCache
-
-    usage = ("usage: python -m repro exec run <id...> [--jobs N] [--no-cache]\n"
-             "       python -m repro exec cache stats|clear\n"
-             "       python -m repro exec bench [json_path]")
-    if not args:
-        print(usage, file=sys.stderr)
-        return 2
-
-    if args[0] == "run":
-        try:
-            jobs, cache, cache_root, exp_ids = _report_flags(args[1:])
-        except ValueError as exc:
-            print(f"exec run: {exc}", file=sys.stderr)
-            return 2
-        if not exp_ids:
-            print("exec run: name at least one experiment "
-                  "(see 'python -m repro list')", file=sys.stderr)
-            return 2
-        engine = Engine(jobs=jobs, cache=cache, cache_root=cache_root)
-        try:
-            blocks = engine.run(exp_ids)
-        except ExperimentExecutionError as exc:
-            print(f"exec run failed: {exc}", file=sys.stderr)
-            return 1
-        from repro.experiments.report import render_block
-        for block in blocks.values():
+    names = args
+    if smoke:
+        if names:
+            raise UsageError("--smoke runs the fixed CI pair; "
+                             "drop the pack names")
+        names = list(packs.SMOKE_PACKS)
+    if not names:
+        raise UsageError(f"name at least one pack (see '{_PROG} pack list')")
+    documents = []
+    for name in names:
+        result = packs.run_pack(
+            name, jobs=jobs, cache=not no_cache, cache_root=cache_root,
+            seed=seed, duration_s=duration, rate=rate)
+        if json:
+            documents.append({
+                "pack": result.spec.name,
+                "kind": result.spec.kind,
+                "exp_id": result.exp_id or None,
+                "payload": result.payloads.get(result.exp_id),
+                "blocks": {exp_id: render_block(block)
+                           for exp_id, block in result.blocks.items()},
+            })
+            continue
+        for block in result.blocks.values():
             print("\n".join(render_block(block)))
-        stats = engine.stats
-        print(f"# {stats.executed} executed, {stats.cache_hits} cached, "
-              f"{stats.retries} retried, {stats.wall_s * 1e3:.1f} ms "
+        stats = result.stats
+        print(f"# pack {result.spec.name}: {stats.executed} executed, "
+              f"{stats.cache_hits} cached, {stats.wall_s * 1e3:.1f} ms "
               f"(jobs={jobs})")
-        return 0
+    if json:
+        print(json_module.dumps(documents, indent=2, sort_keys=True))
+    return 0
 
-    if args[0] == "cache":
-        cache = ResultCache()
-        if len(args) > 1 and args[1] == "clear":
-            removed = cache.clear()
-            print(f"removed {removed} cached result(s) from {cache.root}")
-            return 0
-        if len(args) > 1 and args[1] == "stats":
-            stats = cache.stats()
-            rows = [(exp_id, str(n)) for exp_id, n
-                    in sorted(stats.experiments.items())]
-            rows.append(("total entries", str(stats.entries)))
-            rows.append(("total bytes", str(stats.total_bytes)))
-            print(format_table(
-                ("experiment", "entries"), rows,
-                title=f"[repro exec cache] {stats.root}"))
-            return 0
-        print("usage: python -m repro exec cache stats|clear",
-              file=sys.stderr)
-        return 2
 
-    if args[0] == "bench":
-        from repro.exec import bench as exec_bench
-        json_path = args[1] if len(args) > 1 else "BENCH_exec.json"
-        results = exec_bench.run(json_path)
-        rows = [(name, f"{r['wall_s'] * 1e3:.1f} ms",
-                 ", ".join(f"{k}={v:g}" if isinstance(v, (int, float))
-                           else f"{k}={v}"
-                           for k, v in r.items() if k != "wall_s"))
-                for name, r in results["runs"].items()]
-        rows.append(("byte_identical", str(results["byte_identical"]), ""))
-        rows.append(("cpus", str(results["cpus"]), ""))
-        print(format_table(("run", "wall", "detail"), rows,
-                           title=f"[repro exec bench] wrote {json_path}"))
-        return 0 if results["byte_identical"] else 1
+# -- the table ----------------------------------------------------------------
 
-    print(usage, file=sys.stderr)
-    return 2
+
+def _experiment(args: list[str]) -> int:
+    module = ALL_EXPERIMENTS.get(args[0])
+    if module is None:
+        raise UsageError(f"unknown experiment {args[0]!r}; "
+                         f"try '{_PROG} list'")
+    module.main()
+    return 0
+
+
+#: The catch-all row: a first word no other row claims names an
+#: experiment.
+_EXPERIMENT = Command((), "<experiment>", "regenerate one table/figure",
+                      _experiment)
+
+
+_SIZE_FLAGS = {"racks": Flag(int, 64), "shards": Flag(int, 64)}
+
+COMMANDS: tuple[Command, ...] = (
+    Command(("list",), "", "available experiments", _list),
+    _EXPERIMENT,
+    Command(("all",), "", "regenerate every table/figure", _all),
+    Command(("report",), "",
+            "print EXPERIMENTS.md content (cached by default; --jobs N "
+            "fans misses over N processes)", _report, _ENGINE_FLAGS),
+    Command(("exec", "run"), "<id...>",
+            "run experiments through the engine", _exec_run, _ENGINE_FLAGS),
+    Command(("exec", "cache"), "stats|clear",
+            "result-cache size and contents, or drop every cached result",
+            _exec_cache),
+    Command(("exec", "bench"), "[json_path]",
+            "engine cold/warm benches -> BENCH_exec.json", _exec_bench),
+    Command(("obs", "dump"), "[target...]",
+            "run the exercises (default: all), dump metrics + spans",
+            _obs_dump),
+    Command(("store", "bench"), "[racks [shards [interval_s]]]",
+            "exercise the sharded envdb store", _store_bench),
+    Command(("bench", "perf"), "[json_path]",
+            "wall-clock hot-path benches -> BENCH_moneq.json (--smoke: "
+            "the reduced profile x3 -> BENCH_smoke.json; --check: compare "
+            "with the committed file(s), write nothing, exit 1 on "
+            "regression)", _bench_perf,
+            {"check": Flag(bool, False), "smoke": Flag(bool, False)}),
+    Command(("fleet", "sweep"), "",
+            "federated multi-cluster sweep + channel-cache ablation -> "
+            "BENCH_fleet.json (default: the 10x-Mira fleet; --smoke: "
+            "2 sites x 4 racks, no write unless --json is given); "
+            "exits 1 below a floor", _fleet_sweep,
+            {"smoke": Flag(bool, False), "json": Flag(str, None, "PATH")}),
+    Command(("serve",), "",
+            "stand up a populated simulated machine and serve the live "
+            "monitoring query service on it", _serve,
+            {"host": Flag(str, "127.0.0.1", "H"), "port": Flag(int, 8340, "P"),
+             **_SIZE_FLAGS, "sweeps": Flag(int, 2)}),
+    Command(("service", "bench"), "[json_path]",
+            "sustained mixed query load -> BENCH_service.json",
+            _service_bench,
+            {**_SIZE_FLAGS, "requests": Flag(int, 400),
+             "sweeps": Flag(int, 16)}),
+    Command(("service", "smoke"), "",
+            "boot in-process: /ready, one planned query, one 403 (the CI "
+            "gate, exit 1 on any miss)", _service_smoke),
+    Command(("mech", "list"), "",
+            "the declared mechanism registry (channel, latency, min "
+            "interval, capabilities per vendor path)", _mech_list),
+    Command(("chaos", "list"), "", "the chaos scenario catalog",
+            _chaos_list),
+    Command(("chaos", "run"), "<scenario>",
+            "run one fault-injection scenario over the fleet; the summary "
+            "line is byte-stable for a given (scenario, seed)", _chaos_run,
+            _OVERRIDE_FLAGS),
+    Command(("pack", "list"), "", "the scenario-pack catalog", _pack_list),
+    Command(("pack", "show"), "<name>", "one validated manifest",
+            _pack_show, {"json": Flag(bool, False)}),
+    Command(("pack", "run"), "<name...>",
+            "compile manifests onto the exec engine and run them "
+            "(--smoke: the fixed CI pair; --json: payloads as JSON)",
+            _pack_run,
+            {"smoke": Flag(bool, False), "json": Flag(bool, False),
+             **_ENGINE_FLAGS, **_OVERRIDE_FLAGS}),
+)
+
+
+def _render_help() -> str:
+    lines = [f"usage: {_PROG} <command> [args]", ""]
+    for command in COMMANDS:
+        lines.append(command.usage(indent="  "))
+        lines += textwrap.wrap(command.summary, width=76,
+                               initial_indent=" " * 8,
+                               subsequent_indent=" " * 8)
+    return "\n".join(lines)
+
+
+def _render_usage(verb: str) -> str:
+    """Every usage line of ``verb``, as one usage message."""
+    usages = [c.usage() for c in COMMANDS if c.words[:1] == (verb,)]
+    return "usage: " + "\n".join(usages).replace("\n", "\n       ")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if not args or args[0] in ("-h", "--help", "help"):
-        print(__doc__.strip())
+        print(_render_help())
         return 0
-    command = args[0]
-    if command == "list":
-        for name in ALL_EXPERIMENTS:
-            print(name)
-        return 0
-    if command == "obs":
-        return _obs_command(args[1:])
-    if command == "store":
-        return _store_command(args[1:])
-    if command == "bench":
-        return _bench_command(args[1:])
-    if command == "fleet":
-        return _fleet_command(args[1:])
-    if command == "serve":
-        return _serve_command(args[1:])
-    if command == "service":
-        return _service_command(args[1:])
-    if command == "mech":
-        return _mech_command(args[1:])
-    if command == "chaos":
-        return _chaos_command(args[1:])
-    if command == "pack":
-        return _pack_command(args[1:])
-    if command == "exec":
-        return _exec_command(args[1:])
-    if command == "report":
-        try:
-            jobs, cache, cache_root, extra = _report_flags(args[1:])
-        except ValueError as exc:
-            print(f"report: {exc}", file=sys.stderr)
+    command = next((c for c in COMMANDS if c.words
+                    and c.words == tuple(args[:len(c.words)])), None)
+    if command is None:
+        if any(c.words[:1] == (args[0],) for c in COMMANDS):
+            print(_render_usage(args[0]), file=sys.stderr)
             return 2
-        if extra:
-            print(f"report: unexpected argument(s) {extra}", file=sys.stderr)
-            return 2
-        report_module.main(jobs=jobs, cache=cache, cache_root=cache_root)
-        return 0
-    if command == "all":
-        for name, module in ALL_EXPERIMENTS.items():
-            print(f"==== {name} " + "=" * (60 - len(name)))
-            module.main()
-            print()
-        return 0
-    module = ALL_EXPERIMENTS.get(command)
-    if module is None:
-        print(f"unknown experiment {command!r}; try 'python -m repro list'",
-              file=sys.stderr)
+        command = _EXPERIMENT
+    name = " ".join(command.words) or _PROG
+    try:
+        flags, positional = parse_flags(args[len(command.words):],
+                                        command.flags)
+        if positional and not command.args:
+            raise UsageError(f"unexpected argument(s) {positional}")
+        return command.handler(positional, **flags)
+    except (UsageError, PackError, ChaosError) as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
         return 2
-    module.main()
-    return 0
+    except ExperimentExecutionError as exc:
+        print(f"{name} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ catalog this module used to carry.
 
 ``run_scenario`` executes one catalog scenario through the pack
 runtime (:func:`repro.packs.runtime.execute_scenario` — the same code
-path ``repro pack run`` compiles onto the exec engine), and returns a
-:class:`ScenarioResult` whose :meth:`~ScenarioResult.summary_line` is
-byte-stable for a given (scenario, seed) — the CLI smoke test and the
-determinism property suite both pin it.
+path ``repro pack run`` compiles onto the exec engine), and returns the
+:class:`~repro.packs.runtime.ScenarioRun` whose
+:meth:`~repro.packs.runtime.ScenarioRun.summary_line` is byte-stable
+for a given (scenario, seed) — the CLI smoke test and the determinism
+property suite both pin it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.chaos.faults import FaultEvent, FaultPlan, FaultRule
+from repro.chaos.faults import FaultPlan, FaultRule
 from repro.errors import ChaosError
+from repro.packs.runtime import ScenarioRun
 
 #: Virtual-time length of a scenario session (the fleet's EMON floor is
 #: 0.56 s per tick, so this spans ~21 collection ticks).
@@ -64,66 +66,28 @@ def _load_catalog() -> dict[str, ChaosScenario]:
 SCENARIOS: dict[str, ChaosScenario] = _load_catalog()
 
 
-@dataclass
-class ScenarioResult:
-    """Everything one scenario run produced, determinism-comparable."""
-
-    scenario: str
-    seed: int
-    duration_s: float
-    interval_s: float
-    ticks: int
-    plan: FaultPlan
-    #: Output path -> file content for every agent of the session.
-    outputs: dict[str, str]
-    #: COLLECTOR_ERRORS deltas over the run, (mechanism, kind) -> count.
-    error_deltas: dict[tuple[str, str], int]
-
-    @property
-    def timeline(self) -> list[FaultEvent]:
-        return self.plan.timeline
-
-    def timeline_lines(self) -> list[str]:
-        return self.plan.timeline_lines()
-
-    def summary_line(self) -> str:
-        """One stable line: equal seeds render equal bytes."""
-        s = self.plan.stats
-        return (f"[repro chaos run] scenario={self.scenario} "
-                f"seed={self.seed} interval_s={self.interval_s:.3f} "
-                f"ticks={self.ticks} faults={s.faults} "
-                f"recovered={s.recovered} dark={s.dark} "
-                f"retries={s.retries} backoff_s={s.backoff_s:.6f} "
-                f"breaker_opens={s.breaker_opens} stale={s.stale}")
+#: ``run_scenario``'s result type, under its historical name.
+ScenarioResult = ScenarioRun
 
 
 def run_scenario(name: str, seed: int = DEFAULT_SEED,
                  duration_s: float = DEFAULT_DURATION_S,
                  rate: float | None = None,
-                 plan: FaultPlan | None = None) -> ScenarioResult:
+                 plan: FaultPlan | None = None) -> ScenarioRun:
     """Run one catalog scenario over a fleet-wide MonEQ session.
 
-    ``plan=None`` (or a caller-supplied plan — the zero-rate
-    byte-identity tests pass their own) is activated for exactly the
-    session's extent; the session *completes and finalizes* whatever
-    the plan does — faulted crossings degrade to dark readings, they
-    never raise.
+    ``plan=None`` builds the scenario's own plan; a caller-supplied
+    plan (the zero-rate byte-identity tests pass their own) is
+    activated for exactly the session's extent instead.  The session
+    *completes and finalizes* whatever the plan does — faulted
+    crossings degrade to dark readings, they never raise.  Overrides
+    out of the manifest's bounds raise :class:`~repro.errors.PackError`.
     """
-    from repro.packs.catalog import chaos_packs
+    from repro.packs.catalog import load_pack
     from repro.packs.runtime import execute_scenario
 
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
+    if name not in SCENARIOS:
         raise ChaosError(
             f"unknown chaos scenario {name!r}; have {sorted(SCENARIOS)}")
-    if plan is None:
-        plan = scenario.plan(seed=seed, duration_s=duration_s, rate=rate)
-
-    spec = chaos_packs()[name]
-    run = execute_scenario(spec, seed=seed, duration_s=duration_s,
-                           plan=plan)
-    return ScenarioResult(
-        scenario=name, seed=seed, duration_s=duration_s,
-        interval_s=run.interval_s, ticks=run.ticks,
-        plan=plan, outputs=run.outputs, error_deltas=run.error_deltas,
-    )
+    return execute_scenario(load_pack(name), seed=seed,
+                            duration_s=duration_s, rate=rate, plan=plan)

@@ -4,9 +4,9 @@ One manifest (TOML or JSON) declares a whole run — testbed,
 mechanisms, phased workload, fault plan, duration, seeds — and the
 pack runner compiles it onto the experiment engine: content-addressed
 caching, the forked worker pool, byte-stable report blocks.  The
-chaos catalog and the fleet sweep are pack consumers too: chaos
-scenarios *are* ``kind = "chaos"`` manifests, and ``repro fleet
-sweep`` runs a fleet-typed pack.
+chaos catalog is a pack consumer too: chaos scenarios *are*
+``kind = "chaos"`` manifests, and ``repro chaos run`` executes one
+through :func:`~repro.packs.runtime.execute_scenario`.
 
 Layering (each layer imports only downward):
 
@@ -15,7 +15,6 @@ Layering (each layer imports only downward):
 ``catalog``   the ``packs/`` directory; chaos-catalog derivation
 ``runtime``   live execution + the engine's run_part/render_block
 ``run``       compile onto the engine; the one-call runner
-``shims``     the legacy ``chaos``/``fleet`` CLI surfaces, rerouted
 """
 
 from repro.packs.catalog import (

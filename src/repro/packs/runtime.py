@@ -7,8 +7,8 @@ This module is two faces of one implementation:
   under the pack's fault plan) and hand back live objects — the
   :class:`~repro.chaos.faults.FaultPlan` with its timeline, the output
   files, the collector-error deltas.  ``repro.chaos.run_scenario`` is a
-  thin wrapper over this, which is what makes the chaos catalog's
-  summary lines byte-identical through the pack path.
+  thin wrapper over this, and ``repro chaos run`` prints the
+  :meth:`ScenarioRun.summary_line` it returns.
 * ``run_part`` / ``render_block`` implement the exec engine's module
   contract, so a compiled pack (`repro.packs.run.compile_spec`)
   dispatches through the same content-addressed cache and worker pool
@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from repro.chaos.faults import FaultPlan, FaultRule
+from repro.chaos.faults import FaultEvent, FaultPlan, FaultRule
 from repro.errors import PackError
 from repro.exec.spec import ExperimentReport
 from repro.packs.schema import (
@@ -35,6 +35,7 @@ from repro.packs.schema import (
     ScenarioSpec,
     TestbedSpec,
     WorkloadSpec,
+    check_overrides,
 )
 
 
@@ -52,7 +53,8 @@ class PackRunConfig:
 
 @dataclass
 class ScenarioRun:
-    """Everything one live scenario execution produced."""
+    """Everything one live scenario execution produced.  The fault
+    timeline and the summary line are a chaos run's (``plan`` set)."""
 
     name: str
     kind: str
@@ -65,6 +67,23 @@ class ScenarioRun:
     outputs: dict[str, str]
     #: COLLECTOR_ERRORS deltas over the run, (mechanism, kind) -> count.
     error_deltas: dict[tuple[str, str], int]
+
+    @property
+    def timeline(self) -> list[FaultEvent]:
+        return self.plan.timeline
+
+    def timeline_lines(self) -> list[str]:
+        return self.plan.timeline_lines()
+
+    def summary_line(self) -> str:
+        """One stable line: equal seeds render equal bytes."""
+        s = self.plan.stats
+        return (f"[repro chaos run] scenario={self.name} "
+                f"seed={self.seed} interval_s={self.interval_s:.3f} "
+                f"ticks={self.ticks} faults={s.faults} "
+                f"recovered={s.recovered} dark={s.dark} "
+                f"retries={s.retries} backoff_s={s.backoff_s:.6f} "
+                f"breaker_opens={s.breaker_opens} stale={s.stale}")
 
 
 # -- fault plans ------------------------------------------------------------
@@ -218,6 +237,8 @@ def execute_scenario(spec: ScenarioSpec, seed: int | None = None,
     A caller-supplied ``plan`` (the chaos byte-identity tests pass
     their own) wins over the pack's fault section; otherwise the plan
     is built from the manifest, seeded with the effective seed.
+    Overrides are held to the manifest's own bounds (a
+    :class:`~repro.errors.PackError` naming the field).
     """
     from repro.core.moneq.config import MoneqConfig
     from repro.core.moneq.session import MoneqSession
@@ -227,6 +248,7 @@ def execute_scenario(spec: ScenarioSpec, seed: int | None = None,
         raise PackError(
             f"pack {spec.name!r}: kind {spec.kind!r} is not a live "
             f"session scenario")
+    check_overrides(spec.name, seed=seed, duration_s=duration_s, rate=rate)
     seed = spec.seed if seed is None else seed
     duration_s = spec.duration_s if duration_s is None else duration_s
     if plan is None and spec.faults is not None:

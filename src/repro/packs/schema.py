@@ -30,6 +30,7 @@ The four scenario kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import PackError
@@ -195,13 +196,45 @@ def _kind_names(kinds) -> str:
     return names.get(kinds[0], kinds[0].__name__)
 
 
+def _check_run_value(ctx: str, field_path: str, value: object) -> None:
+    """The one bounds check for a run's seed, durations, polling
+    interval and fault rates — manifest fields and run-time overrides
+    alike.  The last component of ``field_path`` picks the rule: a
+    ``seed`` is an integer >= 0, a ``*rate`` lies in [0, 1], anything
+    else (``duration_s``, ``interval_s``, ``power_cap_w``) is positive
+    and finite.  NaN fails every rule; ``None`` (not given) passes."""
+    if value is None:
+        return
+    rule = field_path.rsplit(".", 1)[-1]
+    is_number = (isinstance(value, (int, float))
+                 and not isinstance(value, bool))
+    if rule == "seed":
+        ok = isinstance(value, int) and is_number and value >= 0
+        want = ">= 0 and an integer"
+    elif rule.endswith("rate"):
+        ok = is_number and 0.0 <= value <= 1.0
+        want = "in [0, 1]"
+    else:
+        ok = is_number and 0.0 < value < math.inf
+        want = "positive and finite"
+    if not ok:
+        _fail(ctx, f"{field_path} must be {want}, got {value!r}")
+
+
+def check_overrides(name: str, **overrides: object) -> None:
+    """Run-time overrides of pack ``name`` (``seed=``, ``duration_s=``,
+    ``rate=``) through :func:`_check_run_value`; ``None`` means "not
+    overridden"."""
+    for field_path, value in overrides.items():
+        _check_run_value(repr(name), field_path, value)
+
+
 def _parse_phase(ctx: str, path: str, raw: object) -> PhaseSpec:
     data = _require_mapping(ctx, path, raw)
     _check_keys(ctx, path, data, ("name", "duration_s", "loads"))
     name = _get(ctx, path, data, "name", (str,))
     duration_s = float(_get(ctx, path, data, "duration_s", (int, float)))
-    if duration_s <= 0.0:
-        _fail(ctx, f"{path}.duration_s must be positive, got {duration_s}")
+    _check_run_value(ctx, f"{path}.duration_s", duration_s)
     loads_raw = _get(ctx, path, data, "loads", (dict,), default={})
     loads = []
     for component, level in loads_raw.items():
@@ -221,8 +254,9 @@ def _parse_workload(ctx: str, raw: object) -> WorkloadSpec:
     name = _get(ctx, "workload", data, "name", (str,))
     start_s = float(_get(ctx, "workload", data, "start_s", (int, float),
                          default=5.0))
-    if start_s < 0.0:
-        _fail(ctx, f"workload.start_s must be >= 0, got {start_s}")
+    if not 0.0 <= start_s < math.inf:
+        _fail(ctx, f"workload.start_s must be >= 0 and finite, "
+                   f"got {start_s}")
     phases_raw = _get(ctx, "workload", data, "phases", (list,))
     if not phases_raw:
         _fail(ctx, "workload.phases must name at least one phase")
@@ -242,6 +276,7 @@ def _parse_testbed(ctx: str, raw: object) -> TestbedSpec:
         _fail(ctx, f"testbed.kind must be one of "
                    f"{', '.join(TESTBED_KINDS)}; got {kind!r}")
     seed = _get(ctx, "testbed", data, "seed", (int,), default=None)
+    _check_run_value(ctx, "testbed.seed", seed)
     gpu_model = _get(ctx, "testbed", data, "gpu_model", (str,),
                      default="k20")
     if gpu_model not in GPU_MODELS:
@@ -249,8 +284,7 @@ def _parse_testbed(ctx: str, raw: object) -> TestbedSpec:
                    f"{', '.join(GPU_MODELS)}; got {gpu_model!r}")
     power_cap_w = _get(ctx, "testbed", data, "power_cap_w", (int, float),
                        default=None)
-    if power_cap_w is not None and float(power_cap_w) <= 0.0:
-        _fail(ctx, f"testbed.power_cap_w must be positive, got {power_cap_w}")
+    _check_run_value(ctx, "testbed.power_cap_w", power_cap_w)
     for key in ("gpu_model", "power_cap_w"):
         if key in data and kind != "gpu":
             _fail(ctx, f"testbed.{key} only applies to the 'gpu' testbed "
@@ -272,8 +306,7 @@ def _parse_fault_rule(ctx: str, path: str, raw: object) -> FaultRuleSpec:
                 ("mechanism", "rate", "kind", "t_start_frac", "t_end_frac"))
     mechanism = _get(ctx, path, data, "mechanism", (str,))
     rate = _get(ctx, path, data, "rate", (int, float), default=None)
-    if rate is not None and not 0.0 <= float(rate) <= 1.0:
-        _fail(ctx, f"{path}.rate must be in [0, 1], got {rate}")
+    _check_run_value(ctx, f"{path}.rate", rate)
     kind = _get(ctx, path, data, "kind", (str,), default="")
     t_start_frac = float(_get(ctx, path, data, "t_start_frac",
                               (int, float), default=0.0))
@@ -298,9 +331,7 @@ def _parse_faults(ctx: str, raw: object) -> FaultPlanSpec:
     _check_keys(ctx, "faults", data, ("rules", "default_rate"))
     default_rate = float(_get(ctx, "faults", data, "default_rate",
                               (int, float), default=1.0))
-    if not 0.0 <= default_rate <= 1.0:
-        _fail(ctx, f"faults.default_rate must be in [0, 1], "
-                   f"got {default_rate}")
+    _check_run_value(ctx, "faults.default_rate", default_rate)
     rules_raw = _get(ctx, "faults", data, "rules", (list,))
     if not rules_raw:
         _fail(ctx, "faults.rules must name at least one rule")
@@ -382,15 +413,12 @@ def parse_scenario(data: dict, source: str = "") -> ScenarioSpec:
     summary = _get(ctx, "", data, "summary", (str,))
     duration_s = float(_get(ctx, "", data, "duration_s", (int, float),
                             default=12.0))
-    if duration_s <= 0.0:
-        _fail(ctx, f"duration_s must be positive, got {duration_s}")
+    _check_run_value(ctx, "duration_s", duration_s)
     seed = _get(ctx, "", data, "seed", (int,), default=0xC4A05)
-    if seed < 0:
-        _fail(ctx, f"seed must be >= 0, got {seed}")
+    _check_run_value(ctx, "seed", seed)
     interval_s = _get(ctx, "", data, "interval_s", (int, float),
                       default=None)
-    if interval_s is not None and float(interval_s) <= 0.0:
-        _fail(ctx, f"interval_s must be positive, got {interval_s}")
+    _check_run_value(ctx, "interval_s", interval_s)
 
     mechanisms_raw = _get(ctx, "", data, "mechanisms", (list,), default=[])
     for i, entry in enumerate(mechanisms_raw):

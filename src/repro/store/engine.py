@@ -9,9 +9,9 @@ independent stores, each with the single-server ingest budget, so
 ``n_shards=1`` reproduces the paper's server exactly and N=16 sustains
 a full-Mira sweep at the 60 s minimum interval.
 
-Reads go through a planned, concurrent query API — ``range``,
-``prefix``, ``aggregate`` (cache-backed downsampling), ``latest`` —
-that merges per-shard sorted runs deterministically: results are
+Reads go through a planned query API — ``range``, ``prefix``,
+``aggregate`` (cache-backed downsampling), ``latest`` — that merges
+per-shard sorted runs deterministically: results are
 ordered by (timestamp, global ingest sequence), byte-identical to the
 seed envdb's flat record list at any shard count.
 """
@@ -22,7 +22,6 @@ import heapq
 import math
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -155,15 +154,13 @@ class ShardedStore:
         out-of-band inserts, and the parity tests use it.
     shard_depth:
         Location components forming the shard key (1 = rack).
-    parallel:
-        Fan multi-shard range/aggregate scans out on a thread pool.
-        Results are identical either way; per-shard locks make the
-        store safe for concurrent readers regardless.
+
+    Per-shard locks make the store safe for concurrent readers.
     """
 
     def __init__(self, tables: tuple[str, ...], n_shards: int = 1,
                  capacity_records_per_s: float | None = None,
-                 shard_depth: int = 1, parallel: bool = False):
+                 shard_depth: int = 1):
         if not tables:
             raise ConfigError("store needs at least one table")
         if capacity_records_per_s is not None and capacity_records_per_s <= 0:
@@ -173,13 +170,11 @@ class ShardedStore:
         self.table_names = tuple(tables)
         self.shard_map = ShardMap(n_shards, depth=shard_depth)
         self.capacity_records_per_s = capacity_records_per_s
-        self.parallel = bool(parallel)
         self._shards = [_Shard(i, self.table_names) for i in range(n_shards)]
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._batches_flushed = 0
         self._dropped_carryover = 0
-        self._executor: ThreadPoolExecutor | None = None
         self._record_children = {
             i: STORE_RECORDS.labels(str(i)) for i in range(n_shards)
         }
@@ -313,7 +308,7 @@ class ShardedStore:
                     built, field_name, window_s, t0, t1, location_prefix
                 )
 
-        parts = self._map_shards(one_shard, plan.shards)
+        parts = [one_shard(index) for index in plan.shards]
         out = [agg for part in parts for agg in part]
         out.sort(key=lambda a: (a.window_start, a.location))
         STORE_QUERIES.labels("aggregate").inc()
@@ -343,7 +338,7 @@ class ShardedStore:
                 seqs, records = shard.tables[table].tail_slice(cursor)
             return list(zip(seqs, records))
 
-        runs = self._map_shards(one_shard, plan.shards)
+        runs = [one_shard(index) for index in plan.shards]
         merged = runs[0] if len(runs) == 1 else heapq.merge(
             *runs, key=lambda pair: pair[0])
         out: list[Reading] = []
@@ -375,17 +370,7 @@ class ShardedStore:
                 keys, records = shard.tables[plan.table].slice(t0, t1)
             return list(zip(keys, records))
 
-        return self._map_shards(one_shard, plan.shards)
-
-    def _map_shards(self, fn, shards: tuple[int, ...]) -> list:
-        if self.parallel and len(shards) > 1:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=min(len(self._shards), 8),
-                    thread_name_prefix="repro-store",
-                )
-            return list(self._executor.map(fn, shards))
-        return [fn(index) for index in shards]
+        return [one_shard(index) for index in plan.shards]
 
     # -- rebalancing -----------------------------------------------------------
 
@@ -427,9 +412,6 @@ class ShardedStore:
         # Drops happened against the *old* layout; keep the total honest
         # without pinning them to a shard that no longer exists.
         self._dropped_carryover += dropped
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         # Replay without touching STORE_RECORDS: these records were
         # already counted when they first ingested.
         for seq, name, reading in replay:

@@ -44,7 +44,29 @@ def test_chaos_list_exits_zero(capsys):
     ["chaos", "run", "bus_noise", "--seed"],
     ["chaos", "run", "bus_noise", "--seed", "not-a-number"],
     ["chaos", "frobnicate"],
+    ["chaos", "run", "bus_noise", "--duration", "-5"],
+    ["chaos", "run", "bus_noise", "--duration", "nan"],
+    ["chaos", "run", "bus_noise", "--duration", "inf"],
+    ["chaos", "run", "bus_noise", "--rate", "-1"],
+    ["chaos", "run", "bus_noise", "--seed", "-3"],
 ])
 def test_bad_usage_exits_two(argv, capsys):
     assert cli_main(argv) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--duration", "-5", "duration_s"),
+    ("--duration", "nan", "duration_s"),
+    ("--duration", "-inf", "duration_s"),
+    ("--rate", "1.5", "rate"),
+    ("--rate", "nan", "rate"),
+    ("--seed", "-3", "seed"),
+])
+def test_bad_override_is_one_line_naming_the_field(flag, value, field,
+                                                    capsys):
+    assert cli_main(["chaos", "run", "bus_noise", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and f"{field} must be" in lines[0]

@@ -89,6 +89,11 @@ def test_pack_run_accepts_a_manifest_path(tmp_path, capsys):
     (["pack", "run", "phi-micsmc", "--seed", "lots"], "invalid literal"),
     (["pack", "run", "no-such-pack"], "not in the catalog"),
     (["pack", "show", "no-such-pack"], "not in the catalog"),
+    (["pack", "run", "bus_noise", "--duration", "-5"], "duration_s"),
+    (["pack", "run", "bus_noise", "--duration", "nan"], "duration_s"),
+    (["pack", "run", "phi-micsmc", "--duration", "inf"], "duration_s"),
+    (["pack", "run", "bus_noise", "--rate", "-1"], "rate"),
+    (["pack", "run", "bus_noise", "--seed", "-3"], "seed"),
 ])
 def test_pack_bad_usage_exits_two(argv, needle, capsys):
     assert cli_main(argv) == 2

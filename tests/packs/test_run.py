@@ -61,18 +61,19 @@ def test_paper_core_reproduces_experiments_md_blocks(tmp_path):
 
 def test_pack_run_matches_the_live_chaos_path():
     """The engine-dispatched payload must agree with the live
-    ``run_scenario`` path byte for byte — same timeline, same summary
-    line (both execute ``repro.packs.runtime.execute_scenario``)."""
+    ``run_scenario`` path byte for byte — same timeline, same stats,
+    same outputs (both execute ``repro.packs.runtime.execute_scenario``)."""
+    import json
+
     from repro.chaos import run_scenario
-    from repro.packs.shims import summary_line
+    from repro.packs.runtime import scenario_payload
 
     result = run_pack("bmc_dark", jobs=1, cache=False)
     payload = result.payloads[result.exp_id]
     live = run_scenario("bmc_dark")
     assert payload["timeline"] == live.timeline_lines()
-    assert summary_line(payload) == live.summary_line()
-    assert payload["outputs"] == [[path, live.outputs[path]]
-                                  for path in sorted(live.outputs)]
+    assert json.dumps(payload, sort_keys=True) == json.dumps(
+        scenario_payload(load_pack("bmc_dark"), live), sort_keys=True)
 
 
 def test_fleet_packs_never_cache(tmp_path, monkeypatch):

@@ -8,6 +8,8 @@ contract over generated key names and windows; the directed cases pin
 each kind-specific shape rule.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,42 @@ def test_phase_loads_must_be_unit_fractions(level):
     else:
         message = rejects(raw)
         assert "workload.phases[0].loads.phi.cores" in message
+
+
+@given(key=st.sampled_from(["duration_s", "interval_s"]),
+       value=st.floats(allow_nan=True, allow_infinity=True))
+@settings(max_examples=40, deadline=None)
+def test_run_lengths_must_be_positive_and_finite(key, value):
+    raw = base_manifest(**{key: value})
+    if value > 0.0 and math.isfinite(value):
+        assert getattr(parse_scenario(raw), key) == value
+    else:
+        assert f"{key} must be positive and finite" in rejects(raw)
+
+
+@pytest.mark.parametrize("raw, needle", [
+    (base_manifest(duration_s=math.nan), "duration_s"),
+    (base_manifest(interval_s=math.nan), "interval_s"),
+    (base_manifest(workload={"name": "w", "phases": [
+        {"name": "p", "duration_s": math.nan}]}),
+     "workload.phases[0].duration_s"),
+    (base_manifest(kind="chaos", faults={
+        "default_rate": math.nan, "rules": [{"mechanism": "ipmb"}]}),
+     "faults.default_rate"),
+])
+def test_nan_is_rejected_naming_the_field(raw, needle):
+    assert f"{needle} must be" in rejects(raw)
+
+
+def test_toml_nan_interval_is_rejected_at_load(tmp_path):
+    from repro.packs import load_scenario
+
+    path = tmp_path / "nan.toml"
+    path.write_text('name = "nan"\nkind = "session"\nsummary = "x"\n'
+                    'interval_s = nan\nmechanisms = ["micsmc"]\n'
+                    '[testbed]\nkind = "phi"\n', encoding="utf-8")
+    with pytest.raises(PackError, match="interval_s must be positive"):
+        load_scenario(path)
 
 
 def test_unknown_workload_component_is_named():

@@ -1,11 +1,11 @@
-"""The legacy CLI surfaces through the pack runner: byte-identical.
+"""``repro chaos run`` and ``repro fleet sweep``: byte-identical stdout.
 
-``repro chaos run`` and ``repro fleet sweep`` now execute as scenario
-packs, but their stdout is a compatibility contract — the summary
-lines and tables below are the exact bytes the pre-pack commands
-printed (recorded from the legacy implementations), so these are
-regression pins, not round-trips through the new code's own
-formatting.
+Both commands call their public runners (``repro.chaos.run_scenario``
+and ``repro.fleet.fleet_bench``) straight from the command table, and
+their stdout is a compatibility contract — the summary lines and
+tables below are the exact bytes the pre-pack commands printed
+(recorded from the legacy implementations), so these are regression
+pins, not round-trips through the new code's own formatting.
 """
 
 import subprocess
@@ -105,8 +105,8 @@ def canned_fleet_bench(monkeypatch):
 
 
 def test_fleet_sweep_table_is_byte_identical(canned_fleet_bench, capsys):
-    """The exact table the legacy ``_fleet_command`` printed for these
-    results, rebuilt row for row as the legacy code built it."""
+    """The exact table the legacy ``fleet sweep`` command printed for
+    these results, rebuilt row for row as the legacy code built it."""
     from repro.analysis.tables import format_table
 
     rows = [(f"sweep.{key}", f"{value:g}")
@@ -121,7 +121,7 @@ def test_fleet_sweep_table_is_byte_identical(canned_fleet_bench, capsys):
     assert cli_main(["fleet", "sweep", "--smoke"]) == 0
     captured = capsys.readouterr()
     assert captured.out == legacy_table + "\n"
-    assert canned_fleet_bench == [(None, True)]  # shim owns file writes
+    assert canned_fleet_bench == [(None, True)]  # the CLI owns file writes
 
 
 def test_fleet_sweep_json_write_matches_legacy_bytes(
@@ -159,19 +159,10 @@ def test_fleet_bad_usage_exits_two(argv, capsys):
     assert capsys.readouterr().err
 
 
-def test_legacy_entry_points_warn_once_toward_the_shims(capsys):
-    from repro.__main__ import _chaos_command, _fleet_command
-    from repro._compat import reset_deprecation_warnings
-
-    reset_deprecation_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _chaos_command(["list"])
-        _chaos_command(["list"])
-        _fleet_command([])
+def test_chaos_and_fleet_commands_raise_no_deprecation_warning(
+        canned_fleet_bench, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert cli_main(["chaos", "list"]) == 0
+        assert cli_main(["fleet", "sweep", "--smoke"]) == 0
     capsys.readouterr()
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    assert len(messages) == 2  # once per alias, not per call
-    assert any("repro.packs.shims.chaos_command" in m for m in messages)
-    assert any("repro.packs.shims.fleet_command" in m for m in messages)

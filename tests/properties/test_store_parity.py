@@ -102,19 +102,6 @@ class TestSeedParity:
             reference.ingest(reading)
         assert store.latest("bpm", prefix) == reference.latest(prefix)
 
-    @given(batch=st.lists(readings, max_size=40), window=windows,
-           prefix=prefixes)
-    @settings(max_examples=40, deadline=None)
-    def test_parallel_scan_matches_serial(self, batch, window, prefix):
-        serial, _ = _stores(4)
-        threaded = ShardedStore(TABLES, n_shards=4, parallel=True)
-        for reading in batch:
-            serial.ingest("bpm", reading)
-            threaded.ingest("bpm", reading)
-        t0, t1 = window
-        assert threaded.range("bpm", t0, t1, prefix) == \
-            serial.range("bpm", t0, t1, prefix)
-
 
 def _batch(rack_counts: dict[str, int]) -> list[tuple[str, Reading]]:
     items = []
