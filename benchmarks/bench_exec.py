@@ -1,29 +1,10 @@
-"""Benchmarks of the experiment execution engine.
+"""Benchmark of the serial report pass — the pre-engine baseline cost.
 
-The cold pass runs all 13 experiments (15 tasks) through the pool; the
-warm pass must serve the same bytes from the content-addressed cache at
-a >= 10x speedup over cold-serial.  Parallel speedup is *not* asserted:
-it is bounded by the host's core count (this baseline container has
-one), and `BENCH_exec.json` records `cpus` next to the walls for that
-reason.
+The engine's warm-cache speedup floor and byte-identity are the
+``exec`` row of the bench registry (``bench_registry.py``).
 """
 
-from repro.exec import bench as exec_bench
 from repro.experiments import report
-
-
-def test_engine_warm_cache_speedup(benchmark):
-    """Cold serial vs warm cache on the full report: the cache must buy
-    >= 10x, with byte-identical markdown across every run."""
-    results = benchmark.pedantic(
-        lambda: exec_bench.run(json_path=None), rounds=1, iterations=1)
-    assert results["byte_identical"], (
-        "engine produced different report bytes across runs")
-    warm = results["runs"]["warm_cache"]
-    assert warm["speedup_vs_cold_serial"] >= 10.0, (
-        f"warm cache only {warm['speedup_vs_cold_serial']:.1f}x over "
-        f"cold serial")
-    assert results["tasks"] == 15
 
 
 def test_report_generation_wall(benchmark):

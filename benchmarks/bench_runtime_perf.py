@@ -4,13 +4,14 @@ Unlike the figure benches (which regenerate paper artifacts), these
 measure the *wall-clock* cost of the substrate — the launcher's
 messaging loop, dense sensor sampling, and a full MonEQ session — so
 regressions in the hot paths show up in `--benchmark-compare` runs.
+The scheduler's fan-in speedup floor is a row of the bench registry
+(`bench_registry.py`).
 """
 
 import numpy as np
 
 from repro.core import moneq
 from repro.core.moneq.config import MoneqConfig
-from repro.perfbench import bench_launcher_fanin
 from repro.runtime.programs import run_mmps
 from repro.testbeds import gpu_node, rapl_node
 from repro.workloads.vectoradd import VectorAddWorkload
@@ -20,15 +21,6 @@ def test_launcher_message_throughput(benchmark):
     """2x2000 messages through the cooperative scheduler."""
     result = benchmark(run_mmps, ranks=2, messages_per_rank=2000)
     assert result.achieved_rate_per_rank > 1e6
-
-
-def test_heap_scheduler_fanin_speedup(benchmark):
-    """4096-rank ANY_SOURCE fan-in: the heap scheduler must beat the
-    seed's linear `_pick_runnable` scan by >= 5x (same results)."""
-    result = benchmark.pedantic(bench_launcher_fanin, rounds=1, iterations=1)
-    assert result["speedup_vs_scalar"] >= 5.0, (
-        f"heap scheduler only {result['speedup_vs_scalar']:.1f}x over linear"
-    )
 
 
 def test_dense_sensor_sampling(benchmark):

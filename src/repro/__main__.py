@@ -128,12 +128,6 @@ _OVERRIDE_FLAGS = {
 }
 
 
-def _optional_path(args: list[str], default: str) -> str:
-    if len(args) > 1:
-        raise UsageError(f"unexpected argument(s) {args[1:]}")
-    return args[0] if args else default
-
-
 # -- experiments --------------------------------------------------------------
 
 
@@ -197,25 +191,7 @@ def _exec_cache(args: list[str]) -> int:
     return 0
 
 
-def _exec_bench(args: list[str]) -> int:
-    from repro.analysis.tables import format_table
-    from repro.exec import bench as exec_bench
-
-    json_path = _optional_path(args, "BENCH_exec.json")
-    results = exec_bench.run(json_path)
-    rows = [(name, f"{r['wall_s'] * 1e3:.1f} ms",
-             ", ".join(f"{k}={v:g}" if isinstance(v, (int, float))
-                       else f"{k}={v}"
-                       for k, v in r.items() if k != "wall_s"))
-            for name, r in results["runs"].items()]
-    rows.append(("byte_identical", str(results["byte_identical"]), ""))
-    rows.append(("cpus", str(results["cpus"]), ""))
-    print(format_table(("run", "wall", "detail"), rows,
-                       title=f"[repro exec bench] wrote {json_path}"))
-    return 0 if results["byte_identical"] else 1
-
-
-# -- observability and benches ------------------------------------------------
+# -- observability and the bench registry -------------------------------------
 
 
 def _obs_dump(args: list[str]) -> int:
@@ -240,147 +216,37 @@ def _obs_dump(args: list[str]) -> int:
     return 0
 
 
-def _store_bench(args: list[str]) -> int:
-    import time
-
-    import repro.obs as obs
-    from repro.analysis.tables import format_aggregates, format_table
-    from repro.bgq.machine import BgqMachine
-    from repro.sim.rng import RngRegistry
-
-    if len(args) > 3:
-        raise UsageError(f"unexpected argument(s) {args[3:]}")
-    try:
-        racks = int(args[0]) if len(args) > 0 else 4
-        shards = int(args[1]) if len(args) > 1 else 4
-        interval_s = float(args[2]) if len(args) > 2 else 240.0
-    except ValueError:
-        raise UsageError("arguments must be numeric: "
-                         "[racks [shards [interval_s]]]") from None
-
-    sweeps = 6
-    machine = BgqMachine(racks=racks, rng=RngRegistry(0x5708E),
-                         poll_interval_s=interval_s, envdb_shards=shards)
-    machine.advance_to(interval_s * sweeps)
-    envdb = machine.envdb
-    store = envdb.store
-    window = interval_s * sweeps
-
-    repeats = 20
-    t_start = time.perf_counter()
-    for _ in range(repeats):
-        aggs = envdb.aggregate("bpm", "input_power_w", 0.0, window,
-                               window, "R00")
-    cached_s = (time.perf_counter() - t_start) / repeats
-    rows = store.range("bpm", 0.0, window, "R00-M0-N00")
-    latest = store.latest("bpm", "R00")
-
-    print(format_table(
-        ("metric", "value"),
-        [
-            ("racks / shards", f"{racks} / {store.n_shards}"),
-            ("poll interval", f"{interval_s:.0f} s x {sweeps} sweeps"),
-            ("records ingested", str(store.records_ingested)),
-            ("records dropped", str(store.dropped_records)),
-            ("batches flushed", str(store.batches_flushed)),
-            ("hottest-shard load", f"{envdb.capacity_fraction():.2f}x"),
-            ("range rows (one board)", str(len(rows))),
-            ("latest locations (R00)", str(len(latest))),
-            ("aggregate query (cached)", f"{cached_s * 1e3:.3f} ms"),
-        ],
-        title=f"[repro store bench] sharded envdb, plan="
-              f"{store.plan('aggregate', 'bpm', 'R00-M0').fan_out} shard(s)",
-    ))
-    print()
-    print(format_aggregates(aggs[:8], title="[aggregates] R00, first rows"))
-    print()
-    store_lines = [line for line in obs.dump().splitlines()
-                   if "repro_store" in line]
-    print("\n".join(store_lines))
-    return 0
-
-
-def _bench_perf(args: list[str], check: bool, smoke: bool) -> int:
+def _bench(args: list[str], smoke: bool, check: bool) -> int:
     from repro import perfbench
     from repro.analysis.tables import format_table
 
-    # Smoke sizes never touch the full-profile trajectory file — they
-    # get their own, medians over repetitions plus spread.
-    json_path = _optional_path(
-        args, perfbench.SMOKE_TRAJECTORY_PATH if smoke and not check
-        else "BENCH_moneq.json")
+    names = args or list(perfbench.BENCHES)
+    unknown = [name for name in names if name not in perfbench.BENCHES]
+    if unknown:
+        raise UsageError(f"unknown bench(es) {unknown}; "
+                         f"have {list(perfbench.BENCHES)}")
+    profile = "smoke" if smoke else "full"
+    path = perfbench.TRAJECTORY_PATH
     if check:
-        failures, results = perfbench.check(json_path, smoke=smoke)
-    elif smoke:
-        _, results = perfbench.run_smoke_trajectory(json_path)
-        failures = []
+        failures, results = perfbench.check(names, profile, path)
+        title = f"[repro bench] {profile} profile checked against {path}"
     else:
-        failures, results = [], perfbench.run(json_path)
+        failures, results = perfbench.record(names, profile, path)
+        reps = perfbench.PROFILES[profile].reps
+        title = (f"[repro bench] {profile} profile x{reps} -> "
+                 + ("nothing written" if failures else f"wrote {path}"))
     rows = []
     for name, r in results.items():
         detail = ", ".join(
-            f"{k}={v:g}" if isinstance(v, (int, float)) else f"{k}={v}"
+            f"{k}={v:g}" if isinstance(v, (int, float))
+            and not isinstance(v, bool) else f"{k}={v}"
             for k, v in r.items()
             if k not in ("wall_s", "speedup_vs_scalar")
         )
         rows.append((name, f"{r['wall_s'] * 1e3:.1f} ms",
-                     f"{r['speedup_vs_scalar']:.1f}x", detail))
-    if check and smoke:
-        title = ("[repro bench perf] smoke profile vs absolute + "
-                 "relative floors")
-    elif check:
-        title = f"[repro bench perf] checked against {json_path}"
-    elif smoke:
-        title = f"[repro bench perf] smoke x3 -> wrote {json_path}"
-    else:
-        title = f"[repro bench perf] wrote {json_path}"
+                     f"{r['speedup_vs_scalar']:.2f}x", detail))
     print(format_table(("bench", "wall", "vs scalar", "detail"), rows,
                        title=title))
-    if not results["moneq_block"]["byte_identical"]:
-        print("FAIL: block-sampled output diverged from scalar",
-              file=sys.stderr)
-        return 1
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _fleet_sweep(args: list[str], smoke: bool, json: str | None) -> int:
-    import json as json_module
-
-    import repro.fleet
-    from repro.analysis.tables import format_table
-    from repro.fleet.sweep import CACHE_REDUCTION_FLOOR, REALTIME_FLOOR
-
-    json_path = json if json is not None or smoke else "BENCH_fleet.json"
-    # Looked up at call time: tests swap in canned results.
-    results = repro.fleet.fleet_bench(json_path=None, smoke=smoke)
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json_module.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    rows = [(f"sweep.{key}", f"{value:g}")
-            for key, value in results["fleet_sweep"].items()]
-    rows += [(f"cache.{key}",
-              str(value) if isinstance(value, bool) else f"{value:g}")
-             for key, value in results["cache_ablation"].items()]
-    wrote = f"wrote {json_path}" if json_path else "nothing written"
-    print(format_table(
-        ("metric", "value"), rows,
-        title=f"[repro fleet sweep] "
-              f"{'smoke' if smoke else 'full'} profile, {wrote}"))
-
-    failures = []
-    realtime = results["fleet_sweep"]["speedup_vs_scalar"]
-    if realtime < REALTIME_FLOOR:
-        failures.append(f"sweep realtime factor {realtime:.1f}x below "
-                        f"the {REALTIME_FLOOR:g}x floor")
-    reduction = results["cache_ablation"]["crossings_reduction"]
-    if reduction < CACHE_REDUCTION_FLOOR:
-        failures.append(f"cache crossings reduction {reduction:.1f}x below "
-                        f"the {CACHE_REDUCTION_FLOOR:g}x floor")
-    if not results["cache_ablation"]["byte_identical"]:
-        failures.append("channel cache changed MonEQ output bytes")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -398,21 +264,6 @@ def _serve(args: list[str], host: str, port: int, racks: int, shards: int,
           f"{machine.envdb.store.n_shards} shards, "
           f"{machine.envdb.store.records_ingested} records ingested")
     serve(app, host=host, port=port)
-    return 0
-
-
-def _service_bench(args: list[str], racks: int, shards: int, requests: int,
-                   sweeps: int) -> int:
-    from repro.analysis.tables import format_table
-    from repro.service import write_bench
-
-    json_path = _optional_path(args, "BENCH_service.json")
-    result = write_bench(json_path, racks=racks, shards=shards,
-                         requests=requests, sweeps=sweeps)
-    rows = [(key, f"{value:g}" if isinstance(value, float) else str(value))
-            for key, value in result.items()]
-    print(format_table(("metric", "value"), rows,
-                       title=f"[repro service bench] wrote {json_path}"))
     return 0
 
 
@@ -651,8 +502,6 @@ _EXPERIMENT = Command((), "<experiment>", "regenerate one table/figure",
                       _experiment)
 
 
-_SIZE_FLAGS = {"racks": Flag(int, 64), "shards": Flag(int, 64)}
-
 COMMANDS: tuple[Command, ...] = (
     Command(("list",), "", "available experiments", _list),
     _EXPERIMENT,
@@ -665,35 +514,21 @@ COMMANDS: tuple[Command, ...] = (
     Command(("exec", "cache"), "stats|clear",
             "result-cache size and contents, or drop every cached result",
             _exec_cache),
-    Command(("exec", "bench"), "[json_path]",
-            "engine cold/warm benches -> BENCH_exec.json", _exec_bench),
     Command(("obs", "dump"), "[target...]",
             "run the exercises (default: all), dump metrics + spans",
             _obs_dump),
-    Command(("store", "bench"), "[racks [shards [interval_s]]]",
-            "exercise the sharded envdb store", _store_bench),
-    Command(("bench", "perf"), "[json_path]",
-            "wall-clock hot-path benches -> BENCH_moneq.json (--smoke: "
-            "the reduced profile x3 -> BENCH_smoke.json; --check: compare "
-            "with the committed file(s), write nothing, exit 1 on "
-            "regression)", _bench_perf,
-            {"check": Flag(bool, False), "smoke": Flag(bool, False)}),
-    Command(("fleet", "sweep"), "",
-            "federated multi-cluster sweep + channel-cache ablation -> "
-            "BENCH_fleet.json (default: the 10x-Mira fleet; --smoke: "
-            "2 sites x 4 racks, no write unless --json is given); "
-            "exits 1 below a floor", _fleet_sweep,
-            {"smoke": Flag(bool, False), "json": Flag(str, None, "PATH")}),
+    Command(("bench",), "[name...]",
+            "measure the bench registry (default: every row) and record "
+            "medians + spread in BENCH_trajectory.json (--smoke: the "
+            "reduced profile; --check: hold one run to the floors and the "
+            "committed baselines, write nothing, exit 1 on a miss)",
+            _bench, {"smoke": Flag(bool, False), "check": Flag(bool, False)}),
     Command(("serve",), "",
             "stand up a populated simulated machine and serve the live "
             "monitoring query service on it", _serve,
             {"host": Flag(str, "127.0.0.1", "H"), "port": Flag(int, 8340, "P"),
-             **_SIZE_FLAGS, "sweeps": Flag(int, 2)}),
-    Command(("service", "bench"), "[json_path]",
-            "sustained mixed query load -> BENCH_service.json",
-            _service_bench,
-            {**_SIZE_FLAGS, "requests": Flag(int, 400),
-             "sweeps": Flag(int, 16)}),
+             "racks": Flag(int, 64), "shards": Flag(int, 64),
+             "sweeps": Flag(int, 2)}),
     Command(("service", "smoke"), "",
             "boot in-process: /ready, one planned query, one 403 (the CI "
             "gate, exit 1 on any miss)", _service_smoke),

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.stats import AnalysisError
-from repro.store import Aggregate
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -39,19 +38,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     for row in rendered_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_aggregates(aggregates: Sequence[Aggregate],
-                      title: str | None = None) -> str:
-    """Render store aggregate rows (the ``repro store bench`` output)."""
-    if not aggregates:
-        raise AnalysisError("no aggregates to render")
-    rows = [
-        (a.location, a.field, a.window_start, a.window_end,
-         a.count, a.minimum, a.mean, a.maximum)
-        for a in aggregates
-    ]
-    return format_table(
-        ("location", "field", "t0", "t1", "n", "min", "mean", "max"),
-        rows, title=title, float_format="{:.2f}",
-    )

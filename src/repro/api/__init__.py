@@ -1,4 +1,4 @@
-"""``repro.api`` — the versioned, supported public surface (v2).
+"""``repro.api`` — the versioned, supported public surface (v3).
 
 Since API v2 the surface is **namespaced**: each sub-surface groups
 one concern, and new code imports from the namespace it needs.
@@ -23,10 +23,8 @@ Compatibility policy
   keep their signatures and semantics within a major version of the
   package, and removals or breaking changes are announced one minor
   release ahead via a deprecation note in ``docs/api.md``.
-* Every v1 flat name (``repro.api.ShardedStore``, …) still resolves —
-  through a shim that emits one :class:`DeprecationWarning` per name,
-  pointing at its namespace home.  The flat aliases are scheduled for
-  removal at API v3.
+* The v1 flat names (``repro.api.ShardedStore``, …), deprecated
+  through API v2, are removed in v3: each lives only in its namespace.
 * Deep imports (``repro.core.moneq.session``, ``repro.bgq.envdb``, …)
   keep working — nothing is hidden — but they are implementation
   modules: they may move or change between minor releases without
@@ -34,13 +32,12 @@ Compatibility policy
 * :data:`API_VERSION` identifies this surface; it bumps only when a
   supported name changes incompatibly.
 
-See ``docs/api.md`` for the name-by-name reference and the v1 -> v2
-migration table.
+See ``docs/api.md`` for the name-by-name reference and the table of
+removed v1 flat names.
 """
 
 from __future__ import annotations
 
-from repro._compat import deprecated_alias
 from repro._version import __version__
 from repro.api import (
     chaos,
@@ -55,9 +52,9 @@ from repro.api import (
 )
 
 #: Version of the supported surface (not the package release).
-API_VERSION = "2"
+API_VERSION = "3"
 
-#: The nine namespaced sub-surfaces of API v2.
+#: The nine namespaced sub-surfaces.
 NAMESPACES = {
     "session": session,
     "mech": mech,
@@ -69,36 +66,6 @@ NAMESPACES = {
     "fleet": fleet,
     "packs": packs,
 }
-
-#: flat name -> namespace name; built from the namespaces' ``__all__``
-#: so the shim can never drift from the real surface.
-_FLAT_ALIASES: dict[str, str] = {}
-for _ns_name, _module in NAMESPACES.items():
-    for _name in _module.__all__:
-        if _name in _FLAT_ALIASES:  # pragma: no cover - import-time guard
-            raise ImportError(
-                f"API name {_name!r} exported by both "
-                f"repro.api.{_FLAT_ALIASES[_name]} and repro.api.{_ns_name}"
-            )
-        _FLAT_ALIASES[_name] = _ns_name
-
-
-def __getattr__(name: str):
-    """PEP 562 shim: resolve a v1 flat name from its v2 namespace,
-    warning once per name."""
-    ns = _FLAT_ALIASES.get(name)
-    if ns is None:
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-    return deprecated_alias(
-        f"repro.api.{name}",
-        f"repro.api.{ns}.{name}",
-        getattr(NAMESPACES[ns], name),
-    )
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_FLAT_ALIASES))
-
 
 __all__ = [
     "API_VERSION",

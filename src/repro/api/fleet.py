@@ -3,7 +3,7 @@
 The fleet topology (named Mira-class sites over one federation), the
 federated store that scatter-gathers queries across the sites' sharded
 stores by the ``site/location`` prefix convention, the timed
-fleet-wide sweep behind ``BENCH_fleet.json``, and the service
+fleet-wide sweep behind the ``fleet`` bench row, and the service
 constructor that puts a fleet behind ``/v2/query/aggregate``.
 """
 
@@ -16,7 +16,6 @@ from repro.fleet import (
     FleetSweepReport,
     build_fleet,
     cache_ablation,
-    fleet_bench,
     fleet_sweep,
 )
 from repro.service import service_for_fleet
@@ -31,7 +30,6 @@ __all__ = [
     "FleetSweepReport",
     "build_fleet",
     "cache_ablation",
-    "fleet_bench",
     "fleet_sweep",
     "merge_partials",
     "service_for_fleet",

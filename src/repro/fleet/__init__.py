@@ -12,16 +12,17 @@ scales the reproduction out:
   before a sweep;
 * :mod:`repro.fleet.sweep` — :func:`fleet_sweep` (the timed
   fleet-wide sweep with cross-site rollup aggregation) and
-  :func:`fleet_bench`, which writes ``BENCH_fleet.json`` including the
-  channel-cache crossings ablation.
+  :func:`cache_ablation`, the channel cache's crossings-saved
+  measurement.
 
-``python -m repro fleet sweep`` drives it from the CLI.
+``python -m repro bench fleet`` times both (the ``fleet`` row of
+:data:`repro.perfbench.BENCHES`).
 """
 
 from __future__ import annotations
 
 from repro.fleet.sites import DEFAULT_FLEET_SEED, Fleet, FleetSite, build_fleet
-from repro.fleet.sweep import FleetSweepReport, cache_ablation, fleet_bench, fleet_sweep
+from repro.fleet.sweep import FleetSweepReport, cache_ablation, fleet_sweep
 
 __all__ = [
     "DEFAULT_FLEET_SEED",
@@ -30,6 +31,5 @@ __all__ = [
     "FleetSweepReport",
     "build_fleet",
     "cache_ablation",
-    "fleet_bench",
     "fleet_sweep",
 ]

@@ -1,4 +1,4 @@
-"""Fleet sweeps and the fleet benchmark.
+"""Fleet sweeps and the channel-cache ablation.
 
 :func:`fleet_sweep` is the operational loop at fleet scale: reshard
 saturated sites, advance every site through one polling-sweep horizon,
@@ -6,16 +6,14 @@ then fold the sites' partial aggregates into a fleet-wide rollup — the
 scatter-gather plan that keeps the paper's single-server ceiling *per
 site* while the center only ever sees O(windows) partials.
 
-:func:`fleet_bench` writes ``BENCH_fleet.json``: the 10×-Mira 60 s
-sweep with its wall-time figures, plus :func:`cache_ablation` — the
-channel cache's crossings-saved measurement (K consumers sharing one
-device at the paper-default poll rate, cache-on vs cache-off
-byte-compared).
+:func:`cache_ablation` is the channel cache's crossings-saved
+measurement (K consumers sharing one device at the paper-default poll
+rate, cache-on vs cache-off byte-compared).  The ``fleet`` row of
+:data:`repro.perfbench.BENCHES` times both and holds their floors.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -24,17 +22,6 @@ from repro.fleet.sites import DEFAULT_FLEET_SEED, Fleet, build_fleet
 
 #: Rollup aggregation window for the sweep report (s).
 ROLLUP_WINDOW_S = 30.0
-
-#: Wall-time floor on the sweep, as a realtime factor: the fleet must
-#: simulate at least this many virtual seconds per wall second
-#: (locally ~1000x; 2x still means faster-than-the-hardware).  The CLI
-#: and the smoke perf check both gate on it.
-REALTIME_FLOOR = 2.0
-
-#: Crossings-reduction floor for the cache ablation: the channel cache
-#: must cut access-channel crossings at least this much on the
-#: shared-device consumer pattern at the paper-default poll rate.
-CACHE_REDUCTION_FLOOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -182,46 +169,3 @@ def cache_ablation(consumers: int = 8, ticks: int = 400,
                                 if crossings_cached else float("inf")),
         "byte_identical": files_cached == files_plain,
     }
-
-
-def fleet_bench(json_path: str | None = "BENCH_fleet.json",
-                smoke: bool = False) -> dict:
-    """The committed fleet benchmark: the 10×-Mira 60 s sweep plus the
-    channel-cache crossings ablation.
-
-    ``smoke=True`` shrinks the fleet (2 sites × 4 racks) for CI
-    runners; smoke runs never overwrite the committed figures unless
-    explicitly pointed at a path.
-    """
-    if smoke:
-        report = fleet_sweep(n_sites=2, racks=4, duration_s=60.0)
-        ablation = cache_ablation(consumers=8, ticks=200)
-    else:
-        report = fleet_sweep(n_sites=10, racks=MIRA_RACKS, duration_s=60.0)
-        ablation = cache_ablation(consumers=8, ticks=400)
-    results = {
-        "fleet_sweep": {
-            "wall_s": round(report.wall_s, 6),
-            "speedup_vs_scalar": round(report.realtime_factor, 3),
-            "sites": report.sites,
-            "racks": report.racks,
-            "sweeps": report.sweeps,
-            "records": report.records,
-            "dropped": report.dropped,
-            "reshards": len(report.reshards),
-            "shards": sum(report.shards_by_site.values()),
-            "rollup_windows": report.rollup_windows,
-        },
-        "cache_ablation": {
-            "hit_rate": round(ablation["hit_rate"], 4),
-            "crossings_uncached": ablation["crossings_uncached"],
-            "crossings_cached": ablation["crossings_cached"],
-            "crossings_reduction": round(ablation["crossings_reduction"], 3),
-            "byte_identical": ablation["byte_identical"],
-        },
-    }
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return results

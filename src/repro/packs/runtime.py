@@ -324,11 +324,12 @@ def run_part(part: str, config: PackRunConfig) -> dict:
 
     spec = scenario_from_mapping(json.loads(config.manifest))
     if spec.kind == "fleet":
-        from repro.fleet import fleet_bench
+        from repro import perfbench
 
-        results = fleet_bench(json_path=None, smoke=spec.fleet.smoke)
+        fleet = perfbench.BENCHES["fleet"].measure(
+            "smoke" if spec.fleet.smoke else "full")
         return {"kind": "fleet", "pack": spec.name,
-                "summary": spec.summary, **results}
+                "summary": spec.summary, "fleet": fleet}
     run = execute_scenario(spec, seed=config.seed,
                            duration_s=config.duration_s, rate=config.rate)
     return scenario_payload(spec, run)
@@ -339,11 +340,9 @@ def render_block(parts: dict[str, dict]) -> ExperimentReport:
     payload = parts["all"]
     name = payload["pack"]
     if payload["kind"] == "fleet":
-        rows = [(f"sweep.{key}", "—", f"{value:g}")
-                for key, value in payload["fleet_sweep"].items()]
-        rows += [(f"cache.{key}", "—",
-                  str(value) if isinstance(value, bool) else f"{value:g}")
-                 for key, value in payload["cache_ablation"].items()]
+        rows = [(key, "—",
+                 str(value) if isinstance(value, bool) else f"{value:g}")
+                for key, value in payload["fleet"].items()]
     else:
         errors = sum(count for _, _, count in payload["error_deltas"])
         rows = [

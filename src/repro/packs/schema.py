@@ -116,7 +116,7 @@ class FaultPlanSpec:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """Fleet-sweep profile knobs (mirrors ``repro fleet sweep``)."""
+    """Fleet-sweep profile knobs (mirrors ``repro bench fleet [--smoke]``)."""
 
     smoke: bool = True
 

@@ -1,42 +1,94 @@
-"""Wall-clock benches of the simulator's hot paths.
+"""The bench registry: wall-clock benches of the simulator's hot paths.
 
-These measure the *simulator's* speed, not the modeled hardware: the
-columnar block-sampling engine against per-tick scalar collection, and
-the heap-scheduled launcher against the linear ``_pick_runnable``
-reference.  ``python -m repro bench perf`` runs them and writes
-``BENCH_moneq.json`` so future changes have a perf baseline to regress
-against; ``benchmarks/bench_moneq_block.py`` and
-``benchmarks/bench_runtime_perf.py`` assert the speedup floors.
+These measure the *simulator's* speed, not the modeled hardware.  Every
+bench is one row of :data:`BENCHES`: a callable, its keyword sizes for
+the ``full`` and ``smoke`` profiles, and an absolute floor per profile
+on the ratio it reports.  Every row's committed baseline lives in one
+trajectory file, :data:`TRAJECTORY_PATH`, shaped ``{profile: {bench:
+{wall_s, speedup_vs_scalar, spread, ...detail}}}``.
 
-Every bench returns a dict whose first two keys follow the trajectory
-schema — ``{"wall_s": <optimized wall>, "speedup_vs_scalar": <x>}`` —
-where "scalar" is the pre-optimization path (``block_ticks=1`` scalar
-ticking, or ``scheduler="linear"``).  Extra keys carry bench-specific
-detail for the CLI report and the benchmark asserts.
+``python -m repro bench [name...] [--smoke] [--check]`` is the one
+front door.  Without ``--check`` it measures the named rows (default:
+all) :attr:`Profile.reps` times and records each row's median and
+spread; with it, one run per row is held to :func:`check`'s floors and
+nothing is written.  ``benchmarks/bench_registry.py`` holds a live
+full-profile run of every row to the same table.
+
+Every bench returns a dict whose first two keys are ``wall_s`` (the
+optimized path's wall) and ``speedup_vs_scalar`` (the reference wall
+over the optimized wall, where "scalar" is the pre-optimization path);
+extra keys are detail.  A ``byte_identical`` key, where present, must
+be True.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import statistics
 import time
 from collections.abc import Callable
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from repro.bgq.machine import MIRA_RACKS
 from repro.core import moneq
 from repro.core.moneq.backends import NvmlBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.runtime.launcher import Launcher
 from repro.runtime.ops import ANY_SOURCE, Compute, Recv, Send
-from repro.runtime.programs import run_mmps
+from repro.service.loadgen import bench_service
 from repro.workloads.vectoradd import VectorAddWorkload
 
 NVML_INTERVAL_S = 0.060
+
+#: Where every row's committed baseline lives, both profiles.
+TRAJECTORY_PATH = "BENCH_trajectory.json"
 
 
 def _wall(fn: Callable[[], object]) -> tuple[float, object]:
     t0 = time.perf_counter()
     result = fn()
     return time.perf_counter() - t0, result
+
+
+class _Paired(NamedTuple):
+    ratio: float
+    reference_s: float
+    candidate_s: float
+    reference: object
+    candidate: object
+
+
+def _paired(reference: Callable[[], object], candidate: Callable[[], object],
+            pairs: int) -> _Paired:
+    """Time ``reference`` then ``candidate``, ``pairs`` times over, and
+    return the median per-pair ``reference / candidate`` wall ratio
+    (plus the median walls and the last pair's results).
+
+    Both sides of a pair see the same machine: a noisy neighbour or a
+    frequency step lands on one pair, and the median drops that pair.
+    Timing every reference run and then every candidate run instead
+    bills such drift to whichever side ran second.  The cyclic garbage
+    collector is off while the pairs run (as under :mod:`timeit`): a
+    collection would otherwise land on whichever side crossed its
+    allocation threshold."""
+    ref_walls, cand_walls = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(pairs):
+            ref_s, ref = _wall(reference)
+            cand_s, cand = _wall(candidate)
+            ref_walls.append(ref_s)
+            cand_walls.append(cand_s)
+    finally:
+        gc.enable()
+    ratio = statistics.median(r / c for r, c in zip(ref_walls, cand_walls))
+    return _Paired(ratio, statistics.median(ref_walls),
+                   statistics.median(cand_walls), ref, cand)
 
 
 def _nvml_session(agents: int, ticks: int, block_ticks: int, seed: int):
@@ -75,8 +127,8 @@ def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
 
     Measured with the channel cache bypassed: the 1024 agents share
     one device, so cache hits would dominate both sides and the ratio
-    would stop measuring the block engine (the cache's own win is
-    :func:`repro.fleet.cache_ablation`'s figure, floored separately)."""
+    would stop measuring the block engine (the cache's own win is the
+    ``fleet`` row's ``cache_reduction``, floored separately)."""
     from repro.mech.cache import channel_cache_disabled
 
     with channel_cache_disabled():
@@ -111,10 +163,11 @@ def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
     }
 
 
-def bench_moneq_full_session(duration_s: float = 60.0, seed: int = 96) -> dict:
-    """bench_runtime_perf's full-session profile (60 s RAPL at the 60 ms
-    hardware minimum), block mode versus scalar ticking — both paths run
-    in full here, so the speedup is measured, not extrapolated."""
+def bench_moneq_full_session(duration_s: float = 60.0, pairs: int = 3,
+                             seed: int = 96) -> dict:
+    """An ordinary ``profile_run`` (RAPL at the 60 ms hardware minimum),
+    block mode versus scalar ticking — both paths run in full, so the
+    speedup is measured, not extrapolated."""
     from repro import testbeds
 
     def profile(block_ticks: int):
@@ -124,32 +177,25 @@ def bench_moneq_full_session(duration_s: float = 60.0, seed: int = 96) -> dict:
             config=MoneqConfig(polling_interval_s=0.06, block_ticks=block_ticks),
         )
 
-    wall_scalar, reference = _wall(lambda: profile(1))
-    wall_block, result = _wall(lambda: profile(4096))
-    if result.overhead.ticks != reference.overhead.ticks:
+    timed = _paired(lambda: profile(1), lambda: profile(4096), pairs)
+    if timed.candidate.overhead.ticks != timed.reference.overhead.ticks:
         raise AssertionError(
-            f"block session ticked {result.overhead.ticks}, "
-            f"scalar ticked {reference.overhead.ticks}"
+            f"block session ticked {timed.candidate.overhead.ticks}, "
+            f"scalar ticked {timed.reference.overhead.ticks}"
         )
     return {
-        "wall_s": wall_block,
-        "speedup_vs_scalar": wall_scalar / wall_block,
-        "scalar_wall_s": wall_scalar,
-        "ticks": result.overhead.ticks,
+        "wall_s": timed.candidate_s,
+        "speedup_vs_scalar": timed.ratio,
+        "scalar_wall_s": timed.reference_s,
+        "ticks": timed.candidate.overhead.ticks,
     }
 
 
 def bench_launcher_fanin(size: int = 4096, nbytes: int = 64,
-                         reps: int = 3) -> dict:
+                         pairs: int = 3) -> dict:
     """The acceptance bench for the scheduler: an ANY_SOURCE fan-in of
     ``size`` ranks into rank 0 — the worst case for the seed's linear
-    scan (O(n) rescan per step, O(n) source scan per receive).
-
-    Best-of-``reps`` per scheduler: at the CI smoke size (512 ranks)
-    the heap run is single-digit milliseconds, and one descheduling
-    blip is enough to flip the measured ratio — the minimum wall is
-    the one the scheduler actually earned."""
-    import gc
+    scan (O(n) rescan per step, O(n) source scan per receive)."""
 
     def program(ctx):
         if ctx.rank == 0:
@@ -160,56 +206,21 @@ def bench_launcher_fanin(size: int = 4096, nbytes: int = 64,
         yield Compute(1e-6 * ((ctx.rank * 13) % 7 + 1))
         yield Send(dest=0, payload=ctx.rank, tag=1, nbytes=nbytes)
 
-    gc.collect()
-    wall_heap, heap = min(
-        (_wall(lambda: Launcher(program, size=size, scheduler="heap").run())
-         for _ in range(reps)), key=lambda pair: pair[0])
-    wall_linear, linear = min(
-        (_wall(lambda: Launcher(program, size=size, scheduler="linear").run())
-         for _ in range(reps)), key=lambda pair: pair[0])
-    if [r.value for r in heap] != [r.value for r in linear]:
+    timed = _paired(
+        lambda: Launcher(program, size=size, scheduler="linear").run(),
+        lambda: Launcher(program, size=size, scheduler="heap").run(), pairs)
+    if [r.value for r in timed.candidate] != [r.value
+                                              for r in timed.reference]:
         raise AssertionError("heap and linear schedulers diverged")
     return {
-        "wall_s": wall_heap,
-        "speedup_vs_scalar": wall_linear / wall_heap,
-        "linear_wall_s": wall_linear,
+        "wall_s": timed.candidate_s,
+        "speedup_vs_scalar": timed.ratio,
+        "linear_wall_s": timed.reference_s,
         "ranks": size,
     }
 
 
-def bench_launcher_mmps(ranks: int = 2, messages_per_rank: int = 2000) -> dict:
-    """bench_runtime_perf's messaging bench: the shipping scheduler
-    (``"auto"``) against the always-linear reference.  At 2 ranks the
-    heap's push/pop bookkeeping used to *lose* to the two-line scan;
-    ``auto`` guards that small-n regression by resolving to the scan
-    below :data:`repro.runtime.launcher.AUTO_HEAP_MIN_RANKS` ranks."""
-    import gc
-
-    for scheduler in ("auto", "linear"):  # warm caches out of the timing
-        run_mmps(ranks=ranks, messages_per_rank=50, scheduler=scheduler)
-    gc.collect()  # don't bill a prior bench's garbage to this one
-    # Best-of-3: at ~20 ms a run, single samples are noise-dominated.
-    wall_auto, result = min(
-        (_wall(lambda: run_mmps(ranks=ranks,
-                                messages_per_rank=messages_per_rank,
-                                scheduler="auto"))
-         for _ in range(3)), key=lambda pair: pair[0])
-    wall_linear, reference = min(
-        (_wall(lambda: run_mmps(ranks=ranks,
-                                messages_per_rank=messages_per_rank,
-                                scheduler="linear"))
-         for _ in range(3)), key=lambda pair: pair[0])
-    if result.elapsed_s != reference.elapsed_s:
-        raise AssertionError("schedulers produced different virtual timings")
-    return {
-        "wall_s": wall_auto,
-        "speedup_vs_scalar": wall_linear / wall_auto,
-        "linear_wall_s": wall_linear,
-        "achieved_rate_per_rank": result.achieved_rate_per_rank,
-    }
-
-
-def bench_chaos_hotpath(rows: int = 200_000, reps: int = 5,
+def bench_chaos_hotpath(rows: int = 200_000, pairs: int = 5,
                         check_rows: int = 4_096, seed: int = 0xC4A0) -> dict:
     """Guard for the fault-injection seam: with no :class:`FaultPlan`
     active, ``Mechanism.read_block`` must stay a thin wrapper over the
@@ -221,7 +232,7 @@ def bench_chaos_hotpath(rows: int = 200_000, reps: int = 5,
     below the seam.  It sits near 1x when the wrapper is thin and
     collapses toward 0x if the disabled chaos path ever grows per-row
     overhead — the floor catches exactly that regression.  Byte-identity
-    of a zero-rate active plan against the disabled path is asserted on
+    of a zero-rate active plan against the disabled path is checked on
     a reduced grid.
     """
     import numpy as np
@@ -240,10 +251,8 @@ def bench_chaos_hotpath(rows: int = 200_000, reps: int = 5,
         # lookups; this bench measures the chaos seam, so it runs on
         # the uncached path (the cache has its own ablation bench).
         backend.read_block(times)  # warm both paths out of the timing
-        wall_block = min(_wall(lambda: backend.read_block(times))[0]
-                         for _ in range(reps))
-        wall_collect = min(_wall(lambda: backend.source.collect(times))[0]
-                           for _ in range(reps))
+        timed = _paired(lambda: backend.source.collect(times),
+                        lambda: backend.read_block(times), pairs)
 
         check_times = times[:check_rows]
         disabled = backend.read_block(check_times)
@@ -251,84 +260,26 @@ def bench_chaos_hotpath(rows: int = 200_000, reps: int = 5,
         with zero_plan.active():
             wall_zero, under_plan = _wall(
                 lambda: backend.read_block(check_times))
-    if under_plan.tobytes() != disabled.tobytes():
-        raise AssertionError(
-            "zero-rate fault plan changed read_block bytes")
     return {
-        "wall_s": wall_block,
-        "speedup_vs_scalar": wall_collect / wall_block,
-        "collect_wall_s": wall_collect,
+        "wall_s": timed.candidate_s,
+        "speedup_vs_scalar": timed.ratio,
+        "collect_wall_s": timed.reference_s,
         "zero_rate_wall_s": wall_zero,
         "rows": rows,
-        "byte_identical": True,
+        "byte_identical": under_plan.tobytes() == disabled.tobytes(),
     }
 
 
-def bench_service_smoke(racks: int = 8, shards: int = 8,
-                        requests: int = 100, sweeps: int = 16) -> dict:
-    """The monitoring service at CI-smoke scale: mixed queries through
-    the in-process WSGI client against a populated sharded envdb.
-
-    ``speedup_vs_scalar`` is the aggregate cache's cold-build vs
-    warm-hit per-query ratio *measured through the whole HTTP stack*
-    (dispatch, auth, planning, JSON) — the service-level face of the
-    store-level cached-aggregate speedup.  The committed full-size
-    figures live in ``BENCH_service.json`` (``python -m repro service
-    bench``), not in the moneq trajectory file.
-    """
-    from repro.service.loadgen import bench_service
-
-    return bench_service(racks=racks, shards=shards, requests=requests,
-                         sweeps=sweeps)
-
-
-def bench_fleet_smoke() -> dict:
-    """The fleet layer at CI-smoke scale: a 2-site sweep through the
-    federated store plus the channel-cache crossings ablation.
-
-    ``speedup_vs_scalar`` is the sweep's realtime factor (virtual
-    seconds simulated per wall second) — the fleet-scale face of the
-    block-sampling speedups above.  The ablation's invariants (the
-    cache must cut channel crossings >=5x on the shared-device consumer
-    pattern *and* stay byte-invisible in the MonEQ outputs) are
-    asserted here, not floored: they are correctness, not speed.  The
-    committed full-size figures live in ``BENCH_fleet.json``.
-    """
-    from repro.fleet import fleet_bench
-    from repro.fleet.sweep import CACHE_REDUCTION_FLOOR
-
-    results = fleet_bench(json_path=None, smoke=True)
-    sweep = results["fleet_sweep"]
-    ablation = results["cache_ablation"]
-    if not ablation["byte_identical"]:
-        raise AssertionError("channel cache changed MonEQ output bytes")
-    if ablation["crossings_reduction"] < CACHE_REDUCTION_FLOOR:
-        raise AssertionError(
-            f"channel cache cut crossings only "
-            f"{ablation['crossings_reduction']:.1f}x, wanted "
-            f">={CACHE_REDUCTION_FLOOR:g}x")
-    return {
-        "wall_s": sweep["wall_s"],
-        "speedup_vs_scalar": sweep["speedup_vs_scalar"],
-        "sites": sweep["sites"],
-        "records": sweep["records"],
-        "cache_reduction": ablation["crossings_reduction"],
-        "byte_identical": ablation["byte_identical"],
-    }
-
-
-def bench_pack_overhead(pack: str = "phi-micsmc", reps: int = 3) -> dict:
+def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 5) -> dict:
     """Dispatch overhead of the scenario-pack layer: ``run_pack``
     (resolve the catalog manifest, validate, compile, dispatch) versus
     the same compiled spec run straight through the engine.
 
     ``speedup_vs_scalar`` is ``wall(engine only) / wall(run_pack)`` —
-    ~1.0 when the pack layer is thin (locally ~0.95+, i.e. the manifest
-    layer adds under 5% to a direct engine run).  Both sides run
-    ``jobs=1`` with the cache off so the measured work is the live
-    session itself; the floor catches the pack layer growing per-run
-    work (re-validation in a loop, manifest re-reads, O(catalog)
-    scans)."""
+    ~1.0 when the pack layer is thin.  Both sides run ``jobs=1`` with
+    the cache off so the measured work is the live session itself; the
+    floor catches the pack layer growing per-run work (re-validation
+    in a loop, manifest re-reads, O(catalog) scans)."""
     from repro.exec.engine import Engine
     from repro.packs import catalog
     from repro.packs import run as pack_run
@@ -344,234 +295,283 @@ def bench_pack_overhead(pack: str = "phi-micsmc", reps: int = 3) -> dict:
 
     engine_only()  # warm imports and testbed caches out of the timing
     through_packs()
-    wall_engine = min(_wall(engine_only)[0] for _ in range(reps))
-    wall_pack = min(_wall(through_packs)[0] for _ in range(reps))
+    timed = _paired(engine_only, through_packs, pairs)
     return {
-        "wall_s": wall_pack,
-        "speedup_vs_scalar": wall_engine / wall_pack,
-        "engine_wall_s": wall_engine,
+        "wall_s": timed.candidate_s,
+        "speedup_vs_scalar": timed.ratio,
+        "engine_wall_s": timed.reference_s,
         "pack": pack,
     }
 
 
-#: Bench name -> zero-argument callable, in report order.
-ALL_BENCHES: dict[str, Callable[[], dict]] = {
-    "moneq_block": bench_moneq_block,
-    "moneq_full_session": bench_moneq_full_session,
-    "launcher_fanin_4096": bench_launcher_fanin,
-    "launcher_mmps": bench_launcher_mmps,
-    "chaos_hotpath": bench_chaos_hotpath,
-}
+def bench_fleet(sites: int = 10, racks: int = MIRA_RACKS,
+                ticks: int = 400) -> dict:
+    """A fleet sweep of ``sites`` Mira-class sites through the federated
+    store, plus the channel-cache crossings ablation over ``ticks``.
 
-#: Reduced-size profile for CI smoke runs: same benches, small enough
-#: to finish in seconds on a shared runner.  Smoke results are never
-#: written to the trajectory file — the committed numbers measure the
-#: full profile.
-SMOKE_BENCHES: dict[str, Callable[[], dict]] = {
-    "moneq_block": lambda: bench_moneq_block(agents=64, ticks=1_000,
-                                             scalar_ticks=50),
-    "moneq_full_session": lambda: bench_moneq_full_session(duration_s=10.0),
-    "launcher_fanin_4096": lambda: bench_launcher_fanin(size=512),
-    "launcher_mmps": lambda: bench_launcher_mmps(messages_per_rank=400),
-    "chaos_hotpath": lambda: bench_chaos_hotpath(rows=50_000, reps=3),
-    "service": bench_service_smoke,
-    "fleet": bench_fleet_smoke,
-    "pack_overhead": bench_pack_overhead,
-}
+    ``speedup_vs_scalar`` is the sweep's realtime factor (virtual
+    seconds simulated per wall second).  ``cache_reduction`` is how
+    many times fewer access-channel crossings the channel cache leaves
+    on the shared-device consumer pattern, and ``byte_identical`` that
+    it stays invisible in the MonEQ outputs."""
+    from repro.fleet import cache_ablation, fleet_sweep
 
-#: Absolute speedup floors a smoke check enforces.  Deliberately far
-#: below locally-measured values: a shared CI runner is noisy, and the
-#: check exists to catch an optimization being *undone* (speedups
-#: collapsing to ~1x), not to benchmark the runner.
-SMOKE_FLOORS: dict[str, float] = {
-    "moneq_block": 3.0,
-    "moneq_full_session": 2.0,
-    "launcher_fanin_4096": 1.5,
-    # chaos_hotpath's ratio is collect/read_block (<= ~1 by definition):
-    # 0.25 means a retry-free read spends at least a quarter of its wall
-    # below the fault-injection seam — per-row chaos overhead on the
-    # disabled path would push it far under.
-    "chaos_hotpath": 0.25,
-    # service's ratio is the aggregate cache cold/warm through the HTTP
-    # stack (~2.5x measured; the store-level ~85x is mostly absorbed by
-    # dispatch + JSON).  1.5x still separates a live cache from a dead
-    # one (ratio ~1x).
-    "service": 1.5,
-    # fleet's ratio is the sweep realtime factor (virtual s / wall s);
-    # ~1000x measured locally, 2x still means the federated sweep runs
-    # faster than the machines it models.
-    "fleet": 2.0,
-    # pack_overhead's ratio is engine-only/run_pack (<= ~1 by
-    # definition): locally ~0.95+ (the manifest layer adds <5% to a
-    # direct engine run); 0.80 still separates a thin dispatch from a
-    # pack layer doing per-run heavy lifting.
-    "pack_overhead": 0.80,
-}
-
-#: Relative slack allowed when re-measuring a committed speedup.  Wide
-#: because these are single-shot wall-clock measurements on shared
-#: machines; the check is for *regressions* (an optimization undone),
-#: not run-to-run jitter.
-CHECK_TOLERANCE = 0.30
-
-#: Where the committed smoke trajectory lives (see
-#: :func:`run_smoke_trajectory`).
-SMOKE_TRAJECTORY_PATH = "BENCH_smoke.json"
-
-#: Floor on the relative slack a smoke re-measurement gets against the
-#: committed smoke median.  Wide by design — a shared CI runner under
-#: load halves speedups without anything regressing; benches whose
-#: committed spread is larger get ``2 x spread`` instead (see
-#: :func:`_smoke_relative_failures`).
-SMOKE_RELATIVE_TOLERANCE = 0.50
+    report = fleet_sweep(n_sites=sites, racks=racks, duration_s=60.0)
+    ablation = cache_ablation(consumers=8, ticks=ticks)
+    return {
+        "wall_s": report.wall_s,
+        "speedup_vs_scalar": report.realtime_factor,
+        "sites": report.sites,
+        "racks": report.racks,
+        "sweeps": report.sweeps,
+        "records": report.records,
+        "dropped": report.dropped,
+        "reshards": len(report.reshards),
+        "shards": sum(report.shards_by_site.values()),
+        "rollup_windows": report.rollup_windows,
+        "hit_rate": ablation["hit_rate"],
+        "crossings_uncached": ablation["crossings_uncached"],
+        "crossings_cached": ablation["crossings_cached"],
+        "cache_reduction": ablation["crossings_reduction"],
+        "byte_identical": ablation["byte_identical"],
+    }
 
 
-def check(json_path: str = "BENCH_moneq.json",
-          tolerance: float = CHECK_TOLERANCE,
-          smoke: bool = False,
-          ) -> tuple[list[str], dict[str, dict]]:
-    """Re-run every bench and compare against the committed trajectory.
+def bench_exec(jobs: int = 8) -> dict:
+    """The experiment engine on the full report, into a throwaway cache:
+    cold serial (the pre-engine baseline), cold parallel (every task
+    through the worker pool) and warm (every task a cache hit).
 
-    Returns ``(failures, fresh_results)`` where each failure names a
-    bench whose fresh ``speedup_vs_scalar`` fell more than ``tolerance``
-    below the committed value (or that disappeared from the suite).
-    The committed file is never rewritten by a check.
+    ``speedup_vs_scalar`` is the warm run against cold serial.  The
+    rendered markdown must be byte-identical across all three.
+    Parallel speedup is bounded by the host, so ``cpus`` rides along
+    and no floor applies to it."""
+    import shutil
+    import tempfile
 
-    With ``smoke=True`` the reduced :data:`SMOKE_BENCHES` profile runs
-    instead, held to the absolute :data:`SMOKE_FLOORS` *and* — when a
-    committed :data:`SMOKE_TRAJECTORY_PATH` exists — to relative floors
-    against its per-bench medians (``json_path`` names the full-profile
-    trajectory and is ignored in smoke mode).  The absolute floors
-    catch an optimization being undone outright; the relative check
-    catches the slow bleed the wide absolute floors would wave through.
-    """
-    if smoke:
-        results = run(json_path=None, benches=SMOKE_BENCHES)
-        failures = [
-            f"{name}: smoke speedup "
-            f"{results[name]['speedup_vs_scalar']:.3f}x below the "
-            f"{floor:.1f}x floor"
-            for name, floor in SMOKE_FLOORS.items()
-            if results[name]["speedup_vs_scalar"] < floor
-        ]
-        failures.extend(_smoke_relative_failures(results))
-        return failures, results
-    with open(json_path, encoding="utf-8") as fh:
-        committed = json.load(fh)
-    results = run(json_path=None)
-    failures: list[str] = []
-    for name, entry in committed.items():
-        fresh = results.get(name)
-        if fresh is None:
-            failures.append(f"{name}: in {json_path} but no longer benched")
-            continue
-        floor = entry["speedup_vs_scalar"] * (1.0 - tolerance)
-        if fresh["speedup_vs_scalar"] < floor:
-            failures.append(
-                f"{name}: speedup {fresh['speedup_vs_scalar']:.3f}x fell "
-                f"below {floor:.3f}x (committed "
-                f"{entry['speedup_vs_scalar']:.3f}x - {tolerance:.0%})")
-    return failures, results
+    from repro.exec.engine import Engine
+    from repro.experiments import report
 
-
-def _smoke_relative_failures(
-        results: dict[str, dict],
-        trajectory_path: str = SMOKE_TRAJECTORY_PATH) -> list[str]:
-    """Relative regressions against the committed smoke trajectory.
-
-    The committed file records each smoke bench's median speedup over
-    back-to-back repetitions plus its observed relative spread
-    ``(max - min) / median`` — the runner-variance characterization
-    :func:`run_smoke_trajectory` measured.  A fresh smoke speedup must
-    stay within ``max(SMOKE_RELATIVE_TOLERANCE, 2 x spread)`` of the
-    committed median (capped at 90% so the floor stays positive):
-    benches the runner measures stably get a tight bound, noisy ones a
-    loose one.  No committed file means no relative check.
-    """
+    cache_root = tempfile.mkdtemp(prefix="repro-exec-bench-")
     try:
-        with open(trajectory_path, encoding="utf-8") as fh:
-            committed = json.load(fh)
+        def timed(run_jobs: int, cache: bool) -> tuple[float, str]:
+            return _wall(lambda: report.generate_markdown(
+                jobs=run_jobs, cache=cache, cache_root=cache_root))
+
+        wall_serial, md_serial = timed(1, cache=False)
+        wall_cold, md_cold = timed(jobs, cache=True)
+        wall_warm, md_warm = timed(jobs, cache=True)
+
+        engine = Engine(jobs=1, cache=True, cache_root=cache_root)
+        engine.run()
+        if engine.stats.cache_misses:
+            raise AssertionError(
+                f"warm engine still missed {engine.stats.cache_misses} "
+                f"task(s)")
+    finally:
+        shutil.rmtree(cache_root, ignore_errors=True)
+    return {
+        "wall_s": wall_warm,
+        "speedup_vs_scalar": wall_serial / wall_warm,
+        "cold_serial_wall_s": wall_serial,
+        "cold_parallel_wall_s": wall_cold,
+        "parallel_speedup": wall_serial / wall_cold,
+        "jobs": jobs,
+        "cpus": os.cpu_count() or 1,
+        "tasks": engine.stats.cache_hits,
+        "byte_identical": md_serial == md_cold == md_warm,
+    }
+
+
+@dataclass(frozen=True)
+class Profile:
+    """How a profile records its baselines and how far a fresh run may
+    fall below them."""
+
+    #: Runs a recording takes the median and spread over.
+    reps: int
+    #: Least relative slack below the committed median (see
+    #: :func:`check`).
+    slack: float
+
+
+#: ``full``: the acceptance sizes, recorded single-shot and held within
+#: 30% of the committed value.  ``smoke``: sizes a shared CI runner
+#: finishes in seconds, recorded as a median over three runs and held
+#: within ``max(50%, 2 x spread)`` of it — a runner under load halves
+#: speedups without anything regressing.
+PROFILES: dict[str, Profile] = {
+    "full": Profile(reps=1, slack=0.30),
+    "smoke": Profile(reps=3, slack=0.50),
+}
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One row of the registry."""
+
+    run: Callable[..., dict]
+    #: Keyword sizes per profile.
+    full: dict[str, object]
+    smoke: dict[str, object]
+    #: Absolute floor on ``speedup_vs_scalar``, per profile.
+    floors: dict[str, float]
+    #: Floors on detail keys, enforced in every profile.
+    detail_floors: dict[str, float] = field(default_factory=dict)
+
+    def measure(self, profile: str) -> dict:
+        return self.run(**getattr(self, profile))
+
+
+#: Bench name -> row, in report order.  The floors sit far below the
+#: measured values: they catch an optimization being *undone* (a
+#: speedup collapsing to ~1x), not a noisy runner; the relative check
+#: against the committed baseline catches the slower bleed.
+BENCHES: dict[str, Bench] = {
+    "moneq_block": Bench(
+        bench_moneq_block,
+        full={"agents": 1024, "ticks": 10_000, "scalar_ticks": 100},
+        smoke={"agents": 64, "ticks": 1_000, "scalar_ticks": 50},
+        floors={"full": 10.0, "smoke": 3.0}),
+    "moneq_full_session": Bench(
+        bench_moneq_full_session, full={"duration_s": 60.0, "pairs": 3},
+        smoke={"duration_s": 10.0, "pairs": 5},
+        floors={"full": 1.5, "smoke": 2.0}),
+    "launcher_fanin_4096": Bench(
+        bench_launcher_fanin, full={"size": 4096, "pairs": 3},
+        smoke={"size": 512, "pairs": 5},
+        floors={"full": 5.0, "smoke": 1.5}),
+    # collect/read_block is <= ~1 by definition: 0.25 means a
+    # retry-free read spends at least a quarter of its wall below the
+    # fault-injection seam.
+    "chaos_hotpath": Bench(
+        bench_chaos_hotpath, full={"rows": 200_000, "pairs": 5},
+        smoke={"rows": 50_000, "pairs": 5},
+        floors={"full": 0.25, "smoke": 0.25}),
+    # engine-only/run_pack is <= ~1 by definition: 0.80 still separates
+    # a thin dispatch from a pack layer doing per-run heavy lifting.
+    "pack_overhead": Bench(
+        bench_pack_overhead, full={"pairs": 9}, smoke={"pairs": 5},
+        floors={"full": 0.80, "smoke": 0.80}),
+    # The aggregate cache cold/warm through HTTP (~2.5-3x; the
+    # store-level ~85x is mostly absorbed by dispatch + JSON): 1.5x
+    # still separates a live cache from a dead one.
+    "service": Bench(
+        bench_service,
+        full={"racks": 64, "shards": 64, "requests": 400, "sweeps": 16},
+        smoke={"racks": 8, "shards": 8, "requests": 100, "sweeps": 16},
+        floors={"full": 1.5, "smoke": 1.5}),
+    # The sweep's realtime factor: 2x still means the fleet simulates
+    # faster than the machines it models.
+    "fleet": Bench(
+        bench_fleet, full={"sites": 10, "racks": MIRA_RACKS, "ticks": 400},
+        smoke={"sites": 2, "racks": 4, "ticks": 200},
+        floors={"full": 2.0, "smoke": 2.0},
+        detail_floors={"cache_reduction": 5.0}),
+    "exec": Bench(
+        bench_exec, full={"jobs": 8}, smoke={"jobs": 2},
+        floors={"full": 10.0, "smoke": 10.0}),
+}
+
+
+def load(path: str = TRAJECTORY_PATH) -> dict[str, dict[str, dict]]:
+    """The committed trajectory (empty when there is no file yet)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except FileNotFoundError:
-        return []
-    failures: list[str] = []
-    for name, entry in committed["benches"].items():
-        fresh = results.get(name)
-        if fresh is None:
-            failures.append(
-                f"{name}: in {trajectory_path} but no longer smoke-benched")
-            continue
-        slack = min(0.90, max(SMOKE_RELATIVE_TOLERANCE,
-                              2.0 * entry.get("spread", 0.0)))
-        floor = entry["speedup_vs_scalar"] * (1.0 - slack)
-        if fresh["speedup_vs_scalar"] < floor:
-            failures.append(
-                f"{name}: smoke speedup "
-                f"{fresh['speedup_vs_scalar']:.3f}x fell below "
-                f"{floor:.3f}x (committed median "
-                f"{entry['speedup_vs_scalar']:.3f}x - {slack:.0%})")
+        return {}
+
+
+def floor_failures(name: str, result: dict, profile: str) -> list[str]:
+    """Where ``result`` misses its row's absolute floors, or reports
+    output bytes that diverged from the reference path."""
+    bench = BENCHES[name]
+    speed = result["speedup_vs_scalar"]
+    failures = []
+    floor = bench.floors[profile]
+    if speed < floor:
+        failures.append(f"{name}: {profile} speedup {speed:.3f}x below the "
+                        f"{floor:g}x floor")
+    for key, floor in bench.detail_floors.items():
+        if result[key] < floor:
+            failures.append(f"{name}: {key} {result[key]:.3f}x below the "
+                            f"{floor:g}x floor")
+    if result.get("byte_identical") is False:
+        failures.append(f"{name}: output bytes diverged from the "
+                        f"reference path")
     return failures
 
 
-def run_smoke_trajectory(json_path: str | None = SMOKE_TRAJECTORY_PATH,
-                         reps: int = 3) -> tuple[dict, dict[str, dict]]:
-    """Measure the smoke profile ``reps`` times and write the smoke
-    trajectory file: per bench the median ``wall_s`` and
-    ``speedup_vs_scalar`` plus the relative spread ``(max - min) /
-    median`` across the repetitions.
+def check(names: list[str], profile: str, path: str = TRAJECTORY_PATH
+          ) -> tuple[list[str], dict[str, dict]]:
+    """Run each named bench once in ``profile`` and hold it to its
+    floors; writes nothing.  Returns ``(failures, results)``.
 
-    The spread *is* the runner-variance characterization: committed
-    from the same class of machine CI runs on, it tells
-    ``check(smoke=True)`` how much slack each bench needs before a
-    low reading means regression rather than noise.  Returns
-    ``(trajectory, last_results)`` — the latter the final repetition's
-    full bench dicts, for reporting.
+    Past the absolute floors, a fresh speedup must stay within
+    ``min(90%, max(slack, 2 x spread))`` of the committed median — the
+    profile's slack, widened for a bench whose committed run-to-run
+    spread is larger.  The check fails both ways: a named bench with no
+    committed baseline, and a committed baseline whose row is gone.
     """
-    samples: dict[str, list[dict]] = {name: [] for name in SMOKE_BENCHES}
-    results: dict[str, dict] = {}
-    for _ in range(max(1, reps)):
-        results = run(json_path=None, benches=SMOKE_BENCHES)
-        for name, r in results.items():
-            samples[name].append(r)
+    committed = load(path).get(profile, {})
+    failures = [f"{name}: {profile} baseline in {path} but no longer "
+                f"benched" for name in committed if name not in BENCHES]
+    results = {}
+    for name in names:
+        result = results[name] = BENCHES[name].measure(profile)
+        failures += floor_failures(name, result, profile)
+        baseline = committed.get(name)
+        if baseline is None:
+            failures.append(f"{name}: no committed {profile} baseline in "
+                            f"{path}")
+            continue
+        slack = min(0.90, max(PROFILES[profile].slack,
+                              2.0 * baseline["spread"]))
+        floor = baseline["speedup_vs_scalar"] * (1.0 - slack)
+        if result["speedup_vs_scalar"] < floor:
+            failures.append(
+                f"{name}: {profile} speedup "
+                f"{result['speedup_vs_scalar']:.3f}x fell below "
+                f"{floor:.3f}x (committed median "
+                f"{baseline['speedup_vs_scalar']:.3f}x - {slack:.0%})")
+    return failures, results
 
-    def median(values: list[float]) -> float:
-        ordered = sorted(values)
-        return ordered[len(ordered) // 2]
 
-    benches: dict[str, dict] = {}
-    for name, runs_ in samples.items():
-        speeds = [r["speedup_vs_scalar"] for r in runs_]
-        mid = median(speeds)
-        spread = (max(speeds) - min(speeds)) / mid if mid else 0.0
-        benches[name] = {
-            "wall_s": round(median([r["wall_s"] for r in runs_]), 6),
-            "speedup_vs_scalar": round(mid, 3),
-            "spread": round(spread, 3),
-        }
-    trajectory = {"reps": max(1, reps), "benches": benches}
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
+def record(names: list[str], profile: str, path: str = TRAJECTORY_PATH
+           ) -> tuple[list[str], dict[str, dict]]:
+    """Measure each named bench ``reps`` times and record its median
+    ``wall_s`` and ``speedup_vs_scalar``, the relative ``spread``
+    ``(max - min) / median`` and the last run's detail under
+    ``profile`` in the trajectory file; other entries are kept and rows
+    no longer in :data:`BENCHES` dropped.
+
+    The spread is the runner-variance characterization :func:`check`
+    widens its slack by.  Nothing is written if a median misses its
+    floor.  Returns ``(failures, entries)``.
+    """
+    reps = PROFILES[profile].reps
+    entries: dict[str, dict] = {}
+    for name in names:
+        runs = [BENCHES[name].measure(profile) for _ in range(reps)]
+        speeds = [r["speedup_vs_scalar"] for r in runs]
+        mid = statistics.median(speeds)
+        entry = {key: round(value, 6) if isinstance(value, float) else value
+                 for key, value in runs[-1].items()}
+        entry["wall_s"] = round(statistics.median(r["wall_s"] for r in runs),
+                                6)
+        entry["speedup_vs_scalar"] = round(mid, 3)
+        entry["spread"] = round((max(speeds) - min(speeds)) / mid, 3)
+        entries[name] = entry
+    failures = [failure for name, entry in entries.items()
+                for failure in floor_failures(name, entry, profile)]
+    if not failures:
+        trajectory = load(path)
+        trajectory[profile] = {
+            name: entry for name, entry
+            in {**trajectory.get(profile, {}), **entries}.items()
+            if name in BENCHES}
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(trajectory, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return trajectory, results
-
-
-def run(json_path: str | None = "BENCH_moneq.json",
-        benches: dict[str, Callable[[], dict]] | None = None,
-        ) -> dict[str, dict]:
-    """Run every bench; write the trajectory file (bench name ->
-    ``{wall_s, speedup_vs_scalar}``) unless ``json_path`` is None."""
-    if benches is None:
-        benches = ALL_BENCHES
-    results = {name: fn() for name, fn in benches.items()}
-    if json_path is not None:
-        trajectory = {
-            name: {
-                "wall_s": round(r["wall_s"], 6),
-                "speedup_vs_scalar": round(r["speedup_vs_scalar"], 3),
-            }
-            for name, r in results.items()
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(trajectory, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return results
+    return failures, entries

@@ -21,7 +21,7 @@ registry, in the shape of CEEMS's resource-manager-agnostic API server.
 * :mod:`repro.service.streaming` — the chunked NDJSON tail with
   shard-dark gap markers (chaos-aware degradation);
 * :mod:`repro.service.loadgen` — the 64-shard load generator behind
-  ``BENCH_service.json``.
+  the ``service`` bench row.
 
 See ``docs/service.md`` for the endpoint reference.
 """
@@ -46,7 +46,7 @@ from repro.service.errors import (
     Unauthorized,
     Unavailable,
 )
-from repro.service.loadgen import bench_service, build_rig, write_bench
+from repro.service.loadgen import bench_service, build_rig
 from repro.service.streaming import STORE_CHANNEL, dark_shards, tail_stream
 
 __all__ = [
@@ -71,5 +71,4 @@ __all__ = [
     "service_for_fleet",
     "service_for_machine",
     "tail_stream",
-    "write_bench",
 ]

@@ -1,4 +1,4 @@
-"""The service load generator and its committed benchmark.
+"""The service load generator behind the ``service`` bench row.
 
 ``bench_service`` stands up the ROADMAP's target rig — a 64-rack BG/Q
 machine whose envdb shards across 64 stores — puts a
@@ -11,14 +11,12 @@ aggregate cache's cold-build vs warm-hit ratio measured through the
 whole HTTP stack — the store-level cached-aggregate speedup as a
 client actually sees it, with dispatch and JSON riding along.
 
-``python -m repro service bench`` writes ``BENCH_service.json``;
-the reduced profile backs the ``service`` entry in
-``repro bench perf --smoke``.
+``python -m repro bench service`` records it in
+``BENCH_trajectory.json`` (full sizes; ``--smoke`` the reduced ones).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -41,6 +39,16 @@ def build_rig(racks: int = 64, shards: int = 64, sweeps: int = 2,
     return machine, app, ServiceClient(app)
 
 
+def _get_ok(client: ServiceClient, path: str, params=None):
+    """``client.get`` that raises on any non-200 response: a fast error
+    path must never pass for a fast query."""
+    response = client.get(path, params)
+    if response.status != 200:
+        raise RuntimeError(f"load generator got {response.status} on "
+                           f"{path}: {response.body[:200]!r}")
+    return response
+
+
 def _drive_mixed(client: ServiceClient, racks: int, requests: int,
                  t1: float) -> dict:
     """Issue ``requests`` mixed queries; returns accounting."""
@@ -52,27 +60,22 @@ def _drive_mixed(client: ServiceClient, racks: int, requests: int,
         kind = kinds[i % len(kinds)]
         prefix = f"R{(i * 7) % racks:02d}"
         if kind == "range":
-            response = client.get("/v2/query/range", {
+            response = _get_ok(client, "/v2/query/range", {
                 "table": "bpm", "t0": 0.0, "t1": t1, "prefix": prefix})
         elif kind == "latest":
-            response = client.get("/v2/query/latest", {
+            response = _get_ok(client, "/v2/query/latest", {
                 "table": "bpm", "prefix": prefix})
         elif kind == "prefix":
-            response = client.get("/v2/query/prefix", {
+            response = _get_ok(client, "/v2/query/prefix", {
                 "table": "fan", "prefix": prefix})
         elif kind == "aggregate":
-            response = client.get("/v2/query/aggregate", {
+            response = _get_ok(client, "/v2/query/aggregate", {
                 "table": "bpm", "field": "input_power_w", "t0": 0.0,
                 "t1": t1, "window": SWEEP_INTERVAL_S})
         else:
-            response = client.get("/v2/tail", {
+            response = _get_ok(client, "/v2/tail", {
                 "table": "bpm", "cursor": cursor, "limit": 512})
             cursor = response.json()["cursor"]
-        if response.status != 200:
-            raise AssertionError(
-                f"load generator got {response.status} on {kind}: "
-                f"{response.body[:200]!r}"
-            )
         payload = response.json()
         rows += payload.get("count", len(payload.get("rows", ())))
     wall = time.perf_counter() - started
@@ -97,29 +100,29 @@ def _aggregate_cache_ratio(client: ServiceClient, store, t1: float,
         params = {"table": "bpm", "field": "input_power_w", "t0": 0.0,
                   "t1": t1, "window": 60.0 + probe, "prefix": location}
         t = time.perf_counter()
-        assert client.get("/v2/query/aggregate", params).status == 200
+        _get_ok(client, "/v2/query/aggregate", params)
         cold += time.perf_counter() - t
         t = time.perf_counter()
         for _ in range(warm_reps):
-            client.get("/v2/query/aggregate", params)
+            _get_ok(client, "/v2/query/aggregate", params)
         warm += (time.perf_counter() - t) / warm_reps
     return cold / warm if warm > 0 else 1.0
 
 
 def bench_service(racks: int = 64, shards: int = 64, requests: int = 400,
                   sweeps: int = 16, seed: int = 11) -> dict:
-    """The committed service benchmark (reduced sizes for smoke)."""
+    """The ``service`` bench row (reduced sizes for smoke)."""
     started = time.perf_counter()
     machine, app, client = build_rig(racks=racks, shards=shards,
                                      sweeps=sweeps, seed=seed)
     t1 = machine.clock.now
-    assert client.get("/ready").status == 200
+    _get_ok(client, "/ready")
     mixed = _drive_mixed(client, racks, requests, t1)
     cache_ratio = _aggregate_cache_ratio(client, machine.envdb.store, t1)
 
     # One bounded streaming tail, pumping a fresh sweep mid-stream, so
     # the committed bench exercises the chunked path too.
-    stream = client.get("/v2/stream/tail", {
+    stream = _get_ok(client, "/v2/stream/tail", {
         "table": "bpm", "cursor": 0, "batches": 3, "page": 4096})
     streamed = sum(1 for line in stream.lines() if "marker" not in line)
 
@@ -136,18 +139,3 @@ def bench_service(racks: int = 64, shards: int = 64, requests: int = 400,
         "store_records": machine.envdb.store.records_ingested,
         "cpus": os.cpu_count(),
     }
-
-
-def write_bench(json_path: str = "BENCH_service.json", **kwargs) -> dict:
-    """Run the full-size bench and commit its figures."""
-    result = bench_service(**kwargs)
-    trajectory = {
-        "service": {
-            key: (round(value, 6) if isinstance(value, float) else value)
-            for key, value in result.items()
-        }
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(trajectory, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return result

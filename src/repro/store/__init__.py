@@ -21,8 +21,9 @@ repeated range queries O(windows) instead of O(records).
   sites' stores behind one ``site/location`` API, merging site-local
   partial aggregates centrally and resharding saturated sites.
 
-:mod:`repro.bgq.envdb` routes its storage through this package; the
-``repro store bench`` CLI subcommand exercises it end to end.
+:mod:`repro.bgq.envdb` routes its storage through this package;
+``repro obs dump store`` exercises it end to end and prints its
+``repro_store_*`` metrics.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Fleet sweeps, the cache ablation, and the ``BENCH_fleet.json`` shape."""
+"""Fleet sweeps, the cache ablation, and the ``fleet`` bench row's shape."""
 
-import json
+import pathlib
 
 import pytest
 
-from repro.fleet import build_fleet, cache_ablation, fleet_bench, fleet_sweep
-from repro.fleet.sweep import CACHE_REDUCTION_FLOOR, FleetSweepReport
+from repro import perfbench
+from repro.fleet import build_fleet, cache_ablation, fleet_sweep
+from repro.fleet.sweep import FleetSweepReport
 from repro.mech.cache import channel_cache
 
 
@@ -69,16 +70,16 @@ def test_cache_ablation_cuts_crossings_and_stays_byte_identical():
         result["crossings_cached"] * result["crossings_reduction"]
 
 
-def test_fleet_bench_smoke_writes_committed_shape(tmp_path):
-    path = tmp_path / "BENCH_fleet.json"
-    results = fleet_bench(json_path=str(path), smoke=True)
-    on_disk = json.loads(path.read_text())
-    assert on_disk == json.loads(json.dumps(results))  # round-trips
-    sweep = on_disk["fleet_sweep"]
-    assert set(sweep) == {"wall_s", "speedup_vs_scalar", "sites", "racks",
-                          "sweeps", "records", "dropped", "reshards",
-                          "shards", "rollup_windows"}
-    ablation = on_disk["cache_ablation"]
-    assert ablation["byte_identical"] is True
-    assert ablation["crossings_reduction"] >= CACHE_REDUCTION_FLOOR
-    assert sweep["sites"] == 2  # smoke never runs the 10x-Mira profile
+def test_fleet_bench_smoke_writes_committed_shape():
+    """The ``fleet`` row's live smoke run carries exactly the keys its
+    committed trajectory entry does, and meets the row's floors."""
+    row = perfbench.BENCHES["fleet"]
+    result = row.measure("smoke")
+    committed = perfbench.load(str(
+        pathlib.Path(__file__).resolve().parents[2]
+        / perfbench.TRAJECTORY_PATH))
+    assert set(result) | {"spread"} == set(committed["smoke"]["fleet"])
+    assert perfbench.floor_failures("fleet", result, "smoke") == []
+    assert result["byte_identical"] is True
+    assert result["cache_reduction"] >= row.detail_floors["cache_reduction"]
+    assert result["sites"] == 2  # smoke never runs the 10x-Mira profile

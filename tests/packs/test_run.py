@@ -76,38 +76,36 @@ def test_pack_run_matches_the_live_chaos_path():
         scenario_payload(load_pack("bmc_dark"), live), sort_keys=True)
 
 
+def _canned_fleet_row(monkeypatch, calls):
+    """Swap the ``fleet`` bench row for one that records the site count
+    its profile ran with and returns it."""
+    from repro import perfbench
+
+    def canned(sites):
+        calls.append(sites)
+        return {"wall_s": 0.5, "speedup_vs_scalar": 10.0, "sites": sites}
+
+    monkeypatch.setitem(perfbench.BENCHES, "fleet", perfbench.Bench(
+        canned, full={"sites": 10}, smoke={"sites": 2},
+        floors={"full": 2.0, "smoke": 2.0}))
+
+
 def test_fleet_packs_never_cache(tmp_path, monkeypatch):
     calls = []
-
-    def canned_bench(json_path=None, smoke=False):
-        calls.append((json_path, smoke))
-        return {"fleet_sweep": {"wall_s": 0.5, "speedup_vs_scalar": 10.0},
-                "cache_ablation": {"hit_rate": 0.9,
-                                   "crossings_reduction": 8.0,
-                                   "byte_identical": True}}
-
-    import repro.fleet
-
-    monkeypatch.setattr(repro.fleet, "fleet_bench", canned_bench)
+    _canned_fleet_row(monkeypatch, calls)
     for _ in range(2):
         result = run_pack("fleet-sweep", jobs=1, cache=True,
                           cache_root=str(tmp_path))
         assert result.stats.cache_hits == 0  # wall-clock: forced cold
-    assert calls == [(None, True), (None, True)]
+    assert calls == [2, 2]  # the manifest's smoke profile
 
 
 def test_run_pack_accepts_a_raw_manifest_mapping(tmp_path, monkeypatch):
-    def canned_bench(json_path=None, smoke=False):
-        return {"fleet_sweep": {"smoke": smoke},
-                "cache_ablation": {}}
-
-    import repro.fleet
-
-    monkeypatch.setattr(repro.fleet, "fleet_bench", canned_bench)
+    _canned_fleet_row(monkeypatch, [])
     raw = raw_pack("fleet-sweep")
     raw = {**raw, "fleet": {"smoke": False}}
     result = run_pack(raw, jobs=1, cache_root=str(tmp_path))
-    assert result.payloads[result.exp_id]["fleet_sweep"]["smoke"] is False
+    assert result.payloads[result.exp_id]["fleet"]["sites"] == 10
 
 
 def test_pack_runs_metric_counts_dispatches():

@@ -1,20 +1,24 @@
-"""``repro chaos run`` and ``repro fleet sweep``: byte-identical stdout.
+"""``repro chaos run`` stdout and the ``repro bench fleet`` gate.
 
-Both commands call their public runners (``repro.chaos.run_scenario``
-and ``repro.fleet.fleet_bench``) straight from the command table, and
-their stdout is a compatibility contract — the summary lines and
-tables below are the exact bytes the pre-pack commands printed
-(recorded from the legacy implementations), so these are regression
-pins, not round-trips through the new code's own formatting.
+``chaos run`` calls its public runner (``repro.chaos.run_scenario``)
+straight from the command table, and its stdout is a compatibility
+contract — the summary lines below are the exact bytes the pre-pack
+command printed (recorded from the legacy implementation), so these
+are regression pins, not round-trips through the new code's own
+formatting.  The fleet sweep's floors gate through ``repro bench fleet
+--smoke --check``, the one bench verb; the retired bench verbs exit 2.
 """
 
+import json
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+from repro import perfbench
 from repro.__main__ import main as cli_main
+from repro.perfbench import Bench
 
 REPO_ROOT = __file__.rsplit("/tests/", 1)[0]
 
@@ -78,91 +82,120 @@ def test_chaos_unknown_scenario_keeps_the_legacy_message(capsys):
             "have ['bmc_dark', 'bus_noise', 'daemon_wedge']") in err
 
 
-#: The canned fleet_bench results the table golden below renders.
-_CANNED_FLEET = {
-    "fleet_sweep": {"wall_s": 1.25, "speedup_vs_scalar": 48.0,
-                    "sites": 2, "racks": 4, "sweeps": 4, "records": 1024,
-                    "dropped": 0, "reshards": 1, "shards": 6,
-                    "rollup_windows": 3},
-    "cache_ablation": {"hit_rate": 0.875, "crossings_uncached": 3200,
-                       "crossings_cached": 400,
-                       "crossings_reduction": 8.0, "byte_identical": True},
-}
+#: A canned smoke result of the ``fleet`` row, and its committed
+#: baseline.
+_CANNED_FLEET = {"wall_s": 0.05, "speedup_vs_scalar": 1000.0, "sites": 2,
+                 "cache_reduction": 8.0, "byte_identical": True}
 
 
 @pytest.fixture
-def canned_fleet_bench(monkeypatch):
+def canned_fleet(monkeypatch, tmp_path):
+    """Swap the ``fleet`` row's callable for a canned one (keeping the
+    row's sizes and floors) over a temporary trajectory file."""
     calls = []
+    result = dict(_CANNED_FLEET)
 
-    def canned(json_path=None, smoke=False):
-        calls.append((json_path, smoke))
-        return _CANNED_FLEET
+    def canned(**sizes):
+        calls.append(sizes)
+        return dict(result)
 
-    import repro.fleet
-
-    monkeypatch.setattr(repro.fleet, "fleet_bench", canned)
-    return calls
-
-
-def test_fleet_sweep_table_is_byte_identical(canned_fleet_bench, capsys):
-    """The exact table the legacy ``fleet sweep`` command printed for
-    these results, rebuilt row for row as the legacy code built it."""
-    from repro.analysis.tables import format_table
-
-    rows = [(f"sweep.{key}", f"{value:g}")
-            for key, value in _CANNED_FLEET["fleet_sweep"].items()]
-    rows += [(f"cache.{key}",
-              str(value) if isinstance(value, bool) else f"{value:g}")
-             for key, value in _CANNED_FLEET["cache_ablation"].items()]
-    legacy_table = format_table(
-        ("metric", "value"), rows,
-        title="[repro fleet sweep] smoke profile, nothing written")
-
-    assert cli_main(["fleet", "sweep", "--smoke"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == legacy_table + "\n"
-    assert canned_fleet_bench == [(None, True)]  # the CLI owns file writes
+    row = perfbench.BENCHES["fleet"]
+    monkeypatch.setitem(perfbench.BENCHES, "fleet", Bench(
+        canned, row.full, row.smoke, row.floors, row.detail_floors))
+    path = tmp_path / "BENCH_trajectory.json"
+    path.write_text(json.dumps({"smoke": {"fleet": {
+        **_CANNED_FLEET, "spread": 0.3}}}))
+    monkeypatch.setattr(perfbench, "TRAJECTORY_PATH", str(path))
+    return result, calls
 
 
-def test_fleet_sweep_json_write_matches_legacy_bytes(
-        canned_fleet_bench, tmp_path, capsys):
-    import json
+def test_fleet_bench_check_passes_and_runs_the_smoke_sizes(canned_fleet,
+                                                           capsys):
+    _, calls = canned_fleet
+    assert cli_main(["bench", "fleet", "--smoke", "--check"]) == 0
+    assert calls == [perfbench.BENCHES["fleet"].smoke]
+    out = capsys.readouterr().out
+    assert out.startswith("[repro bench] smoke profile checked against")
+    assert "fleet" in out and "1000.00x" in out
 
-    json_path = tmp_path / "fleet.json"
-    assert cli_main(["fleet", "sweep", "--smoke",
-                     "--json", str(json_path)]) == 0
+
+def test_fleet_sweep_table_is_byte_identical(canned_fleet, capsys):
+    """The exact table ``repro bench fleet --smoke --check`` prints for
+    the canned sweep (trailing cell padding included)."""
+    assert cli_main(["bench", "fleet", "--smoke", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert out.replace(perfbench.TRAJECTORY_PATH, "<trajectory>") == (
+        "[repro bench] smoke profile checked against <trajectory>\n"
+        "bench  wall     vs scalar  detail"
+        "                                         \n"
+        "-----  -------  ---------  "
+        "-----------------------------------------------\n"
+        "fleet  50.0 ms  1000.00x   "
+        "sites=2, cache_reduction=8, byte_identical=True\n"
+    )
+
+
+def test_fleet_sweep_json_write_matches_legacy_bytes(canned_fleet,
+                                                     capsys):
+    """Recording the fleet row rewrites the trajectory in the legacy
+    byte format: 2-space indent, sorted keys, trailing newline."""
+    assert cli_main(["bench", "fleet", "--smoke"]) == 0
     capsys.readouterr()
-    legacy_bytes = (json.dumps(_CANNED_FLEET, indent=2, sort_keys=True)
-                    + "\n")
-    assert json_path.read_text(encoding="utf-8") == legacy_bytes
+    recorded = {"smoke": {"fleet": {**_CANNED_FLEET, "wall_s": 0.05,
+                                    "spread": 0.0}}}
+    legacy_bytes = json.dumps(recorded, indent=2, sort_keys=True) + "\n"
+    path = perfbench.TRAJECTORY_PATH
+    assert open(path, encoding="utf-8").read() == legacy_bytes
 
 
-def test_fleet_sweep_floor_failures_still_gate(monkeypatch, capsys):
-    import repro.fleet
+def test_fleet_sweep_floor_failures_still_gate(canned_fleet, capsys):
+    """A slow sweep exits 1 naming the realtime floor."""
+    result, _ = canned_fleet
+    result["speedup_vs_scalar"] = 0.5
+    assert cli_main(["bench", "fleet", "--smoke", "--check"]) == 1
+    assert ("fleet: smoke speedup 0.500x below the 2x floor"
+            in capsys.readouterr().err)
 
-    slow = {"fleet_sweep": {**_CANNED_FLEET["fleet_sweep"],
-                            "speedup_vs_scalar": 0.5},
-            "cache_ablation": _CANNED_FLEET["cache_ablation"]}
-    monkeypatch.setattr(repro.fleet, "fleet_bench",
-                        lambda json_path=None, smoke=False: slow)
-    assert cli_main(["fleet", "sweep", "--smoke"]) == 1
-    assert "realtime factor" in capsys.readouterr().err
+
+@pytest.mark.parametrize("change, message", [
+    ({"cache_reduction": 4.0}, "cache_reduction 4.000x below the 5x floor"),
+    ({"byte_identical": False}, "output bytes diverged"),
+])
+def test_fleet_ablation_failures_gate(canned_fleet, capsys, change,
+                                      message):
+    result, _ = canned_fleet
+    result.update(change)
+    assert cli_main(["bench", "fleet", "--smoke", "--check"]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     ["fleet"],
-    ["fleet", "sweep", "--json"],
-    ["fleet", "sweep", "--frobnicate"],
+    ["fleet", "sweep", "--smoke"],
+    ["bench", "fleet", "--frobnicate"],
 ])
 def test_fleet_bad_usage_exits_two(argv, capsys):
     assert cli_main(argv) == 2
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "perf", "--check"],
+    ["exec", "bench"],
+    ["service", "bench"],
+    ["store", "bench"],
+    ["bench", "launcher_mmps"],
+    ["bench", "fleet", "no_such_bench", "--smoke"],
+])
+def test_retired_bench_verbs_and_unknown_benches_exit_two(argv, capsys):
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err
+
+
 def test_chaos_and_fleet_commands_raise_no_deprecation_warning(
-        canned_fleet_bench, capsys):
+        canned_fleet, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         assert cli_main(["chaos", "list"]) == 0
-        assert cli_main(["fleet", "sweep", "--smoke"]) == 0
+        assert cli_main(["bench", "fleet", "--smoke", "--check"]) == 0
     capsys.readouterr()

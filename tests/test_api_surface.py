@@ -1,8 +1,8 @@
-"""Tier-1 contract tests of the versioned ``repro.api`` v2 surface.
+"""Tier-1 contract tests of the versioned ``repro.api`` v3 surface.
 
 The contract cuts both ways: every supported name resolves from its
-namespace, and every legacy v1 flat name still resolves — with exactly
-one :class:`DeprecationWarning` — through the ``repro._compat`` shim.
+namespace, and no legacy v1 flat name resolves from ``repro.api``
+itself any more — the flat aliases, deprecated through v2, are gone.
 """
 
 import importlib
@@ -10,12 +10,10 @@ import pathlib
 import shutil
 import subprocess
 import types
-import warnings
 
 import pytest
 
 import repro.api as api
-from repro._compat import reset_deprecation_warnings
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 API_DOC = REPO_ROOT / "docs" / "api.md"
@@ -25,8 +23,8 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_2():
-    assert api.API_VERSION == "2"
+def test_api_version_is_3():
+    assert api.API_VERSION == "3"
     assert api.__version__.count(".") == 2
 
 
@@ -68,25 +66,8 @@ def test_no_name_exported_by_two_namespaces():
 
 
 @pytest.mark.tier1
-def test_every_flat_alias_warns_exactly_once():
-    for name, ns_name in sorted(api._FLAT_ALIASES.items()):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = getattr(api, name)
-            second = getattr(api, name)
-        assert first is second is getattr(api.NAMESPACES[ns_name], name)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1, (
-            f"repro.api.{name}: {len(deprecations)} warnings, wanted 1")
-        message = str(deprecations[0].message)
-        assert f"repro.api.{ns_name}.{name}" in message
-
-
-@pytest.mark.tier1
-def test_every_v1_name_still_resolves_flat():
-    """The v1 surface, name for name — nothing was dropped in v2."""
+def test_every_v1_flat_name_is_gone():
+    """The v1 surface, name for name: removed flat, still namespaced."""
     v1_names = [
         "initialize", "finalize", "profile_run", "backends_for_node",
         "Backend", "MoneqConfig", "MoneqSession", "MoneqResult",
@@ -103,10 +84,13 @@ def test_every_v1_name_still_resolves_flat():
         "MoneqError", "MoneqStateError", "MoneqBufferFullError",
         "ExperimentExecutionError", "ChaosError",
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for name in v1_names:
-            assert getattr(api, name) is not None, f"v1 lost {name}"
+    homes = {name: ns_name for ns_name, module in api.NAMESPACES.items()
+             for name in module.__all__}
+    for name in v1_names:
+        with pytest.raises(AttributeError, match=name):
+            getattr(api, name)
+        assert name not in dir(api)
+        assert name in homes, f"v1 name {name} has no namespace home"
 
 
 @pytest.mark.tier1
@@ -134,7 +118,7 @@ def test_policy_documented():
     assert "Compatibility policy" in api.__doc__
     text = API_DOC.read_text(encoding="utf-8")
     assert "Compatibility policy" in text
-    assert "DeprecationWarning" in text, "migration table must note the shim"
+    assert "removed in v3" in text, "the migration table must stay"
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None,
