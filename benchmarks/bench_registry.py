@@ -1,7 +1,7 @@
 """Every row of the bench registry, live at full size.
 
 One test per row of :data:`repro.perfbench.BENCHES`, held to the row's
-own full-profile floors — the block engine >= 10x over scalar ticking,
+own full-profile floors — the block engine >= 10x over one-tick blocks,
 a full MonEQ session > 1.5x, the heap scheduler >= 5x over the linear
 scan on a 4096-rank fan-in, the engine's warm cache >= 10x over cold
 serial, the fleet sweep >= 2x realtime, and the rest — so no floor is

@@ -99,40 +99,30 @@ class EmonInterface:
         how wall-clock advances (it charges the documented latency to
         each agent's process and steps the shared clock once per tick).
         """
-        readings = []
+        return [
+            EmonReading(domain=domain, voltage_v=float(volts[0]),
+                        current_a=float(amps[0]), sample_time=float(stale_t[0]))
+            for domain, stale_t, volts, amps in self._sample(np.array([t]))
+        ]
+
+    def collect_block(self, times: np.ndarray) -> dict[BgqDomain, np.ndarray]:
+        """Per-domain power (V x I) columns at each time in ``times``,
+        from the same sampler as :meth:`collect_at`."""
+        return {domain: volts * amps
+                for domain, _, volts, amps in self._sample(times)}
+
+    def _sample(self, times: np.ndarray):
+        """Yield ``(domain, sample_time, voltage, current)`` arrays over
+        ``times``, one per domain in :data:`BGQ_DOMAINS` order."""
+        times = np.asarray(times, dtype=np.float64)
         for spec in BGQ_DOMAINS:
             v_sensor = self._voltage_sensors[spec.domain]
             # Oldest generation: one full period behind the current one.
-            stale_t = max(float(v_sensor.last_update_time(t)) - GENERATION_PERIOD_S, 0.0)
-            readings.append(EmonReading(
-                domain=spec.domain,
-                voltage_v=float(v_sensor.read(stale_t)),
-                current_a=float(self._current_sensors[spec.domain].read(stale_t)),
-                sample_time=stale_t,
-            ))
-        return readings
-
-    def collect_block(self, times: np.ndarray) -> dict[BgqDomain, np.ndarray]:
-        """Vectorized :meth:`collect_at`: per-domain power (V x I)
-        columns at each time in ``times``.
-
-        Elementwise identical to looping ``collect_at`` — same
-        stale-generation snap, same per-update noise draws — without
-        the per-call Python overhead; the MonEQ block-sampling path
-        relies on the bit-exact match.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        powers: dict[BgqDomain, np.ndarray] = {}
-        for spec in BGQ_DOMAINS:
-            v_sensor = self._voltage_sensors[spec.domain]
             stale_t = np.maximum(
                 v_sensor.last_update_time(times) - GENERATION_PERIOD_S, 0.0
             )
-            powers[spec.domain] = (
-                v_sensor.read(stale_t)
-                * self._current_sensors[spec.domain].read(stale_t)
-            )
-        return powers
+            yield (spec.domain, stale_t, v_sensor.read(stale_t),
+                   self._current_sensors[spec.domain].read(stale_t))
 
     def collect_power_w(self, process: Process | None = None) -> dict[BgqDomain, float]:
         """Convenience: per-domain power (V x I) from one collection."""

@@ -27,8 +27,8 @@ boundaries, by construction.
 
 Decisions are drawn per channel *exchange* (``queries_per_read`` of
 them per tick) from counter-based hashes, so a tick's fault probability
-honors how many bus round trips it really makes, and block sampling
-draws bit-identically to scalar ticking.
+honors how many bus round trips it really makes, and a long block
+draws bit-identically to the same ticks read one block at a time.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.capability import PlatformCapabilities
 from repro.mech.source import empty_block
 from repro.obs.instruments import CollectorInstrument, collector
-from repro.store.reading import Reading
 
 
 class Backend(abc.ABC):
@@ -56,26 +55,18 @@ class Backend(abc.ABC):
     def read_at(self, t: float) -> dict[str, float]:
         """Sample all fields at virtual time ``t`` (no clock movement)."""
 
-    def read_reading(self, t: float) -> Reading:
-        """Sample all fields at ``t`` as one normalized
-        :class:`~repro.store.Reading` — the shared record every vendor
-        read path produces, so stores and analysis never special-case
-        per-platform shapes.  The raw :meth:`read_at` mapping stays
-        available where legacy column dicts are expected."""
-        return Reading(timestamp=t, location=self.label,
-                       mechanism=self.mechanism, values=self.read_at(t))
-
     def read_block(self, times: np.ndarray) -> np.ndarray:
         """Sample all fields at each time in ``times`` (no clock
         movement): row ``i`` of the returned structured array holds the
         columns of :meth:`fields` at ``times[i]``.
 
-        The base implementation is a scalar loop over :meth:`read_at`
-        (correct for any backend, including stateful ones — reads stay
-        in time order).  Vendor backends override it with a vectorized
-        path that must be **bit-identical** to the loop: the MonEQ
-        block-sampling engine leans on that equality to keep output
-        files byte-identical to scalar ticking.
+        This is the only read a MonEQ session makes: every tick, and
+        every lookahead grid of ticks, is one call.  The base
+        implementation loops :meth:`read_at` (correct for any backend,
+        including stateful ones — reads stay in time order).  Vendor
+        mechanisms override it with one vectorized path and make
+        :meth:`read_at` a one-element grid through it, so a grid read
+        is bit-identical to the same times read one block at a time.
         """
         times = np.asarray(times, dtype=np.float64)
         out = empty_block(self.fields(), times.shape[0])

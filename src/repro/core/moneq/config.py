@@ -38,8 +38,8 @@ class MoneqConfig:
     block_ticks:
         Lookahead span of the columnar block-sampling engine: how many
         timer ticks the session may plan and collect in one slab before
-        re-checking the event queue.  ``1`` disables block sampling and
-        falls back to scalar per-tick collection.  Output is
+        re-checking the event queue.  ``1`` means no lookahead: each
+        tick collects a one-tick block when it fires.  Output is
         byte-identical either way; only the constant factor changes.
     fault_plan:
         Optional :class:`~repro.chaos.faults.FaultPlan` activated for
@@ -65,7 +65,7 @@ class MoneqConfig:
             raise ConfigError(f"buffer_slots must be positive, got {self.buffer_slots}")
         if self.block_ticks < 1:
             raise ConfigError(
-                f"block_ticks must be >= 1 (1 disables block sampling), "
+                f"block_ticks must be >= 1 (1 means no lookahead), "
                 f"got {self.block_ticks}"
             )
         if not self.output_dir.startswith("/"):

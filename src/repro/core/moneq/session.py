@@ -11,18 +11,21 @@ collection time is identical at 32, 512 and 1024 nodes.
 
 Block sampling
 --------------
-Because every tick costs the same constant clock advance, the whole tick
-grid between two intervening events is known the moment the first tick
-fires.  When the driving :meth:`~repro.sim.events.EventQueue.run_until`
-exposes its horizon, the session plans up to ``config.block_ticks``
-deadlines ahead (:meth:`~repro.sim.timers.PeriodicTimer.plan_block`),
-samples each backend once over the whole grid with a vectorized
-:meth:`~repro.core.moneq.backend.Backend.read_block`, and fills agent
-buffers by column-slab assignment.  The block stops strictly before the
-next foreign event, at the horizon, and at remaining buffer capacity, so
-clock advancement, tag boundaries, buffer-full errors and output files
-stay **byte-identical** to scalar ticking — the parity property tests
-pin this down.
+Every tick collects a *block*: a grid of tick times sampled once per
+backend with :meth:`~repro.core.moneq.backend.Backend.read_block` and
+slab-assigned into agent buffers.  Because every tick costs the same
+constant clock advance, the whole grid between two intervening events
+is known the moment the first tick fires.  When the driving
+:meth:`~repro.sim.events.EventQueue.run_until` exposes its horizon, the
+session plans up to ``config.block_ticks`` deadlines ahead
+(:meth:`~repro.sim.timers.PeriodicTimer.plan_block`); without one
+(:meth:`~repro.sim.events.EventQueue.step`,
+:meth:`~repro.sim.events.EventQueue.run_all`) or at ``block_ticks=1``
+the grid is the firing tick alone.  The block stops strictly before the
+next foreign event, at the horizon, and at remaining buffer capacity,
+so clock advancement, tag boundaries, buffer-full errors and output
+files are **byte-identical** at any lookahead — the parity tests pin
+this down against one-tick blocks fired event by event.
 """
 
 from __future__ import annotations
@@ -67,21 +70,6 @@ class _Agent:
     records: np.ndarray
     count: int = 0
     instrument: CollectorInstrument | None = None
-
-    def append(self, t: float, row: dict[str, float]) -> None:
-        if self.count >= len(self.records):
-            MONEQ_BUFFER_FULL.inc()
-            if self.instrument is not None:
-                self.instrument.record_error("buffer_full")
-            raise MoneqBufferFullError(
-                f"agent {self.backend.label}: buffer of {len(self.records)} "
-                "records exhausted; raise MoneqConfig.buffer_slots"
-            )
-        record = self.records[self.count]
-        record["time_s"] = t
-        for name, value in row.items():
-            record[name] = value
-        self.count += 1
 
     def extend_block(self, times: np.ndarray, block: np.ndarray) -> None:
         """Slab-append one block: row ``i`` gets ``times[i]`` plus
@@ -178,7 +166,8 @@ class MoneqSession:
         # every collection tick below crosses its channel under that
         # plan and degrades to sensor-dark NaN rows instead of raising
         # — the session always reaches finalize.
-        if self.config.fault_plan is not None:
+        self._plan_active = self.config.fault_plan is not None
+        if self._plan_active:
             from repro.chaos.faults import activate
 
             activate(self.config.fault_plan)
@@ -197,46 +186,42 @@ class MoneqSession:
     # -- collection ------------------------------------------------------------
 
     def _on_tick(self, t: float, index: int) -> None:
-        horizon = self.queue.horizon
-        if self.config.block_ticks > 1 and horizon is not None:
-            # How far can we look ahead?  Strictly before the next
-            # foreign event (it must keep its place in the event order),
-            # within the run_until bound, and within buffer capacity —
-            # a full buffer falls through to the scalar path so the
-            # error surfaces exactly where scalar ticking raises it.
-            capacity = min(len(a.records) - a.count for a in self.agents)
-            if capacity > 0:
-                times, k_last, coalesced = self._timer.plan_block(
-                    self._tick_cost, self.queue.peek_time(), horizon,
-                    min(self.config.block_ticks, capacity),
-                )
-                if len(times) > 1:
-                    self._collect_block(np.asarray(times, dtype=np.float64))
-                    self._timer.commit_block(len(times), k_last, coalesced)
-                    return
-        self._collect_tick(t)
+        try:
+            self._collect_from(t)
+        except BaseException:
+            # A tick that raises (a full buffer, a failing backend) ends
+            # collection; the session's fault plan must not outlive it
+            # process-wide.  finalize() still writes what was collected.
+            self._release_plan()
+            raise
 
-    def _collect_tick(self, t: float) -> None:
-        """One scalar tick: the reference path block sampling must match."""
-        tick_cost = 0.0
-        max_fill = 0.0
-        for agent in self.agents:
-            reading = agent.backend.read_reading(t)
-            agent.append(reading.timestamp, reading.values)
-            cost = agent.backend.query_latency_s
-            if agent.process is not None and agent.process.alive:
-                agent.process.charge(cost)
+    def _collect_from(self, t: float) -> None:
+        """Collect the block that starts at the firing tick ``t``."""
+        capacity = min(len(a.records) - a.count for a in self.agents)
+        if capacity == 0:
+            agent = next(a for a in self.agents if a.count == len(a.records))
+            MONEQ_BUFFER_FULL.inc()
             if agent.instrument is not None:
-                agent.instrument.record_query(cost)
-            fill = agent.count / len(agent.records)
-            if fill > max_fill:
-                max_fill = fill
-            tick_cost = max(tick_cost, cost)
-        MONEQ_TICKS.inc()
-        MONEQ_RECORDS.inc(len(self.agents))
-        MONEQ_BUFFER_FILL.set(max_fill)
-        # Agents overlap across nodes; the slowest gates the tick.
-        self.queue.clock.advance(tick_cost)
+                agent.instrument.record_error("buffer_full")
+            raise MoneqBufferFullError(
+                f"agent {agent.backend.label}: buffer of {len(agent.records)} "
+                "records exhausted; raise MoneqConfig.buffer_slots"
+            )
+        horizon = self.queue.horizon
+        if horizon is None:
+            # step()/run_all() expose no bound, so no lookahead is safe.
+            self._collect_block(np.array([t]))
+            return
+        # How far can we look ahead?  Strictly before the next foreign
+        # event (it must keep its place in the event order), within the
+        # run_until bound, and within buffer capacity, so a full buffer
+        # raises at the tick where it fills.
+        times, k_last, coalesced = self._timer.plan_block(
+            self._tick_cost, self.queue.peek_time(), horizon,
+            min(self.config.block_ticks, capacity),
+        )
+        self._collect_block(np.asarray(times, dtype=np.float64))
+        self._timer.commit_block(len(times), k_last, coalesced)
 
     def _collect_block(self, times: np.ndarray) -> None:
         """Collect a planned grid of ticks in one columnar pass."""
@@ -257,8 +242,8 @@ class MoneqSession:
         MONEQ_TICKS.inc(n)
         MONEQ_RECORDS.inc(len(self.agents) * n)
         MONEQ_BUFFER_FILL.set(max_fill)
-        # Land exactly where n scalar ticks would have left the clock:
-        # at the last deadline plus one tick cost.
+        # Land exactly where n one-tick blocks would have left the
+        # clock: at the last deadline plus one tick cost.
         self.queue.clock.advance_to(float(times[-1]))
         self.queue.clock.advance(self._tick_cost)
 
@@ -290,10 +275,7 @@ class MoneqSession:
         self.tags.require_all_closed()
         self._finalized = True
         self._timer.cancel()
-        if self.config.fault_plan is not None:
-            from repro.chaos.faults import deactivate
-
-            deactivate(self.config.fault_plan)
+        self._release_plan()
         t_end = self.queue.clock.now
         runtime = t_end - self.t_start
         for agent in self.agents:
@@ -344,6 +326,14 @@ class MoneqSession:
         )
 
     # -- helpers -----------------------------------------------------------------
+
+    def _release_plan(self) -> None:
+        """Deactivate the session's fault plan, once."""
+        if self._plan_active:
+            from repro.chaos.faults import deactivate
+
+            self._plan_active = False
+            deactivate(self.config.fault_plan)
 
     def _ensure_live(self) -> None:
         if self._finalized:

@@ -154,7 +154,7 @@ class ThermalModel:
         n_new = int(np.ceil((target - self._times[-1]) / self.dt))
         # Index-based grid points (dt * k), like CumulativeIntegral: the
         # cached temperature history is bit-identical regardless of how
-        # reads were chunked (scalar ticks vs one block read).
+        # reads were chunked (one tick at a time vs one long block).
         new_times = self.dt * np.arange(
             self._grid_n + 1, self._grid_n + n_new + 1
         ).astype(np.float64)

@@ -34,12 +34,13 @@ def consecutive_deltas(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, tuple[float, int]]:
     """Vectorized consecutive-read differencing for counter sources.
 
-    Mirrors the scalar loop bit for bit: each row differences against
-    the preceding row (or the carried-over ``prev`` state for row 0),
-    and negative deltas get the single-wrap correction.  Returns
-    ``(delta, dt, fresh, wrap_count, new_prev)`` where ``fresh`` marks
-    rows without a usable predecessor (the scalar path's 0.0 rows; their
-    ``dt`` is pinned to 1.0 so callers can divide unconditionally).
+    Matches reading the rows one at a time, bit for bit: each row
+    differences against the preceding row (or the carried-over ``prev``
+    state for row 0), and negative deltas get the single-wrap
+    correction.  Returns ``(delta, dt, fresh, wrap_count, new_prev)``
+    where ``fresh`` marks rows without a usable predecessor (reported as
+    0.0 W; their ``dt`` is pinned to 1.0 so callers can divide
+    unconditionally).
     """
     n = times.shape[0]
     prev_t = np.empty(n, dtype=np.float64)
@@ -47,7 +48,7 @@ def consecutive_deltas(
     prev_t[1:] = times[:-1]
     prev_raw[1:] = raws[:-1]
     if prev is None:
-        prev_t[0] = np.inf  # forces the scalar path's "no predecessor" row
+        prev_t[0] = np.inf  # forces the "no predecessor" row
         prev_raw[0] = 0
     else:
         prev_t[0], prev_raw[0] = prev

@@ -119,11 +119,12 @@ def _nvml_outputs(agents: int, ticks: int, block_ticks: int, seed: int):
 
 def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
                       scalar_ticks: int = 100, seed: int = 0xB10C) -> dict:
-    """The acceptance bench: a 1024-agent, 10k-tick NVML session in
-    block mode versus the scalar tick loop (measured on a short slice
-    and extrapolated — running 10M scalar reads outright is the very
-    cost the engine removes).  Byte-identity is asserted on a reduced
-    configuration where running both paths in full is cheap.
+    """The acceptance bench: a 1024-agent, 10k-tick NVML session with
+    full lookahead versus one-tick blocks (``block_ticks=1``, measured
+    on a short slice and extrapolated — running 10M one-row reads
+    outright is the very cost the lookahead removes).  Byte-identity is
+    asserted on a reduced configuration where running both in full is
+    cheap.
 
     Measured with the channel cache bypassed: the 1024 agents share
     one device, so cache hits would dominate both sides and the ratio
@@ -146,7 +147,7 @@ def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
         wall_slice, _ = _wall(lambda: node.events.run_until(slice_horizon))
         if session.agents[0].count != scalar_ticks:
             raise AssertionError(
-                f"scalar slice collected {session.agents[0].count} ticks, "
+                f"one-tick slice collected {session.agents[0].count} ticks, "
                 f"wanted {scalar_ticks}"
             )
         scalar_est = wall_slice * (ticks / scalar_ticks)
@@ -166,7 +167,7 @@ def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
 def bench_moneq_full_session(duration_s: float = 60.0, pairs: int = 3,
                              seed: int = 96) -> dict:
     """An ordinary ``profile_run`` (RAPL at the 60 ms hardware minimum),
-    block mode versus scalar ticking — both paths run in full, so the
+    full lookahead versus one-tick blocks — both run in full, so the
     speedup is measured, not extrapolated."""
     from repro import testbeds
 
@@ -181,7 +182,7 @@ def bench_moneq_full_session(duration_s: float = 60.0, pairs: int = 3,
     if timed.candidate.overhead.ticks != timed.reference.overhead.ticks:
         raise AssertionError(
             f"block session ticked {timed.candidate.overhead.ticks}, "
-            f"scalar ticked {timed.reference.overhead.ticks}"
+            f"one-tick blocks ticked {timed.reference.overhead.ticks}"
         )
     return {
         "wall_s": timed.candidate_s,

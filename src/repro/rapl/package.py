@@ -143,12 +143,11 @@ class CpuPackage:
 
     def energy_raw(self, domain: RaplDomain, t: float) -> int:
         """32-bit energy-status counter contents at virtual time ``t``."""
-        return self._counters[domain].raw(t)
+        return int(self.energy_raw_block(domain, np.array([t]))[0])
 
     def energy_raw_block(self, domain: RaplDomain, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`energy_raw`: counter contents at each time
-        in ``times`` as an int64 array, bit-identical to a scalar read
-        loop (the MonEQ block-sampling engine depends on that)."""
+        """Counter contents at each time in ``times`` as an int64 array;
+        :meth:`energy_raw` is the one-element case."""
         return self._counters[domain].raw_block(times)
 
     def energy_joules_between(self, domain: RaplDomain, t0: float, t1: float) -> float:
@@ -165,8 +164,8 @@ class CpuPackage:
         """True number of 32-bit counter wraps in [t0, t1] — what the
         wraparound metric reports when the interval is decoded."""
         counter = self._counters[domain]
-        return (counter._quanta(t1) // counter.modulus
-                - counter._quanta(t0) // counter.modulus)
+        q0, q1 = counter._quanta(np.array([t0, t1])) // counter.modulus
+        return int(q1 - q0)
 
     # -- MSR register file ------------------------------------------------
 
@@ -269,44 +268,25 @@ class _JitteredCounter:
             return float("inf")
         return self.modulus * self.units.energy_j / mean_rate
 
-    def _update_time(self, t: float) -> float:
-        k = int(np.floor(t / self.update_interval))
-        if k <= 0:
-            return 0.0
-        jitter = float(self._hash_normal(self.seed, k)) * (self.jitter_s / 2.0)
-        # Jitter never reorders updates or reaches past the read time.
-        return min(max(k * self.update_interval + jitter, 0.0), t)
-
-    def _quanta(self, t: float) -> int:
-        """Unwrapped accumulated energy in counter quanta at ``t``."""
-        if t < 0.0:
-            raise SensorError("cannot read counter before t=0")
-        energy = float(self._integral.value(self._update_time(t)))
-        return int(energy / self.units.energy_j + 1e-9)
-
-    def raw(self, t: float) -> int:
-        return self._quanta(t) % self.modulus
-
-    def raw_block(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`raw` over a time grid.
-
-        Every step mirrors the scalar path elementwise — same jitter
-        hashes, same clamped update instants, same grid interpolation,
-        same quantization — so the results are bit-identical to a loop
-        of scalar reads.
-        """
+    def _quanta(self, times: np.ndarray) -> np.ndarray:
+        """Unwrapped accumulated energy in counter quanta at each time in
+        ``times`` (int64): the one read every counter view goes through."""
         times = np.asarray(times, dtype=np.float64)
         if np.any(times < 0.0):
             raise SensorError("cannot read counter before t=0")
         k = np.floor(times / self.update_interval).astype(np.int64)
         jitter = self._hash_normal(self.seed, k) * (self.jitter_s / 2.0)
+        # Jitter never reorders updates or reaches past the read time.
         update_t = np.minimum(
             np.maximum(k * self.update_interval + jitter, 0.0), times
         )
         update_t = np.where(k <= 0, 0.0, update_t)
         energy = self._integral.value(update_t)
-        quanta = np.floor(energy / self.units.energy_j + 1e-9).astype(np.int64)
-        return quanta % self.modulus
+        return np.floor(energy / self.units.energy_j + 1e-9).astype(np.int64)
+
+    def raw_block(self, times: np.ndarray) -> np.ndarray:
+        """Register contents (the wrapped quanta) at each time in ``times``."""
+        return self._quanta(times) % self.modulus
 
     def delta(self, t0: float, t1: float) -> float:
         """Single-wrap-corrected delta, as every RAPL consumer decodes it.
@@ -319,7 +299,7 @@ class _JitteredCounter:
         """
         if t1 < t0:
             raise SensorError(f"reads out of order: {t0} > {t1}")
-        q0, q1 = self._quanta(t0), self._quanta(t1)
+        q0, q1 = (int(q) for q in self._quanta(np.array([t0, t1])))
         wraps = q1 // self.modulus - q0 // self.modulus
         if wraps > 0:
             self._wraps.inc(wraps)

@@ -79,17 +79,13 @@ class PerfEventRapl:
 
     def read_at(self, event: str, t: float) -> int:
         """Passive counter view at virtual time ``t``: no clock movement,
-        no process charge.  The MonEQ agent path — the session owns time
-        and charges the syscall latency itself."""
-        domain = PERF_RAPL_EVENTS.get(event)
-        if domain is None:
-            raise KeyError(f"unknown perf event {event!r}")
-        joules = self.package.energy_raw(domain, t) * self.package.units.energy_j
-        return int(joules / PERF_ENERGY_UNIT_J)
+        no process charge.  The one-time case of :meth:`read_block`,
+        which MonEQ agents read through — the session owns time and
+        charges the syscall latency itself."""
+        return int(self.read_block(event, np.array([t]))[0])
 
     def read_block(self, event: str, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`read_at` (int64 array, bit-identical to a
-        scalar read loop)."""
+        """:meth:`read_at` at each time in ``times``, as an int64 array."""
         domain = PERF_RAPL_EVENTS.get(event)
         if domain is None:
             raise KeyError(f"unknown perf event {event!r}")

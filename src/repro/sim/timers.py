@@ -88,8 +88,8 @@ class PeriodicTimer:
 
         Returns ``(times, k_last, coalesced)``; pass the counts to
         :meth:`commit_block` after handling the block so the
-        post-handler reschedule continues the exact recurrence the
-        scalar path would have produced.
+        post-handler reschedule continues the exact recurrence that
+        firing each tick as its own event would have produced.
         """
         k = self._k
         t = self.epoch + k * self.interval
@@ -115,8 +115,8 @@ class PeriodicTimer:
         The firing tick was already counted by the dispatch; the
         ``count - 1`` lookahead ticks and any intra-block coalescing
         land here, and the deadline index moves to the last handled
-        tick so the reschedule after the handler returns matches the
-        scalar path bit for bit.
+        tick so the reschedule after the handler returns matches
+        per-event firing bit for bit.
         """
         self.ticks_fired += count - 1
         self.ticks_coalesced += coalesced

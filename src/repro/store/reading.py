@@ -8,9 +8,8 @@ its own tuple/dict shape into ``store`` and ``analysis`` consumers.  A
 produced it, and the field → value mapping the mechanism reported.
 
 The record is deliberately dumb: adapters at the edges (``EnvRecord``
-in :mod:`repro.bgq.envdb`, ``Backend.read_reading`` in
-:mod:`repro.core.moneq.backend`) translate legacy shapes without the
-storage or analysis layers special-casing per-platform formats.
+in :mod:`repro.bgq.envdb`) translate legacy shapes without the storage
+or analysis layers special-casing per-platform formats.
 """
 
 from __future__ import annotations

@@ -135,33 +135,32 @@ class PhiCard:
     def die_temperature_c(self, t: np.ndarray | float) -> np.ndarray:
         return self.thermal.temperature(t)
 
-    def intake_temperature_c(self, t: float) -> float:
+    def intake_temperature_c(self, t: np.ndarray | float) -> np.ndarray:
         """Fan-in air temperature: ambient plus a whisper of recirculation."""
-        return self.model.ambient_c + 2.0
+        return np.full(np.shape(t), self.model.ambient_c + 2.0)
 
-    def exhaust_temperature_c(self, t: float) -> float:
+    def exhaust_temperature_c(self, t: np.ndarray | float) -> np.ndarray:
         """Fan-out air temperature: between intake and die."""
-        die = float(self.die_temperature_c(t))
-        return self.intake_temperature_c(t) + 0.55 * (die - self.intake_temperature_c(t))
+        intake = self.intake_temperature_c(t)
+        return intake + 0.55 * (self.die_temperature_c(t) - intake)
 
-    def fan_speed_rpm(self, t: float) -> int:
-        """Blower tracks die temperature (2700 RPM floor, 6000 max)."""
-        die = float(self.die_temperature_c(t))
-        duty = np.clip((die - 45.0) / 50.0, 0.0, 1.0)
-        return int(round(2700 + duty * 3300))
+    def fan_speed_rpm(self, t: np.ndarray | float) -> np.ndarray:
+        """Blower tracks die temperature (2700 RPM floor, 6000 max),
+        in whole RPM."""
+        duty = np.clip((self.die_temperature_c(t) - 45.0) / 50.0, 0.0, 1.0)
+        return np.rint(2700 + duty * 3300)
 
     def rapl_counter_raw(self, t: float) -> int:
         """The card-internal 32-bit RAPL energy counter."""
         energy = float(self.energy_integral.value(max(t, 0.0)))
         return int(energy / RAPL_ENERGY_UNIT_J + 1e-9) % (1 << 32)
 
-    def core_rail_voltage(self, t: float) -> float:
+    def core_rail_voltage(self, t: np.ndarray | float) -> np.ndarray:
         """VDD rail: nominal 1.0 V with load droop."""
-        util = float(self.board.utilization(Component.PHI_CORES, t))
-        return 1.00 - 0.035 * util
+        return 1.00 - 0.035 * self.board.utilization(Component.PHI_CORES, t)
 
-    def core_rail_current(self, t: float) -> float:
+    def core_rail_current(self, t: np.ndarray | float) -> np.ndarray:
         """Current on the core rail implied by core power and voltage."""
-        watts = float(self._power_model.component_power(Component.PHI_CORES, t,
-                                                        idle_share=0.55))
+        watts = self._power_model.component_power(Component.PHI_CORES, t,
+                                                  idle_share=0.55)
         return watts / self.core_rail_voltage(t)

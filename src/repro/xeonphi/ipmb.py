@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ChecksumError, IpmbError
 from repro.mech.channel import MILLI_UNITS
 from repro.obs.instruments import collector
@@ -44,27 +42,6 @@ SENSOR_NUMBERS = {name: i for i, name in enumerate(SMC_SENSORS)}
 def _checksum(data: bytes) -> int:
     """Two's-complement checksum: sum(data + checksum) % 256 == 0."""
     return (-sum(data)) & 0xFF
-
-
-def ipmb_quanta(value: float) -> int:
-    """Fixed-point encoding of one sensor value on the wire:
-    little-endian milli-units, clipped to 31 bits.  The resolution loss
-    itself is owned by the mechanism layer's
-    :data:`~repro.mech.channel.MILLI_UNITS` quantization; this helper is
-    the wire framing's view of the same encoding."""
-    return MILLI_UNITS.quanta(value)
-
-
-def quantize_reading(value: float) -> float:
-    """Resolution loss of one IPMB exchange: what the BMC decodes after
-    :func:`ipmb_quanta` encoding."""
-    return MILLI_UNITS.apply(value)
-
-
-def quantize_block(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`quantize_reading` — same half-to-even rounding
-    and clip, elementwise bit-identical to the scalar path."""
-    return MILLI_UNITS.apply_block(values)
 
 
 @dataclass(frozen=True)
@@ -131,7 +108,7 @@ class SmcIpmbResponder:
             raise IpmbError(f"no sensor number {number}")
         value = self.smc.read_sensor(names[0], self.clock.now)
         # Fixed-point milli-units in 4 bytes, completion code 0 first.
-        quanta = ipmb_quanta(value)
+        quanta = MILLI_UNITS.quanta(value)
         payload = bytes([0x00]) + quanta.to_bytes(4, "little")
         return IpmbMessage(
             rs_addr=request.rq_addr, net_fn=NETFN_SENSOR_RESPONSE,

@@ -31,24 +31,30 @@ SMC_SENSORS = (
     "power_limit_w",
 )
 
+#: Memory the card's uOS keeps resident, in bytes.
+_UOS_RESIDENCY_B = 512.0 * 1024**2
+
 
 class SystemManagementController:
     """SMC for one card: named sensor reads at a virtual time."""
 
     def __init__(self, card: PhiCard):
         self.card = card
-        self._readers: dict[str, Callable[[float], float]] = {
-            "power_w": lambda t: float(card.power_gauge.read(t)),
-            "die_temp_c": lambda t: float(card.die_temperature_c(t)),
+        # Every reader takes a float or an array of times and returns
+        # values shaped like it, as the sensor models do.
+        self._readers: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+            "power_w": card.power_gauge.read,
+            "die_temp_c": card.die_temperature_c,
             "intake_temp_c": card.intake_temperature_c,
             "exhaust_temp_c": card.exhaust_temperature_c,
-            "gddr_temp_c": lambda t: float(card.die_temperature_c(t)) - 8.0,
-            "fan_rpm": lambda t: float(card.fan_speed_rpm(t)),
+            "gddr_temp_c": lambda t: card.die_temperature_c(t) - 8.0,
+            "fan_rpm": card.fan_speed_rpm,
             "core_voltage_v": card.core_rail_voltage,
             "core_current_a": card.core_rail_current,
-            "memory_used_b": lambda t: 512.0 * 1024**2,  # uOS residency
-            "memory_free_b": lambda t: float(card.model.gddr_bytes) - 512.0 * 1024**2,
-            "power_limit_w": lambda t: card.power_limit_w,
+            "memory_used_b": lambda t: np.full(np.shape(t), _UOS_RESIDENCY_B),
+            "memory_free_b": lambda t: np.full(
+                np.shape(t), float(card.model.gddr_bytes) - _UOS_RESIDENCY_B),
+            "power_limit_w": lambda t: np.full(np.shape(t), card.power_limit_w),
         }
 
     def set_power_limit(self, watts: float, t: float) -> None:
@@ -61,34 +67,17 @@ class SystemManagementController:
 
     def read_sensor(self, name: str, t: float) -> float:
         """Read one sensor at virtual time ``t``."""
+        return float(self.read_sensor_block(name, np.array([t]))[0])
+
+    def read_sensor_block(self, name: str, times: np.ndarray) -> np.ndarray:
+        """Read one sensor at each time in ``times``."""
         reader = self._readers.get(name)
         if reader is None:
             raise SensorError(
                 f"SMC of {self.card.model.name}: no sensor {name!r}; "
                 f"have {sorted(self._readers)}"
             )
-        return float(reader(t))
-
-    def read_sensor_block(self, name: str, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`read_sensor` over a time grid.
-
-        Sensors whose models take arrays (the ones MonEQ polls) read in
-        one shot, elementwise identical to the scalar loop; the rest
-        fall back to looping.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        card = self.card
-        if name == "power_w":
-            return np.asarray(card.power_gauge.read(times), dtype=np.float64)
-        if name == "die_temp_c":
-            return np.asarray(card.die_temperature_c(times), dtype=np.float64)
-        if name == "gddr_temp_c":
-            return np.asarray(card.die_temperature_c(times), dtype=np.float64) - 8.0
-        if name == "exhaust_temp_c":
-            intake = card.intake_temperature_c(0.0)
-            die = np.asarray(card.die_temperature_c(times), dtype=np.float64)
-            return intake + 0.55 * (die - intake)
-        return np.array([self.read_sensor(name, float(t)) for t in times])
+        return reader(np.asarray(times, dtype=np.float64))
 
     def read_all(self, t: float) -> dict[str, float]:
         """Snapshot of every sensor at ``t`` (one SMC scan)."""

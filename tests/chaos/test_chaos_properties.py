@@ -9,7 +9,7 @@ Three guarantees the chaos layer is built on:
 * injection happens above the sensor source, so retried crossings never
   re-read a stateful counter — delivered rows under faults are
   bit-identical to the clean run, including across RAPL wrap
-  boundaries, and block sampling decides identically to scalar ticking.
+  boundaries, and a long block decides identically to one-tick blocks.
 """
 
 import numpy as np

@@ -163,6 +163,29 @@ class TestPlanActivation:
         with pytest.raises(ChaosError, match="not the active plan"):
             deactivate(FaultPlan(seed=3))
 
+    def test_a_session_whose_tick_raises_releases_its_plan(self):
+        """A tick that raises ends collection and uninstalls the
+        session's plan, so a session that is never finalized cannot
+        leak it to the rest of the process; a later finalize still
+        writes what was collected."""
+        from repro import testbeds
+        from repro.core.moneq import MoneqConfig
+        from repro.core.moneq.api import initialize
+        from repro.errors import MoneqBufferFullError
+
+        plan = FaultPlan(seed=1)
+        node, _ = testbeds.rapl_node(seed=3)
+        session = initialize(
+            node, config=MoneqConfig(buffer_slots=10, fault_plan=plan))
+        with pytest.raises(MoneqBufferFullError):
+            node.events.run_until(5.0)
+        assert active_plan() is None
+        with FaultPlan(seed=2).active():
+            pass
+        result = session.finalize()
+        assert active_plan() is None
+        assert len(result.trace("pkg_w")) == 10
+
     def test_plan_validation_and_rule_routing(self):
         with pytest.raises(ConfigError, match="seed"):
             FaultPlan(seed=-1)

@@ -1,11 +1,11 @@
 """Session-level guarantees of the columnar block-sampling engine.
 
-``block_ticks=1`` is the scalar reference; everything observable —
-output bytes, clock advancement, tick/coalesce counters, tag windows,
+``block_ticks=1`` is the reference: no lookahead, a one-tick block
+collected as each timer event fires.  Everything observable — output
+bytes, clock advancement, tick/coalesce counters, tag windows,
 buffer-full failures — must be identical at any other setting.
 """
 
-import numpy as np
 import pytest
 
 from repro import testbeds
@@ -62,7 +62,7 @@ class TestBlockScalarParity:
 
     def test_overrunning_handler_coalesces_identically(self):
         """When the tick cost overruns the interval, the block planner
-        replays the exact coalescing recurrence of the scalar path."""
+        replays the exact coalescing recurrence of per-event firing."""
 
         class SlowNvml(NvmlBackend):
             @property
@@ -99,12 +99,27 @@ class TestBlockScalarParity:
 
     def test_step_driven_queue_stays_scalar(self):
         """Without a run_until horizon the engine cannot see how far
-        lookahead is safe, so step() drives exactly one tick at a time."""
-        node, _ = testbeds.rapl_node(seed=6)
-        session = initialize(node, config=MoneqConfig(block_ticks=4096))
-        for _ in range(5):
-            node.events.step()
-        assert session.agents[0].count == 5
+        lookahead is safe, so step() collects one tick per event — and
+        writes the bytes a run_until drive to the same time writes."""
+        def run(drive):
+            node, _ = testbeds.rapl_node(seed=6)
+            session = initialize(node, config=MoneqConfig(block_ticks=4096))
+            drive(node)
+            count = session.agents[0].count
+            result = finalize(session)
+            return (count, node.clock.now, result.overhead.ticks,
+                    {p: node.vfs.read_text(p) for p in result.output_paths})
+
+        ends = []
+
+        def step_five(node):
+            for _ in range(5):
+                node.events.step()
+            ends.append(node.clock.now)
+
+        stepped = run(step_five)
+        assert stepped[0] == 5
+        assert run(lambda node: node.events.run_until(ends[0])) == stepped
 
     def test_block_mode_faster_than_scalar(self):
         """The point of the engine: same bytes, far fewer Python-level

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.mech import (
-    MILLI_UNITS,
     AccessChannel,
     FreshnessKind,
     FreshnessModel,
@@ -16,7 +15,6 @@ from repro.mech import (
 )
 from repro.mech.capability_decl import RAPL_DECL, XEON_PHI_DECL
 from repro.mech.registry import get, mechanisms, register
-from repro.xeonphi.ipmb import ipmb_quanta, quantize_block, quantize_reading
 
 
 class TestFreshnessModel:
@@ -63,16 +61,6 @@ class TestAccessChannel:
 
 
 class TestQuantization:
-    def test_matches_ipmb_helpers(self):
-        """The channel-layer milli-unit quantization is the one encoding
-        the IPMB wire helpers delegate to — scalar and block alike."""
-        values = np.array([0.0, 0.0004, 0.0005, 118.2468, -3.0, 2.5e28])
-        for v in values:
-            assert MILLI_UNITS.apply(float(v)) == quantize_reading(float(v))
-            assert MILLI_UNITS.quanta(float(v)) == ipmb_quanta(float(v))
-        np.testing.assert_array_equal(
-            MILLI_UNITS.apply_block(values), quantize_block(values))
-
     def test_scalar_block_parity(self):
         q = Quantization("test", 10.0, 100)
         values = np.linspace(-1.0, 15.0, 1001)

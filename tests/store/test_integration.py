@@ -131,9 +131,3 @@ class TestIntervalValidation:
         with pytest.raises(ConfigError, match="zero backends"):
             MoneqConfig().resolve_interval([])
 
-
-class TestReadReading:
-    def test_backends_normalize_to_a_reading(self):
-        backend = _FakeBackend("node-0001", 0.016)
-        reading = backend.read_reading(3.5)
-        assert reading == Reading(3.5, "node-0001", "fake", {"pkg_w": 7.5})

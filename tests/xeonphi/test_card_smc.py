@@ -89,3 +89,14 @@ class TestSmc:
 
     def test_gddr_cooler_than_die(self, smc):
         assert smc.read_sensor("gddr_temp_c", 5.0) < smc.read_sensor("die_temp_c", 5.0)
+
+    @pytest.mark.parametrize("name", SMC_SENSORS)
+    def test_block_read_matches_single_reads(self, card, smc, name):
+        """Every sensor reads the same bytes over a grid as one time at
+        a time, under load (so the thermal and rail models move)."""
+        card.board.schedule(OffloadGaussianWorkload(datagen_seconds=10.0))
+        times = 0.013 + 0.37 * np.arange(400)
+        block = smc.read_sensor_block(name, times)
+        singles = np.array([smc.read_sensor(name, float(t)) for t in times])
+        assert block.dtype == np.float64
+        assert block.tobytes() == singles.tobytes()
