@@ -115,7 +115,6 @@ def parse_flags(args: list[str], flags: dict[str, Flag]
 #: The exec engine's knobs, shared by ``report``, ``exec run`` and
 #: ``pack run``.
 _ENGINE_FLAGS = {
-    "jobs": Flag(int, 1),
     "no-cache": Flag(bool, False),
     "cache-root": Flag(str, None, "DIR"),
 }
@@ -145,28 +144,27 @@ def _all(args: list[str]) -> int:
     return 0
 
 
-def _report(args: list[str], jobs: int, no_cache: bool,
-            cache_root: str | None) -> int:
-    report_module.main(jobs=jobs, cache=not no_cache, cache_root=cache_root)
+def _report(args: list[str], no_cache: bool, cache_root: str | None) -> int:
+    report_module.main(cache=not no_cache, cache_root=cache_root)
     return 0
 
 
-def _exec_run(args: list[str], jobs: int, no_cache: bool,
+def _exec_run(args: list[str], no_cache: bool,
               cache_root: str | None) -> int:
     from repro.exec import Engine
+    from repro.exec.registry import specs_for
     from repro.experiments.report import render_block
 
     if not args:
         raise UsageError("name at least one experiment "
                          f"(see '{_PROG} list')")
-    engine = Engine(jobs=jobs, cache=not no_cache, cache_root=cache_root)
-    blocks = engine.run(args)
+    engine = Engine(cache=not no_cache, cache_root=cache_root)
+    blocks = engine.run(specs_for(args))
     for block in blocks.values():
         print("\n".join(render_block(block)))
     stats = engine.stats
     print(f"# {stats.executed} executed, {stats.cache_hits} cached, "
-          f"{stats.retries} retried, {stats.wall_s * 1e3:.1f} ms "
-          f"(jobs={jobs})")
+          f"{stats.wall_s * 1e3:.1f} ms")
     return 0
 
 
@@ -442,7 +440,7 @@ def _pack_show(args: list[str], json: bool) -> int:
     return 0
 
 
-def _pack_run(args: list[str], smoke: bool, json: bool, jobs: int,
+def _pack_run(args: list[str], smoke: bool, json: bool,
               no_cache: bool, cache_root: str | None, seed: int | None,
               duration: float | None, rate: float | None) -> int:
     import json as json_module
@@ -461,7 +459,7 @@ def _pack_run(args: list[str], smoke: bool, json: bool, jobs: int,
     documents = []
     for name in names:
         result = packs.run_pack(
-            name, jobs=jobs, cache=not no_cache, cache_root=cache_root,
+            name, cache=not no_cache, cache_root=cache_root,
             seed=seed, duration_s=duration, rate=rate)
         if json:
             documents.append({
@@ -477,8 +475,7 @@ def _pack_run(args: list[str], smoke: bool, json: bool, jobs: int,
             print("\n".join(render_block(block)))
         stats = result.stats
         print(f"# pack {result.spec.name}: {stats.executed} executed, "
-              f"{stats.cache_hits} cached, {stats.wall_s * 1e3:.1f} ms "
-              f"(jobs={jobs})")
+              f"{stats.cache_hits} cached, {stats.wall_s * 1e3:.1f} ms")
     if json:
         print(json_module.dumps(documents, indent=2, sort_keys=True))
     return 0
@@ -507,8 +504,8 @@ COMMANDS: tuple[Command, ...] = (
     _EXPERIMENT,
     Command(("all",), "", "regenerate every table/figure", _all),
     Command(("report",), "",
-            "print EXPERIMENTS.md content (cached by default; --jobs N "
-            "fans misses over N processes)", _report, _ENGINE_FLAGS),
+            "print EXPERIMENTS.md content (cached by default)", _report,
+            _ENGINE_FLAGS),
     Command(("exec", "run"), "<id...>",
             "run experiments through the engine", _exec_run, _ENGINE_FLAGS),
     Command(("exec", "cache"), "stats|clear",

@@ -1,7 +1,7 @@
 """``repro.api.exec`` — the experiment execution engine.
 
-Process-parallel experiment specs and reports, plus the
-content-addressed result cache.
+Experiment specs and reports, the in-process engine that runs them,
+and the content-addressed result cache.
 """
 
 from __future__ import annotations

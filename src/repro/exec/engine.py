@@ -1,11 +1,10 @@
-"""Cache-then-pool orchestration of registered experiments.
+"""Cache-then-execute orchestration of experiment specs.
 
-``Engine.run`` takes the registry's specs, expands them into (spec,
-part) tasks, serves whatever the content-addressed cache already holds,
-fans the misses out over the worker pool (longest first, so the slowest
-shard bounds the makespan), publishes fresh results back to the cache,
-and assembles the per-experiment report blocks in registry order — so
-the rendered report is byte-identical whatever the worker count or
+``Engine.run`` expands the specs it is given into (spec, part) tasks,
+serves whatever the content-addressed cache already holds, runs the
+misses in this process in spec and part order, publishes fresh results
+back to the cache, and assembles the per-experiment report blocks in
+spec order — so the rendered report is byte-identical whatever the
 cache state.
 """
 
@@ -20,19 +19,17 @@ from dataclasses import dataclass, field
 from repro.errors import ExperimentExecutionError
 from repro.exec.cache import ResultCache, cache_key, payload_digest
 from repro.exec.fingerprint import source_fingerprint
-from repro.exec.pool import PoolTask, WorkerPool
 from repro.exec.spec import (
-    ExecTask,
     ExperimentReport,
     ExperimentSpec,
     TaskOutcome,
     config_kwargs,
 )
-from repro.obs.instruments import EXEC_CACHE, EXEC_TASK_SECONDS
+from repro.obs.instruments import EXEC_CACHE, EXEC_TASK_SECONDS, EXEC_TASKS
 
 
 def _seed_rngs(spec: ExperimentSpec, part: str) -> None:
-    """Deterministic per-task seeding, independent of worker identity.
+    """Deterministic per-task seeding, independent of what ran before.
 
     Experiments draw their randomness from explicit ``RngRegistry``
     seeds already; this pins the *ambient* generators so any incidental
@@ -49,18 +46,8 @@ def _seed_rngs(spec: ExperimentSpec, part: str) -> None:
         pass
 
 
-def execute_task(item: tuple[str, str]) -> dict:
-    """Run one (exp_id, part) task to a JSON payload.
-
-    Module-level so forked pool workers resolve it without pickling
-    closures; the registry import inside the worker is free under fork.
-    """
-    # Imported lazily: the registry imports the experiment modules,
-    # which import repro.exec.spec — a cycle if resolved at import time.
-    from repro.exec import registry
-
-    exp_id, part = item
-    spec = registry.get_spec(exp_id)
+def execute_task(spec: ExperimentSpec, part: str) -> dict:
+    """Run one (spec, part) task to a JSON payload."""
     module = importlib.import_module(spec.module)
     _seed_rngs(spec, part)
     if hasattr(module, "run_part"):
@@ -84,88 +71,69 @@ class EngineStats:
     cache_hits: int = 0
     cache_misses: int = 0
     executed: int = 0
-    retries: int = 0
     #: task id -> canonical digest of its payload (identical across
-    #: worker counts and cache states — asserted by the determinism
-    #: tests).
+    #: runs and cache states — asserted by the determinism tests).
     digests: dict[str, str] = field(default_factory=dict)
     outcomes: dict[str, TaskOutcome] = field(default_factory=dict)
 
 
 class Engine:
-    """Run registered experiments through cache and worker pool.
+    """Run experiment specs through the result cache.
 
     Parameters
     ----------
-    jobs:
-        Worker processes for cache misses.  ``1`` executes inline in
-        this process (identical results, no pool).
     cache:
         ``False`` disables both cache reads and writes — every task
         recomputes (the cold path, used by benches).
     cache_root:
         Cache directory; defaults to ``$REPRO_CACHE_DIR`` or
         ``.repro-cache``.
-    timeout_s / retries:
-        Per-task budget and crash/timeout retry count (see the pool).
     """
 
-    def __init__(self, jobs: int = 1, cache: bool = True,
-                 cache_root: str | None = None, timeout_s: float = 300.0,
-                 retries: int = 1):
-        if jobs < 1:
-            raise ExperimentExecutionError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+    def __init__(self, cache: bool = True, cache_root: str | None = None):
         self.cache_enabled = cache
         self.cache = ResultCache(cache_root)
-        self.timeout_s = timeout_s
-        self.retries = retries
         self.stats = EngineStats()
 
-    # -- public API ------------------------------------------------------------
+    def run(self, specs: list[ExperimentSpec] | None = None,
+            ) -> dict[str, ExperimentReport]:
+        """Execute ``specs`` (default: every paper experiment).
 
-    def run(self, exp_ids: list[str] | None = None) -> dict[str, ExperimentReport]:
-        """Execute the named experiments (default: all registered).
-
-        Returns ``exp_id -> ExperimentReport`` in registry order.
-        Raises :class:`ExperimentExecutionError` naming every failed
-        task if any part could not be computed.
+        Returns ``exp_id -> ExperimentReport`` in spec order.  A task
+        that raises does not stop the batch; afterwards
+        :class:`ExperimentExecutionError` names every failed task and
+        nothing from the batch is cached.
         """
-        from repro.exec import registry
+        if specs is None:
+            from repro.exec import registry
 
+            specs = registry.specs_for()
         t0 = time.perf_counter()
-        specs = registry.specs_for(exp_ids)
         stats = EngineStats()
 
-        fingerprints = {
-            spec.exp_id: source_fingerprint(spec.all_sources())
-            for spec in specs
-        }
         keys: dict[str, str] = {}
         outcomes: dict[str, TaskOutcome] = {}
-        misses: list[ExecTask] = []
+        misses: list[tuple[ExperimentSpec, str, str]] = []
         for spec in specs:
+            fingerprint = source_fingerprint(spec.all_sources())
             for part in spec.parts:
-                task = ExecTask(spec.exp_id, part, spec.cost_hint_s)
-                keys[task.task_id] = cache_key(
-                    spec, part, fingerprints[spec.exp_id])
-                payload = (self.cache.load(keys[task.task_id])
+                task_id = f"{spec.exp_id}:{part}"
+                keys[task_id] = cache_key(spec, part, fingerprint)
+                payload = (self.cache.load(keys[task_id])
                            if self.cache_enabled else None)
                 if payload is not None:
                     EXEC_CACHE.labels("hit").inc()
                     stats.cache_hits += 1
-                    outcomes[task.task_id] = TaskOutcome(
-                        task.task_id, payload=payload, cached=True)
+                    outcomes[task_id] = TaskOutcome(
+                        task_id, payload=payload, cached=True)
                 else:
                     if self.cache_enabled:
                         EXEC_CACHE.labels("miss").inc()
                     stats.cache_misses += 1
-                    misses.append(task)
+                    misses.append((spec, part, task_id))
 
-        # Longest first: the slowest shard starts immediately and sets
-        # the lower bound on the parallel makespan.
-        misses.sort(key=lambda t: (-t.cost_hint_s, t.task_id))
-        outcomes.update(self._execute(misses, stats))
+        for spec, part, task_id in misses:
+            outcomes[task_id] = self._execute(spec, part, task_id)
 
         failed = [o for o in outcomes.values() if not o.ok]
         if failed:
@@ -176,17 +144,15 @@ class Engine:
                 f"{len(failed)} experiment task(s) failed: {detail}")
 
         if self.cache_enabled:
-            for task in misses:
-                outcome = outcomes[task.task_id]
-                self.cache.store(keys[task.task_id], task.exp_id, task.part,
-                                 outcome.payload)
+            for spec, part, task_id in misses:
+                self.cache.store(keys[task_id], spec.exp_id, part,
+                                 outcomes[task_id].payload)
 
         for outcome in outcomes.values():
             outcome.digest = payload_digest(outcome.payload)
             stats.digests[outcome.task_id] = outcome.digest
         stats.outcomes = outcomes
         stats.executed = len(misses)
-        stats.retries = sum(max(0, o.attempts - 1) for o in outcomes.values())
         stats.wall_s = time.perf_counter() - t0
         self.stats = stats
 
@@ -197,29 +163,21 @@ class Engine:
             blocks[spec.exp_id] = self._assemble(spec, parts)
         return blocks
 
-    def run_one(self, exp_id: str) -> ExperimentReport:
-        return self.run([exp_id])[exp_id]
-
     # -- internals -------------------------------------------------------------
 
-    def _execute(self, tasks: list[ExecTask],
-                 stats: EngineStats) -> dict[str, TaskOutcome]:
-        if not tasks:
-            return {}
-        pool = WorkerPool(execute_task, jobs=self.jobs,
-                          timeout_s=self.timeout_s, retries=self.retries)
-        pool_tasks = [PoolTask(t.task_id, (t.exp_id, t.part)) for t in tasks]
-        raw = pool.run(pool_tasks)
-        outcomes: dict[str, TaskOutcome] = {}
-        for task in tasks:
-            result = raw[task.task_id]
-            EXEC_TASK_SECONDS.labels(task.exp_id).observe(result.wall_s)
-            outcomes[task.task_id] = TaskOutcome(
-                task.task_id,
-                payload=result.value if result.ok else None,
-                cached=False, wall_s=result.wall_s,
-                attempts=result.attempts, error=result.error)
-        return outcomes
+    @staticmethod
+    def _execute(spec: ExperimentSpec, part: str,
+                 task_id: str) -> TaskOutcome:
+        t0 = time.perf_counter()
+        try:
+            payload, error = execute_task(spec, part), ""
+        except Exception as exc:  # reported after the batch, not raised
+            payload, error = None, f"{type(exc).__name__}: {exc}"
+        wall_s = time.perf_counter() - t0
+        EXEC_TASKS.labels("error" if error else "ok").inc()
+        EXEC_TASK_SECONDS.labels(spec.exp_id).observe(wall_s)
+        return TaskOutcome(task_id, payload=payload, wall_s=wall_s,
+                           error=error)
 
     @staticmethod
     def _assemble(spec: ExperimentSpec,

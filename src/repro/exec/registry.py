@@ -4,7 +4,9 @@ Each experiment module declares its own ``SPEC`` (the module knows its
 config, seed, and source dependencies); this module gathers them into
 the ordered table the engine, the report generator, and the CLI all
 share.  Registry order is report order — EXPERIMENTS.md's section
-sequence comes from here, never from task completion order.
+sequence comes from here.  Callers resolve names to specs with
+:func:`specs_for` and hand the specs to ``Engine.run``; a compiled
+scenario pack is a spec too, so it never needs registering.
 """
 
 from __future__ import annotations
@@ -17,32 +19,9 @@ ALL_SPECS: dict[str, ExperimentSpec] = {
     name: module.SPEC for name, module in ALL_EXPERIMENTS.items()
 }
 
-#: Specs registered at runtime (scenario packs compile into these).
-#: The worker pool forks, so a spec registered in the parent before
-#: ``Engine.run`` is visible inside every worker; ``jobs=1`` resolves
-#: it inline.  Dynamic specs never join the default report order —
-#: ``specs_for(None)`` still means "the paper's experiments".
-DYNAMIC_SPECS: dict[str, ExperimentSpec] = {}
-
-
-def register_spec(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register (or idempotently re-register) one dynamic spec.
-
-    A different spec under an experiment id taken by the static
-    registry — or by a *different* dynamic spec — is an error: silent
-    shadowing would let a pack hijack a paper experiment's cache line.
-    """
-    existing = ALL_SPECS.get(spec.exp_id, DYNAMIC_SPECS.get(spec.exp_id))
-    if existing is not None and existing != spec:
-        raise ExperimentExecutionError(
-            f"experiment id {spec.exp_id!r} is already registered "
-            f"with a different spec")
-    DYNAMIC_SPECS[spec.exp_id] = spec
-    return spec
-
 
 def get_spec(exp_id: str) -> ExperimentSpec:
-    spec = ALL_SPECS.get(exp_id, DYNAMIC_SPECS.get(exp_id))
+    spec = ALL_SPECS.get(exp_id)
     if spec is None:
         raise ExperimentExecutionError(
             f"unknown experiment {exp_id!r}; "
@@ -51,7 +30,8 @@ def get_spec(exp_id: str) -> ExperimentSpec:
 
 
 def specs_for(exp_ids: list[str] | None = None) -> list[ExperimentSpec]:
-    """Specs in registry order; ``None`` selects every experiment."""
+    """Specs for ``exp_ids`` in the order given, a repeated id kept once;
+    ``None`` selects every experiment in registry order."""
     if exp_ids is None:
         return list(ALL_SPECS.values())
-    return [get_spec(exp_id) for exp_id in exp_ids]
+    return [get_spec(exp_id) for exp_id in dict.fromkeys(exp_ids)]

@@ -5,22 +5,22 @@ which module runs, with which (frozen dataclass) config, under which
 deterministic seed, and which source modules its results depend on.
 Execution is content-addressed — ``(exp_id, canonical config, source
 fingerprint)`` names a result — so the spec deliberately carries no
-callables: workers re-import ``spec.module`` and use the module-level
-contract instead, which keeps specs trivially picklable across
-``multiprocessing`` boundaries.
+callables: the engine imports ``spec.module`` and uses the module-level
+contract instead, which keeps a spec plain data that the cache key can
+digest.
 
 Module contract (duck-typed, checked by the engine):
 
 * ``run(**config)`` + ``render(result) -> ExperimentReport`` — the
-  common single-part case; the worker runs both and ships the rendered
+  common single-part case; the engine runs both and keeps the rendered
   block as a JSON payload.
 * ``run_part(part, config) -> dict`` + ``render_block(parts) ->
   ExperimentReport`` — multi-part experiments (``spec.parts``) whose
-  independent shards parallelize individually and are merged into one
+  independent shards are cached individually and merged into one
   block after the fact (Table III runs its three node scales this way).
 
 Payloads must be JSON-serializable: that is what makes results
-cacheable, diffable, and byte-stable across worker counts.
+cacheable, diffable, and byte-stable across cache states.
 """
 
 from __future__ import annotations
@@ -89,17 +89,14 @@ class ExperimentSpec:
         Frozen dataclass of ``run()`` keyword arguments.  Canonicalized
         into the cache key, so any field change invalidates results.
     seed:
-        Deterministic per-experiment seed; workers fold it with the
-        part name so results never depend on worker assignment.
+        Deterministic per-experiment seed; the engine folds it with the
+        part name so results never depend on what ran before.
     sources:
         Modules/packages whose source text fingerprints the result.
         Editing any of them invalidates the cache entry.
     parts:
         Independent shards of the experiment.  Each part is one work
         unit (one task, one cache entry); most experiments have one.
-    cost_hint_s:
-        Rough serial cost, used for longest-first dispatch so the
-        slowest shard starts first and bounds the parallel makespan.
     """
 
     exp_id: str
@@ -109,7 +106,6 @@ class ExperimentSpec:
     seed: int
     sources: tuple[str, ...]
     parts: tuple[str, ...] = ("all",)
-    cost_hint_s: float = 0.01
 
     def __post_init__(self):
         if not self.parts:
@@ -126,28 +122,14 @@ class ExperimentSpec:
         return tuple(names)
 
 
-@dataclass(frozen=True)
-class ExecTask:
-    """One schedulable unit: a (spec, part) pair."""
-
-    exp_id: str
-    part: str
-    cost_hint_s: float = 0.01
-
-    @property
-    def task_id(self) -> str:
-        return f"{self.exp_id}:{self.part}"
-
-
 @dataclass
 class TaskOutcome:
-    """What came back for one task — from the cache or a worker."""
+    """What came back for one task — from the cache or a fresh run."""
 
     task_id: str
     payload: dict | None = None
     cached: bool = False
     wall_s: float = 0.0
-    attempts: int = 1
     error: str = ""
     digest: str = ""
 
@@ -185,7 +167,6 @@ __all__ = [
     "BASE_SOURCES",
     "ExperimentReport",
     "ExperimentSpec",
-    "ExecTask",
     "TaskOutcome",
     "canonical_config",
     "config_kwargs",

@@ -94,5 +94,4 @@ SPEC = ExperimentSpec(
     exp_id="fig1", title="Figure 1 — MMPS power at the bulk power modules",
     module="repro.experiments.fig1", config=Fig1Config(), seed=0xF161,
     sources=("repro.bgq", "repro.workloads", "repro.store", "repro.host"),
-    cost_hint_s=0.13,
 )

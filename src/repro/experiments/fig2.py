@@ -128,5 +128,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.fig2", config=Fig2Config(), seed=0xF162,
     sources=("repro.bgq", "repro.core", "repro.workloads", "repro.store",
              "repro.host", "repro.experiments.fig1"),
-    cost_hint_s=0.04,
 )

@@ -117,5 +117,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.fig3", config=Fig3Config(), seed=0xF163,
     sources=("repro.core", "repro.rapl", "repro.testbeds",
              "repro.workloads", "repro.host"),
-    cost_hint_s=0.03,
 )

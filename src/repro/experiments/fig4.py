@@ -93,5 +93,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.fig4", config=Fig4Config(), seed=0xF164,
     sources=("repro.core", "repro.nvml", "repro.testbeds",
              "repro.workloads", "repro.host"),
-    cost_hint_s=0.002,
 )

@@ -115,5 +115,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.fig5", config=Fig5Config(), seed=0xF165,
     sources=("repro.core", "repro.nvml", "repro.testbeds",
              "repro.workloads", "repro.host"),
-    cost_hint_s=0.006,
 )

@@ -117,5 +117,4 @@ SPEC = ExperimentSpec(
     exp_id="fig6", title="Figure 6 — Phi control-panel architecture",
     module="repro.experiments.fig6", config=None, seed=0,
     sources=("repro.xeonphi",),
-    cost_hint_s=0.001,
 )

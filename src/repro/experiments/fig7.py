@@ -107,5 +107,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.fig7", config=Fig7Config(), seed=0xF167,
     sources=("repro.core", "repro.xeonphi", "repro.testbeds",
              "repro.workloads", "repro.host"),
-    cost_hint_s=0.01,
 )

@@ -105,5 +105,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.fig8", config=Fig8Config(), seed=0xF168,
     sources=("repro.xeonphi", "repro.testbeds", "repro.workloads",
              "repro.host"),
-    cost_hint_s=0.04,
 )

@@ -137,5 +137,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.overheads", config=OverheadsConfig(), seed=0x0EAD,
     sources=("repro.bgq", "repro.rapl", "repro.nvml", "repro.xeonphi",
              "repro.testbeds", "repro.host", "repro.store"),
-    cost_hint_s=0.01,
 )

@@ -106,5 +106,4 @@ SPEC = ExperimentSpec(
     exp_id="rapl_overflow", title="§II-B — RAPL counter overflow",
     module="repro.experiments.rapl_overflow", config=OverflowConfig(), seed=0,
     sources=("repro.rapl", "repro.units"),
-    cost_hint_s=0.02,
 )

@@ -79,5 +79,4 @@ SPEC = ExperimentSpec(
     module="repro.experiments.table1", config=None, seed=0,
     sources=("repro.core", "repro.bgq", "repro.rapl", "repro.nvml",
              "repro.xeonphi"),
-    cost_hint_s=0.001,
 )

@@ -65,5 +65,4 @@ SPEC = ExperimentSpec(
     exp_id="table2", title="Table II — available RAPL sensors",
     module="repro.experiments.table2", config=None, seed=0,
     sources=("repro.rapl", "repro.host"),
-    cost_hint_s=0.003,
 )

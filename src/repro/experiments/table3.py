@@ -129,5 +129,4 @@ SPEC = ExperimentSpec(
     sources=("repro.bgq", "repro.core", "repro.workloads", "repro.store",
              "repro.host"),
     parts=("1024", "512", "32"),
-    cost_hint_s=0.16,
 )

@@ -328,12 +328,8 @@ SERVICE_STREAM_GAPS = _REGISTRY.counter(
 EXEC_TASKS = _REGISTRY.counter(
     "repro_exec_tasks_total",
     "Experiment tasks finished by the execution engine, by status "
-    "(ok, error, retry, crash, timeout)",
+    "(ok, error)",
     labels=("status",),
-)
-EXEC_QUEUE_DEPTH = _REGISTRY.gauge(
-    "repro_exec_queue_depth",
-    "Experiment tasks still waiting for a worker",
 )
 EXEC_TASK_SECONDS = _REGISTRY.histogram(
     "repro_exec_task_seconds",
@@ -345,10 +341,6 @@ EXEC_CACHE = _REGISTRY.counter(
     "repro_exec_cache_total",
     "Result-cache events (hit, miss, store, evict_corrupt)",
     labels=("event",),
-)
-EXEC_WORKER_RESTARTS = _REGISTRY.counter(
-    "repro_exec_worker_restarts_total",
-    "Workers replaced after a crash or task timeout",
 )
 
 # -- Scenario packs ----------------------------------------------------------

@@ -3,7 +3,7 @@
 One manifest (TOML or JSON) declares a whole run — testbed,
 mechanisms, phased workload, fault plan, duration, seeds — and the
 pack runner compiles it onto the experiment engine: content-addressed
-caching, the forked worker pool, byte-stable report blocks.  The
+caching and byte-stable report blocks.  The
 chaos catalog is a pack consumer too: chaos scenarios *are*
 ``kind = "chaos"`` manifests, and ``repro chaos run`` executes one
 through :func:`~repro.packs.runtime.execute_scenario`.

@@ -1,13 +1,13 @@
 """Compiling packs onto the exec engine, and the one-call runner.
 
-``compile_spec`` turns a raw manifest mapping into a dynamic
+``compile_spec`` turns a raw manifest mapping into an
 :class:`~repro.exec.spec.ExperimentSpec` whose module is
 :mod:`repro.packs.runtime` — from there the engine's machinery applies
 unchanged: content-addressed caching over (manifest text, overrides,
-source fingerprint), the forked worker pool, byte-stable report
-blocks.  The experiment id carries a short digest of the effective
-config, so the same pack run twice with different seeds registers as
-two distinct dynamic specs instead of colliding.
+source fingerprint) and byte-stable report blocks.  The experiment id
+is ``pack:<name>@<digest>`` with a short digest of the effective
+config, so the same pack run twice with different seeds gets two
+distinct cache lines, and no pack can shadow a paper experiment's.
 
 ``run_pack`` is the front door of ``repro pack run``.  Kind
 dispatch:
@@ -56,19 +56,16 @@ PACK_SOURCES = (
 #: live session on the newest mechanism, one chaos story.
 SMOKE_PACKS = ("phi-micsmc", "bus_noise")
 
-#: Rough serial cost by kind, for the engine's longest-first dispatch.
-_COST_HINTS = {"session": 1.0, "chaos": 1.0, "fleet": 5.0}
-
 
 @dataclass
 class PackRunResult:
     """What one ``run_pack`` call produced."""
 
     spec: ScenarioSpec
-    #: Dynamic experiment id (empty for ``experiments`` packs, which
+    #: Compiled experiment id (empty for ``experiments`` packs, which
     #: run the paper specs under their own ids).
     exp_id: str
-    #: exp_id -> rendered block, in registry order.
+    #: exp_id -> rendered block, in the order run.
     blocks: dict[str, ExperimentReport]
     #: exp_id -> raw JSON payload (session/chaos/fleet packs only).
     payloads: dict[str, dict] = field(default_factory=dict)
@@ -79,14 +76,13 @@ def compile_spec(raw: dict, seed: int | None = None,
                  duration_s: float | None = None,
                  rate: float | None = None,
                  ) -> tuple[ExperimentSpec, ScenarioSpec]:
-    """Validate a raw manifest and register its dynamic engine spec.
+    """Validate a raw manifest and compile it to an engine spec.
 
     Returns ``(experiment_spec, scenario_spec)``.  ``experiments``
     packs have no wrapper spec and are rejected here — run them
     through :func:`run_pack`, which dispatches the paper specs.
     """
     from repro.errors import PackError
-    from repro.exec.registry import register_spec
 
     scenario = scenario_from_mapping(raw)
     if scenario.kind == "experiments":
@@ -111,9 +107,8 @@ def compile_spec(raw: dict, seed: int | None = None,
         config=config,
         seed=config.seed,
         sources=PACK_SOURCES,
-        cost_hint_s=_COST_HINTS.get(scenario.kind, 1.0),
     )
-    return register_spec(spec), scenario
+    return spec, scenario
 
 
 def _resolve(name: str) -> dict:
@@ -125,7 +120,7 @@ def _resolve(name: str) -> dict:
     return catalog.raw_pack(name)
 
 
-def run_pack(name: str | dict, jobs: int = 1, cache: bool = True,
+def run_pack(name: str | dict, cache: bool = True,
              cache_root: str | None = None, seed: int | None = None,
              duration_s: float | None = None,
              rate: float | None = None) -> PackRunResult:
@@ -135,6 +130,7 @@ def run_pack(name: str | dict, jobs: int = 1, cache: bool = True,
     mapping.
     """
     from repro.exec.engine import Engine
+    from repro.exec.registry import specs_for
     from repro.obs.instruments import PACK_RUN_SECONDS, PACK_RUNS
 
     raw = name if isinstance(name, dict) else _resolve(name)
@@ -144,8 +140,8 @@ def run_pack(name: str | dict, jobs: int = 1, cache: bool = True,
     t0 = time.perf_counter()
 
     if scenario.kind == "experiments":
-        engine = Engine(jobs=jobs, cache=cache, cache_root=cache_root)
-        blocks = engine.run(list(scenario.experiments))
+        engine = Engine(cache=cache, cache_root=cache_root)
+        blocks = engine.run(specs_for(list(scenario.experiments)))
         result = PackRunResult(spec=scenario, exp_id="", blocks=blocks,
                                stats=engine.stats)
     else:
@@ -153,8 +149,8 @@ def run_pack(name: str | dict, jobs: int = 1, cache: bool = True,
             cache = False  # wall-clock timings must never be cached
         spec, scenario = compile_spec(raw, seed=seed,
                                       duration_s=duration_s, rate=rate)
-        engine = Engine(jobs=jobs, cache=cache, cache_root=cache_root)
-        blocks = engine.run([spec.exp_id])
+        engine = Engine(cache=cache, cache_root=cache_root)
+        blocks = engine.run([spec])
         payload = engine.stats.outcomes[f"{spec.exp_id}:all"].payload
         result = PackRunResult(spec=scenario, exp_id=spec.exp_id,
                                blocks=blocks,

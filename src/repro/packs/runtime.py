@@ -11,8 +11,8 @@ This module is two faces of one implementation:
   :meth:`ScenarioRun.summary_line` it returns.
 * ``run_part`` / ``render_block`` implement the exec engine's module
   contract, so a compiled pack (`repro.packs.run.compile_spec`)
-  dispatches through the same content-addressed cache and worker pool
-  as the paper experiments.  The payload is the JSON-serializable
+  runs through the same engine and content-addressed cache as the
+  paper experiments.  The payload is the JSON-serializable
   projection of a :class:`ScenarioRun`.
 
 Fault windows in a manifest are *fractions* of the run

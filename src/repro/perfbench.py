@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import statistics
 import time
 from collections.abc import Callable
@@ -277,8 +276,8 @@ def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 5) -> dict:
     the same compiled spec run straight through the engine.
 
     ``speedup_vs_scalar`` is ``wall(engine only) / wall(run_pack)`` —
-    ~1.0 when the pack layer is thin.  Both sides run ``jobs=1`` with
-    the cache off so the measured work is the live session itself; the
+    ~1.0 when the pack layer is thin.  Both sides run with the cache
+    off so the measured work is the live session itself; the
     floor catches the pack layer growing per-run work (re-validation
     in a loop, manifest re-reads, O(catalog) scans)."""
     from repro.exec.engine import Engine
@@ -289,10 +288,10 @@ def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 5) -> dict:
     spec, _ = pack_run.compile_spec(raw)
 
     def engine_only():
-        Engine(jobs=1, cache=False).run([spec.exp_id])
+        Engine(cache=False).run([spec])
 
     def through_packs():
-        pack_run.run_pack(pack, jobs=1, cache=False)
+        pack_run.run_pack(pack, cache=False)
 
     engine_only()  # warm imports and testbed caches out of the timing
     through_packs()
@@ -338,15 +337,13 @@ def bench_fleet(sites: int = 10, racks: int = MIRA_RACKS,
     }
 
 
-def bench_exec(jobs: int = 8) -> dict:
+def bench_exec() -> dict:
     """The experiment engine on the full report, into a throwaway cache:
-    cold serial (the pre-engine baseline), cold parallel (every task
-    through the worker pool) and warm (every task a cache hit).
+    cold with the cache off (the pre-engine baseline), cold filling the
+    cache, and warm (every task a cache hit).
 
-    ``speedup_vs_scalar`` is the warm run against cold serial.  The
-    rendered markdown must be byte-identical across all three.
-    Parallel speedup is bounded by the host, so ``cpus`` rides along
-    and no floor applies to it."""
+    ``speedup_vs_scalar`` is the warm run against the cache-off run.
+    The rendered markdown must be byte-identical across all three."""
     import shutil
     import tempfile
 
@@ -355,15 +352,15 @@ def bench_exec(jobs: int = 8) -> dict:
 
     cache_root = tempfile.mkdtemp(prefix="repro-exec-bench-")
     try:
-        def timed(run_jobs: int, cache: bool) -> tuple[float, str]:
+        def timed(cache: bool) -> tuple[float, str]:
             return _wall(lambda: report.generate_markdown(
-                jobs=run_jobs, cache=cache, cache_root=cache_root))
+                cache=cache, cache_root=cache_root))
 
-        wall_serial, md_serial = timed(1, cache=False)
-        wall_cold, md_cold = timed(jobs, cache=True)
-        wall_warm, md_warm = timed(jobs, cache=True)
+        wall_serial, md_serial = timed(cache=False)
+        _, md_cold = timed(cache=True)
+        wall_warm, md_warm = timed(cache=True)
 
-        engine = Engine(jobs=1, cache=True, cache_root=cache_root)
+        engine = Engine(cache=True, cache_root=cache_root)
         engine.run()
         if engine.stats.cache_misses:
             raise AssertionError(
@@ -375,10 +372,6 @@ def bench_exec(jobs: int = 8) -> dict:
         "wall_s": wall_warm,
         "speedup_vs_scalar": wall_serial / wall_warm,
         "cold_serial_wall_s": wall_serial,
-        "cold_parallel_wall_s": wall_cold,
-        "parallel_speedup": wall_serial / wall_cold,
-        "jobs": jobs,
-        "cpus": os.cpu_count() or 1,
         "tasks": engine.stats.cache_hits,
         "byte_identical": md_serial == md_cold == md_warm,
     }
@@ -470,7 +463,7 @@ BENCHES: dict[str, Bench] = {
         floors={"full": 2.0, "smoke": 2.0},
         detail_floors={"cache_reduction": 5.0}),
     "exec": Bench(
-        bench_exec, full={"jobs": 8}, smoke={"jobs": 2},
+        bench_exec, full={}, smoke={},
         floors={"full": 10.0, "smoke": 10.0}),
 }
 

@@ -1,14 +1,20 @@
 """The engine's core contract: report bytes never depend on how it ran.
 
-Worker count, cache state, and completion order are execution details;
-the rendered markdown and the per-task payload digests must be
-identical across all of them.  These run the full 13-experiment report
-a few times — the cold passes cost ~half a second each.
+Repeat runs, cache state, and what ran earlier in the process are
+execution details; the rendered markdown and the per-task payload
+digests must be identical across all of them.  These run the full
+13-experiment report a few times — the cold passes cost ~half a second
+each.
 """
+
+import dataclasses
+import sys
 
 import pytest
 
+from repro.errors import ExperimentExecutionError
 from repro.exec.engine import Engine
+from repro.exec.registry import specs_for
 from repro.experiments import report
 
 
@@ -16,30 +22,30 @@ def _digests(engine):
     return dict(engine.stats.digests)
 
 
-class TestWorkerCountIndependence:
-    def test_report_bytes_jobs1_vs_jobs8(self):
-        md_serial = report.generate_markdown(jobs=1, cache=False)
-        md_parallel = report.generate_markdown(jobs=8, cache=False)
-        assert md_serial == md_parallel
+class TestRepeatRunsInOneProcess:
+    def test_report_bytes_two_runs(self):
+        md_first = report.generate_markdown(cache=False)
+        md_second = report.generate_markdown(cache=False)
+        assert md_first == md_second
 
-    def test_payload_digests_jobs1_vs_jobs4(self):
-        serial = Engine(jobs=1, cache=False)
-        serial.run()
-        pooled = Engine(jobs=4, cache=False)
-        pooled.run()
-        assert _digests(serial) == _digests(pooled)
-        assert len(_digests(serial)) == 15  # 12 single-part + 3 table3 shards
+    def test_payload_digests_two_runs(self):
+        first = Engine(cache=False)
+        first.run()
+        second = Engine(cache=False)
+        second.run()
+        assert _digests(first) == _digests(second)
+        assert len(_digests(first)) == 15  # 12 single-part + 3 table3 shards
 
 
 class TestCacheStateIndependence:
     def test_warm_cache_serves_identical_bytes(self, tmp_path):
         root = tmp_path / "cache"
-        md_cold = report.generate_markdown(jobs=2, cache=True, cache_root=root)
-        md_warm = report.generate_markdown(jobs=2, cache=True, cache_root=root)
+        md_cold = report.generate_markdown(cache=True, cache_root=root)
+        md_warm = report.generate_markdown(cache=True, cache_root=root)
         assert md_cold == md_warm
 
         # And the warm pass really was served from the cache.
-        engine = Engine(jobs=1, cache=True, cache_root=root)
+        engine = Engine(cache=True, cache_root=root)
         engine.run()
         assert engine.stats.cache_misses == 0
         assert engine.stats.cache_hits == 15
@@ -47,28 +53,43 @@ class TestCacheStateIndependence:
 
     def test_cached_digests_match_fresh(self, tmp_path):
         root = tmp_path / "cache"
-        cold = Engine(jobs=1, cache=True, cache_root=root)
+        cold = Engine(cache=True, cache_root=root)
         cold.run()
-        warm = Engine(jobs=1, cache=True, cache_root=root)
+        warm = Engine(cache=True, cache_root=root)
         warm.run()
         assert _digests(cold) == _digests(warm)
 
     def test_disabled_cache_writes_nothing(self, tmp_path):
         root = tmp_path / "cache"
-        engine = Engine(jobs=1, cache=False, cache_root=root)
-        engine.run(["table1"])
+        engine = Engine(cache=False, cache_root=root)
+        engine.run(specs_for(["table1"]))
         assert not root.exists()
 
 
 class TestFailureSurface:
     def test_unknown_experiment_names_registry(self):
-        from repro.errors import ExperimentExecutionError
-
         with pytest.raises(ExperimentExecutionError, match="fig99"):
-            Engine(jobs=1, cache=False).run(["fig99"])
+            specs_for(["fig99"])
 
-    def test_jobs_validated(self):
-        from repro.errors import ExperimentExecutionError
+    def test_a_raising_task_fails_the_batch_not_the_rest(self, tmp_path,
+                                                         monkeypatch):
+        module = "repro_test_broken_experiment"
+        source = tmp_path / "src"
+        source.mkdir()
+        (source / f"{module}.py").write_text(
+            "def run():\n    raise ValueError('boom')\n")
+        monkeypatch.syspath_prepend(str(source))
+        monkeypatch.delitem(sys.modules, module, raising=False)
+        (good,) = specs_for(["table1"])
+        bad = dataclasses.replace(good, exp_id="broken", module=module,
+                                  config=None, sources=())
 
-        with pytest.raises(ExperimentExecutionError, match="jobs"):
-            Engine(jobs=0)
+        root = tmp_path / "cache"
+        engine = Engine(cache=True, cache_root=root)
+        with pytest.raises(ExperimentExecutionError,
+                           match=r"broken:all: ValueError: boom"):
+            engine.run([bad, good])
+        outcomes = engine.stats.outcomes
+        assert not outcomes["broken:all"].ok
+        assert outcomes["table1:all"].ok
+        assert not root.exists() or not any(root.iterdir())

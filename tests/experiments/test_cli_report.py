@@ -3,8 +3,14 @@
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.exec.engine import Engine
+from repro.exec.registry import specs_for
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.report import _f6, _t1, _t2
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    return Engine(cache=False).run(specs_for(["table1", "table2", "fig6"]))
 
 
 class TestCli:
@@ -25,21 +31,25 @@ class TestCli:
         assert cli_main(["--help"]) == 0
         assert "python -m repro" in capsys.readouterr().out
 
+    def test_exec_run_repeated_id_prints_one_block(self, capsys):
+        assert cli_main(["exec", "run", "table1", "table1", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("## Table I — ") == 1
+        assert "# 1 executed, 0 cached" in out
+
 
 class TestReportBlocks:
-    def test_table_blocks_have_paper_and_measured(self):
-        for factory in (_t1, _t2, _f6):
-            block = factory()
+    def test_table_blocks_have_paper_and_measured(self, blocks):
+        for block in blocks.values():
             assert block.rows
             for quantity, paper, measured in block.rows:
                 assert quantity and paper and measured
 
-    def test_bench_paths_exist(self):
+    def test_bench_paths_exist(self, blocks):
         import pathlib
 
-        for factory in (_t1, _t2, _f6):
-            bench = factory().bench
-            assert pathlib.Path(bench).exists(), bench
+        for block in blocks.values():
+            assert pathlib.Path(block.bench).exists(), block.bench
 
 
 class TestExperimentsMdUpToDate:
