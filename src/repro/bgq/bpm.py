@@ -62,8 +62,11 @@ class BulkPowerModule:
         idx = int(round(t * 1000.0))
         noise_in = float(hash_normal(self.seed, idx)) * self.meter_noise_w
         noise_out = float(hash_normal(self.seed ^ 0xBEEF, idx)) * self.meter_noise_w
-        input_w = float(self.input_power_w(t)) + noise_in
-        output_w = float(self.output_power_w(t)) + noise_out
+        # One board evaluation for both directions: the same arithmetic
+        # as input_power_w/output_power_w, bit for bit.
+        out = float(self.output_power_w(t))
+        input_w = (out / self.efficiency + 12.0) + noise_in
+        output_w = out + noise_out
         return {
             "input_power_w": input_w,
             "input_current_a": input_w / AC_INPUT_VOLTAGE,

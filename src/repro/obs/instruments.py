@@ -130,7 +130,8 @@ STORE_CACHE_MISSES = _REGISTRY.counter(
 )
 STORE_CACHE_INVALIDATIONS = _REGISTRY.counter(
     "repro_store_cache_invalidations_total",
-    "Aggregate-cache entries invalidated by ingest",
+    "Aggregate-cache windows rebuilt because a late record landed behind "
+    "them, plus keyings evicted by the per-shard keying cap",
 )
 
 # -- Channel cache -----------------------------------------------------------

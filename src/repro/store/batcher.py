@@ -1,11 +1,12 @@
 """Per-sweep write batching.
 
 The seed envdb inserted every record individually, paying a sorted
-insert (and a cache invalidation, once the aggregate cache existed) per
-record.  Pollers now stage a whole sweep in a :class:`WriteBatcher` and
-flush once: one capacity-accounting pass, one batch metric increment,
-and the shard sees the sweep as a unit — which is also what makes the
-per-shard ingest budget (records per sweep) well-defined.
+insert per record.  Pollers now stage a whole sweep in a
+:class:`WriteBatcher` and flush once: one capacity-accounting pass, one
+batch metric increment, and the shard sees the sweep as a unit — which
+is also what makes the per-shard ingest budget (records per sweep)
+well-defined.  Ingest never touches the aggregate cache; the next
+aggregate read folds the flushed sweep into its windows.
 """
 
 from __future__ import annotations

@@ -242,7 +242,6 @@ class ShardedStore:
         with shard.lock:
             shard.tables[table].insert(reading, seq)
             shard.records_ingested += 1
-            shard.cache.invalidate(table)
         self._record_children[shard.index].inc()
 
     # -- queries ---------------------------------------------------------------
@@ -294,15 +293,18 @@ class ShardedStore:
                   window_s: float, location_prefix: str = "") -> list[Aggregate]:
         """Downsampled min/mean/max per location per ``window_s`` window
         intersecting ``[t0, t1]`` — served from the per-shard aggregate
-        cache (built on first use, invalidated on ingest)."""
+        cache (built on first use, then brought current on each read by
+        folding only the records ingested since the last one)."""
+        _check_aggregate(t0, t1, window_s)
         self._check_window(t0, t1)
         plan = self.plan("aggregate", table, location_prefix)
 
         def one_shard(index: int) -> list[Aggregate]:
             shard = self._shards[index]
             with shard.lock:
+                source = shard.tables[table]
                 built = shard.cache.windows(
-                    table, field_name, window_s, shard.tables[table].records
+                    table, field_name, window_s, source.records, source
                 )
                 return AggregateCache.select(
                     built, field_name, window_s, t0, t1, location_prefix
@@ -483,3 +485,17 @@ class ShardedStore:
     def _check_window(self, t0: float, t1: float) -> None:
         if t1 < t0:
             raise ConfigError(f"query window inverted: [{t0}, {t1}]")
+
+
+def _check_aggregate(t0: float, t1: float, window_s: float) -> None:
+    if not all(math.isfinite(x) for x in (t0, t1, window_s)):
+        raise ConfigError(
+            f"aggregate bounds must be finite, got t0={t0}, t1={t1}, "
+            f"window={window_s}"
+        )
+    if window_s <= 0.0:
+        raise ConfigError(f"window must be positive, got {window_s}")
+    if not (math.isfinite(t0 / window_s) and math.isfinite(t1 / window_s)):
+        raise ConfigError(
+            f"window {window_s} is too small for [{t0}, {t1}]"
+        )

@@ -13,6 +13,7 @@ from repro.bgq.machine import BgqMachine
 from repro.bgq.topology import NodeBoard
 from repro.errors import ConfigError
 from repro.sim.events import EventQueue
+from repro.sim.hashrand import hash_normal
 from repro.sim.rng import RngRegistry
 from repro.workloads.mmps import MmpsWorkload
 
@@ -42,6 +43,32 @@ class TestBpm:
         assert metered["output_current_a"] == pytest.approx(
             metered["output_power_w"] / 48.0
         )
+
+    @pytest.mark.parametrize("seed, efficiency", [
+        (0, 0.90), (3, 0.85), (77, 0.97), (0x5E55, 1.0),
+    ])
+    def test_metered_equals_two_evaluation_formula_bitwise(self, seed,
+                                                           efficiency):
+        """One board evaluation per scan gives the same bits as reading
+        input and output power through their own truth methods."""
+        bpm = BulkPowerModule(NodeBoard("R01-M1-N07", RngRegistry(seed)),
+                              efficiency=efficiency, seed=seed)
+        for t in [0.0, 0.001, 0.5, 1.0, 7.25, 59.999, 60.0, 600.0,
+                  3601.125, 86400.0]:
+            idx = int(round(t * 1000.0))
+            input_w = float(bpm.input_power_w(t)) + float(
+                hash_normal(seed, idx)) * bpm.meter_noise_w
+            output_w = float(bpm.output_power_w(t)) + float(
+                hash_normal(seed ^ 0xBEEF, idx)) * bpm.meter_noise_w
+            expected = {
+                "input_power_w": input_w,
+                "input_current_a": input_w / 208.0,
+                "output_power_w": output_w,
+                "output_current_a": output_w / 48.0,
+            }
+            got = bpm.metered(t)
+            assert {k: v.hex() for k, v in got.items()} == \
+                {k: v.hex() for k, v in expected.items()}
 
     def test_metering_deterministic(self, board):
         bpm = BulkPowerModule(board, seed=77)

@@ -6,10 +6,12 @@ filter.  The sharded store must be *byte-identical* to that at N=1 —
 and, because per-shard runs merge by (timestamp, global ingest
 sequence), at every other shard count too.  A second group checks the
 capacity model: dropped records are accounted to the shard that
-saturated, and only that shard loses data.
+saturated, and only that shard loses data.  A third checks that the
+incremental aggregate cache — keyings that fold new records on read —
+answers exactly as a store built fresh from the same records.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.store import Reading, ShardedStore
@@ -101,6 +103,85 @@ class TestSeedParity:
             store.ingest("bpm", reading)
             reference.ingest(reading)
         assert store.latest("bpm", prefix) == reference.latest(prefix)
+
+
+#: Ingest steps: (table, timestamp delta from the running clock, field
+#: present, value, location).  Zero deltas repeat a timestamp, negative
+#: ones land late, and the clock starts below zero.  Few locations and
+#: cancelling values make late records share windows whose float total
+#: (or the sign of a zero minimum) depends on the summation order.
+ingest_steps = st.tuples(
+    st.sampled_from(["bpm", "bpm", "bpm", "coolant"]),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0),
+              st.floats(min_value=-70.0, max_value=0.0)),
+    st.sampled_from([True, True, True, False]),
+    st.sampled_from([1e16, -1e16, 1.0, 2.5, 0.0, -0.0]),
+    st.sampled_from(["R00-M0-N00", "R00-M0-N00", "R00-M1-N02",
+                     "R01-M0-N00"]),
+)
+aggregate_steps = st.tuples(
+    st.sampled_from([30.0, 60.0, 45.5]),
+    st.sampled_from(["", "", "R00", "R00-M1", "R9"]),
+    st.one_of(st.just((-1e3, 1e3)),
+              st.tuples(st.floats(min_value=-250.0, max_value=400.0),
+                        st.floats(min_value=-250.0, max_value=400.0)
+                        ).map(sorted)),
+)
+cache_steps = st.one_of(  # ingests twice as likely as each other step
+    st.tuples(st.just("ingest"), ingest_steps),
+    st.tuples(st.just("ingest"), ingest_steps),
+    st.tuples(st.just("query"), aggregate_steps),
+    st.tuples(st.just("reshard"), st.sampled_from([1, 2, 4])),
+)
+
+
+def _ingest(delta, value, location="R00-M0-N00"):
+    return ("ingest", ("bpm", delta, True, value, location))
+
+
+_QUERY_ALL = ("query", (60.0, "", (-1e3, 1e3)))
+
+
+class TestIncrementalAggregates:
+    # Late records behind a folded window: summed in ingest order the
+    # first would total 1.0, not 0.0; folded after the 0.0 the second
+    # would keep a 0.0 minimum where a fresh build has -0.0.
+    @example(steps=[_ingest(110.0, 1e16), _ingest(10.0, -1e16), _QUERY_ALL,
+                    _ingest(-5.0, 1.0), _QUERY_ALL], n_shards=2)
+    @example(steps=[_ingest(110.0, 0.0), _QUERY_ALL, _ingest(-5.0, -0.0),
+                    _ingest(1.0, 2.5, "R01-M0-N00"), _QUERY_ALL], n_shards=1)
+    @given(steps=st.lists(cache_steps, min_size=10, max_size=50),
+           n_shards=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_every_query_equals_a_fresh_build(self, steps, n_shards):
+        """Interleaved ingests, queries and reshards: each aggregate is
+        exactly (float bits included) what a fresh store fed the same
+        records returns."""
+        store = ShardedStore(TABLES, n_shards=n_shards)
+        fed: list[tuple[str, Reading]] = []
+        clock = -100.0
+        for kind, step in steps:
+            if kind == "ingest":
+                table, delta, has_field, value, location = step
+                t = clock + delta
+                clock = max(clock, t)
+                name = "input_power_w" if has_field else "other"
+                reading = Reading(t, location, "envdb", {name: value})
+                store.ingest(table, reading)
+                fed.append((table, reading))
+            elif kind == "reshard":
+                store.reshard(step)
+            else:
+                window, prefix, (t0, t1) = step
+                fresh = ShardedStore(TABLES, n_shards=store.n_shards)
+                for table, reading in fed:
+                    fresh.ingest(table, reading)
+                got = store.aggregate("bpm", "input_power_w", t0, t1,
+                                      window, prefix)
+                want = fresh.aggregate("bpm", "input_power_w", t0, t1,
+                                       window, prefix)
+                assert got == want
+                assert repr(got) == repr(want)  # -0.0 vs 0.0, too
 
 
 def _batch(rack_counts: dict[str, int]) -> list[tuple[str, Reading]]:

@@ -133,6 +133,25 @@ class TestErrors:
             "table": "bpm", "t0": "soon", "t1": 1.0})
         assert response.status == 400
 
+    @pytest.mark.parametrize("bad", [
+        {"window": "nan"}, {"t1": "nan"}, {"t0": "nan"}, {"t1": "inf"},
+        {"t0": "-inf"}, {"window": "inf"},
+    ])
+    def test_non_finite_aggregate_bounds_400(self, client, bad):
+        params = {"table": "bpm", "field": "input_power_w", "t0": 0.0,
+                  "t1": 120.0, "window": 60.0}
+        params.update(bad)
+        response = client.get("/v2/query/aggregate", params)
+        assert response.status == 400
+        assert "finite" in response.json()["error"]["detail"]
+
+    def test_aggregate_cost_follows_the_data_not_the_span(self, rig):
+        store = rig[0].envdb.store
+        bounded = store.aggregate("bpm", "input_power_w", 0.0, 1e7, 60.0)
+        assert len(bounded) > 0
+        assert store.aggregate("bpm", "input_power_w", -1e12, 1e12,
+                               60.0) == bounded
+
     def test_prefix_requires_a_prefix(self, client):
         assert client.get("/v2/query/prefix",
                           {"table": "bpm"}).status == 400

@@ -84,3 +84,12 @@ def test_non_fleet_service_is_unchanged():
         "/v2/query/aggregate", _params(t1=65.0)).json()
     assert "federated" not in payload["plan"]
     assert "shards" in payload["plan"]
+
+
+@pytest.mark.parametrize("bad", [
+    {"window": "nan"}, {"t1": "nan"}, {"t1": "inf"}, {"t0": "-inf"},
+])
+def test_non_finite_rollup_bounds_400(client, bad):
+    response = client.get("/v2/query/aggregate", _params(rollup=1, **bad))
+    assert response.status == 400
+    assert "finite" in response.json()["error"]["detail"]
