@@ -23,10 +23,12 @@ already goes through:
 
 ``scenarios`` members are exported lazily (PEP 562): the scenario
 runner stands up testbeds, whose backends import the mechanism layer,
-whose channel consults this package — eager import would cycle.
+whose read path imports this package — eager import would cycle.
 
-With no plan active the hot path pays one ``is None`` check and the
-simulator's outputs are byte-identical to a build without this package.
+A plan is an input of the run that owns it — ``MoneqConfig(fault_plan=
+...)``, ``ServiceApp.fault_plan`` or ``read_block(times, plan=...)`` —
+never process state.  A read without a plan pays one ``is None`` check
+and its output is byte-identical to a build without this package.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from repro.chaos.faults import (
     FaultEvent,
     FaultPlan,
     FaultRule,
-    activate,
-    active_plan,
-    deactivate,
     default_kind,
 )
 from repro.chaos.injector import BREAKER_OPEN_KIND, DARK_READING, ChannelInjector
@@ -55,9 +54,6 @@ __all__ = [
     "FaultEvent",
     "DEFAULT_FAULT_KINDS",
     "default_kind",
-    "activate",
-    "deactivate",
-    "active_plan",
     "RetryPolicy",
     "CircuitBreaker",
     "DEFAULT_POLICIES",

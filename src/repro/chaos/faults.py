@@ -18,19 +18,20 @@ jitter streams, circuit breakers, the fault timeline — lives on the
 plan, never on the mechanism, so mechanisms stay reusable across plans
 and a fresh plan always starts from a clean slate.
 
-One plan may be **active** per process (:func:`activate` /
-:func:`deactivate`, or ``with plan.active(): ...``); the access-channel
-seam consults it on every crossing and does nothing at all when no plan
-is installed.
+A plan has one owner: the run that hands it to its reads.  A MonEQ
+session carries it in ``MoneqConfig(fault_plan=...)``, a query service
+in ``ServiceApp.fault_plan``, and a direct caller passes
+``read_block(times, plan=plan)``.  Nothing is installed process-wide,
+so two runs in one process can suffer different plans, and a read made
+without a plan crosses its channel untouched.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.errors import ChaosError, ConfigError
+from repro.errors import ConfigError
 from repro.sim.rng import RngRegistry, derive_seed
 
 #: The vendor-specific failure mode each mechanism's channel exhibits —
@@ -210,48 +211,3 @@ class FaultPlan:
         """Stable text rendering of the fault timeline — what the
         determinism property tests compare byte for byte."""
         return [event.line() for event in self.timeline]
-
-    # -- activation ----------------------------------------------------------
-
-    @contextmanager
-    def active(self):
-        """``with plan.active():`` — install for the dynamic extent."""
-        activate(self)
-        try:
-            yield self
-        finally:
-            deactivate(self)
-
-
-_ACTIVE: FaultPlan | None = None
-_ACTIVE_DEPTH = 0
-
-
-def activate(plan: FaultPlan) -> None:
-    """Install ``plan`` as the process's active fault plan.
-
-    Re-activating the *same* plan nests (sessions inside scenarios);
-    activating a different plan while one is installed is a programming
-    error and raises :class:`~repro.errors.ChaosError`.
-    """
-    global _ACTIVE, _ACTIVE_DEPTH
-    if _ACTIVE is not None and _ACTIVE is not plan:
-        raise ChaosError(
-            "a different fault plan is already active; deactivate it first")
-    _ACTIVE = plan
-    _ACTIVE_DEPTH += 1
-
-
-def deactivate(plan: FaultPlan) -> None:
-    """Uninstall one activation of ``plan``."""
-    global _ACTIVE, _ACTIVE_DEPTH
-    if _ACTIVE is not plan:
-        raise ChaosError("fault plan is not the active plan")
-    _ACTIVE_DEPTH -= 1
-    if _ACTIVE_DEPTH == 0:
-        _ACTIVE = None
-
-
-def active_plan() -> FaultPlan | None:
-    """The installed plan, or None — the no-chaos hot path's one check."""
-    return _ACTIVE

@@ -2,9 +2,9 @@
 
 One :class:`ChannelInjector` serves one (mechanism, device label) pair
 under one :class:`~repro.chaos.faults.FaultPlan`.  The generic
-``Mechanism.read_block`` asks its :class:`~repro.mech.channel
-.AccessChannel` for the active injector and, per collected tick,
-applies the verdict:
+``Mechanism.read_block(times, plan=plan)`` takes its injector from the
+plan it was handed (:meth:`~repro.chaos.faults.FaultPlan.injector`)
+and, per collected tick, applies the verdict:
 
 * **delivered** — the crossing succeeded (possibly after retries);
   the sensor's value passes through untouched;
@@ -96,15 +96,6 @@ class ChannelInjector:
         return self
 
     # -- the crossing --------------------------------------------------------
-
-    def cross_block(self, times: np.ndarray) -> np.ndarray:
-        """Decide every crossing of one collected grid.
-
-        Returns a boolean mask over ``times``: True rows went dark.
-        Consumers that only care about delivery (the streaming probes)
-        use this; the mechanism read path wants the full verdicts.
-        """
-        return self.cross_block_verdicts(times)[0]
 
     def cross_block_verdicts(
             self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +224,3 @@ class ChannelInjector:
         ))
         return _DARK
 
-
-def injector_for(channel, mechanism: str, label: str,
-                 queries_per_tick: int) -> ChannelInjector | None:
-    """The active plan's injector for one channel crossing, or None
-    when chaos is inactive — the single check on the no-fault hot path."""
-    from repro.chaos.faults import active_plan
-
-    plan = active_plan()
-    if plan is None:
-        return None
-    return plan.injector(channel, mechanism, label).bind(queries_per_tick)

@@ -77,10 +77,10 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED,
     """Run one catalog scenario over a fleet-wide MonEQ session.
 
     ``plan=None`` builds the scenario's own plan; a caller-supplied
-    plan (the zero-rate byte-identity tests pass their own) is
-    activated for exactly the session's extent instead.  The session
-    *completes and finalizes* whatever the plan does — faulted
-    crossings degrade to dark readings, they never raise.  Overrides
+    plan (the zero-rate byte-identity tests pass their own) is the
+    session's plan instead.  The session *completes and finalizes*
+    whatever the plan does — faulted crossings degrade to dark
+    readings, they never raise.  Overrides
     out of the manifest's bounds raise :class:`~repro.errors.PackError`.
     """
     from repro.packs.catalog import load_pack

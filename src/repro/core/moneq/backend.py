@@ -11,12 +11,16 @@ in parallel.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.capability import PlatformCapabilities
 from repro.mech.source import empty_block
 from repro.obs.instruments import CollectorInstrument, collector
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos.faults import FaultPlan
 
 
 class Backend(abc.ABC):
@@ -55,10 +59,14 @@ class Backend(abc.ABC):
     def read_at(self, t: float) -> dict[str, float]:
         """Sample all fields at virtual time ``t`` (no clock movement)."""
 
-    def read_block(self, times: np.ndarray) -> np.ndarray:
+    def read_block(self, times: np.ndarray,
+                   plan: FaultPlan | None = None) -> np.ndarray:
         """Sample all fields at each time in ``times`` (no clock
         movement): row ``i`` of the returned structured array holds the
-        columns of :meth:`fields` at ``times[i]``.
+        columns of :meth:`fields` at ``times[i]``.  ``plan`` is the
+        session's :class:`~repro.chaos.faults.FaultPlan`; a backend
+        without an access channel has no crossing to fault and ignores
+        it.
 
         This is the only read a MonEQ session makes: every tick, and
         every lookahead grid of ticks, is one call.  The base

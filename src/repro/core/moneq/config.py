@@ -42,10 +42,11 @@ class MoneqConfig:
         tick collects a one-tick block when it fires.  Output is
         byte-identical either way; only the constant factor changes.
     fault_plan:
-        Optional :class:`~repro.chaos.faults.FaultPlan` activated for
-        exactly the session's extent (initialize through finalize).
-        Faulted crossings degrade to sensor-dark NaN readings instead
-        of raising; ``None`` (the default) leaves the read path
+        Optional :class:`~repro.chaos.faults.FaultPlan` this session's
+        reads cross their channels under: the session passes it to
+        every ``read_block``, and no other session sees it.  Faulted
+        crossings degrade to sensor-dark NaN readings instead of
+        raising; ``None`` (the default) leaves the read path
         byte-identical to a chaos-free build.
     """
 

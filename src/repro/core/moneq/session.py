@@ -162,15 +162,6 @@ class MoneqSession:
 
         self.tags = TagSet()
         self._finalized = False
-        # Chaos, scoped to the session: with a configured fault plan,
-        # every collection tick below crosses its channel under that
-        # plan and degrades to sensor-dark NaN rows instead of raising
-        # — the session always reaches finalize.
-        self._plan_active = self.config.fault_plan is not None
-        if self._plan_active:
-            from repro.chaos.faults import activate
-
-            activate(self.config.fault_plan)
         MONEQ_SESSIONS_STARTED.inc()
         # Initialize cost: charged to the clock now, before the timer arms.
         self._init_cost = initialize_time_s(self.node_count)
@@ -186,16 +177,6 @@ class MoneqSession:
     # -- collection ------------------------------------------------------------
 
     def _on_tick(self, t: float, index: int) -> None:
-        try:
-            self._collect_from(t)
-        except BaseException:
-            # A tick that raises (a full buffer, a failing backend) ends
-            # collection; the session's fault plan must not outlive it
-            # process-wide.  finalize() still writes what was collected.
-            self._release_plan()
-            raise
-
-    def _collect_from(self, t: float) -> None:
         """Collect the block that starts at the firing tick ``t``."""
         capacity = min(len(a.records) - a.count for a in self.agents)
         if capacity == 0:
@@ -224,11 +205,16 @@ class MoneqSession:
         self._timer.commit_block(len(times), k_last, coalesced)
 
     def _collect_block(self, times: np.ndarray) -> None:
-        """Collect a planned grid of ticks in one columnar pass."""
+        """Collect a planned grid of ticks in one columnar pass.  With a
+        configured fault plan every crossing suffers that plan's faults
+        and degrades to sensor-dark NaN rows instead of raising, so the
+        session always reaches finalize."""
         n = times.shape[0]
         max_fill = 0.0
+        plan = self.config.fault_plan
         for agent in self.agents:
-            agent.extend_block(times, agent.backend.read_block(times))
+            agent.extend_block(
+                times, agent.backend.read_block(times, plan=plan))
             cost = agent.backend.query_latency_s
             if agent.process is not None and agent.process.alive:
                 # cpu_seconds accumulation only; per-tick granularity
@@ -275,7 +261,6 @@ class MoneqSession:
         self.tags.require_all_closed()
         self._finalized = True
         self._timer.cancel()
-        self._release_plan()
         t_end = self.queue.clock.now
         runtime = t_end - self.t_start
         for agent in self.agents:
@@ -326,14 +311,6 @@ class MoneqSession:
         )
 
     # -- helpers -----------------------------------------------------------------
-
-    def _release_plan(self) -> None:
-        """Deactivate the session's fault plan, once."""
-        if self._plan_active:
-            from repro.chaos.faults import deactivate
-
-            self._plan_active = False
-            deactivate(self.config.fault_plan)
 
     def _ensure_live(self) -> None:
         if self._finalized:

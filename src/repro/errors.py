@@ -157,9 +157,8 @@ class ExperimentExecutionError(ReproError):
 
 
 class ChaosError(ReproError):
-    """Misuse of the fault-injection subsystem (activating a second
-    plan over an installed one, deactivating a plan that is not
-    active, unknown chaos scenario, ...)."""
+    """Misuse of the fault-injection subsystem (an unknown chaos
+    scenario, ...)."""
 
 
 class PackError(ConfigError):

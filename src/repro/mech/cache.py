@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -55,6 +56,18 @@ from repro.obs.instruments import (
 
 _TOKENS = itertools.count(1)
 _TOKEN_ATTR = "_repro_cache_token"
+#: Every live cache, told when a device it may hold entries for is
+#: collected.
+_CACHES: "weakref.WeakSet[ChannelCache]" = weakref.WeakSet()
+
+
+def _device_collected(token: int) -> None:
+    """``weakref.finalize`` callback of a tokened device.  It runs
+    inside garbage collection, possibly while a cache method holds that
+    cache's lock on this thread, so it only queues the token; the cache
+    purges it under its lock on its next call."""
+    for cache in list(_CACHES):
+        cache._collected.append(token)
 
 
 def cache_token(device) -> int:
@@ -64,7 +77,8 @@ def cache_token(device) -> int:
     three Phi paths on one SMC) share cache entries through this token;
     distinct devices — even identically configured ones — never do.
     The token is attached lazily to the device object itself, so it
-    survives however many sources wrap the device.
+    survives however many sources wrap the device.  When the device is
+    garbage-collected, every cache drops its entries.
     """
     token = getattr(device, _TOKEN_ATTR, None)
     if token is None:
@@ -73,6 +87,10 @@ def cache_token(device) -> int:
             setattr(device, _TOKEN_ATTR, token)
         except AttributeError:  # __slots__ device: identity still works
             token = id(device)
+        try:
+            weakref.finalize(device, _device_collected, token).atexit = False
+        except TypeError:  # not weakly referenceable: entries stay
+            pass
     return int(token)
 
 
@@ -177,6 +195,17 @@ class ChannelCache:
                             tuple[np.ndarray, np.ndarray]] = {}
         self._by_mechanism: dict[str, MechanismCacheStats] = {}
         self._invalidations = 0
+        #: Tokens of collected devices, queued by the GC callback.
+        self._collected: list[int] = []
+        _CACHES.add(self)
+
+    def _purge_collected(self) -> None:
+        """Drop the entries of collected devices (caller holds the
+        lock).  Not invalidations: nothing can ever look them up."""
+        tokens, self._collected = self._collected, []
+        gone = set(tokens)
+        for key in [key for key in self._entries if key[1] in gone]:
+            del self._entries[key]
 
     # -- the read path -------------------------------------------------------
 
@@ -189,6 +218,8 @@ class ChannelCache:
         """
         values = np.empty(keys.shape[0], dtype=np.float64)
         with self._lock:
+            if self._collected:
+                self._purge_collected()
             entry = self._entries.get((mechanism, token, field_name))
             if entry is None:
                 return values, np.zeros(keys.shape[0], dtype=bool)
@@ -206,6 +237,8 @@ class ChannelCache:
         if keys.shape[0] == 0:
             return
         with self._lock:
+            if self._collected:
+                self._purge_collected()
             if len(self._entries) >= self.max_entries:
                 self._invalidations += len(self._entries)
                 CACHE_INVALIDATIONS.labels(mechanism).inc(len(self._entries))
@@ -282,6 +315,8 @@ class ChannelCache:
 
     def stats(self) -> ChannelCacheStats:
         with self._lock:
+            if self._collected:
+                self._purge_collected()
             by_mechanism = {
                 name: MechanismCacheStats(s.hits, s.misses, s.crossings_saved)
                 for name, s in self._by_mechanism.items()

@@ -18,6 +18,11 @@ The channel is also where observability hooks on: the shared
 ``repro_collector_*`` instrument for a mechanism is obtained through
 its channel, so hot paths record queries at the layer instead of at
 eight separate call sites.
+
+A channel crossing is also the fault-injection seam, but the channel
+holds no fault state: the reader passes its
+:class:`~repro.chaos.faults.FaultPlan` to ``Mechanism.read_block``,
+which asks that plan for the crossing's injector.
 """
 
 from __future__ import annotations
@@ -145,14 +150,3 @@ class AccessChannel:
         instrumentation from."""
         return collector(mechanism)
 
-    def fault_injector(self, mechanism: str, label: str,
-                       queries_per_tick: int = 1):
-        """The channel as fault-injection seam: the active
-        :class:`~repro.chaos.faults.FaultPlan`'s injector for crossings
-        of this channel by ``(mechanism, label)``, or ``None`` when no
-        plan is installed.  Every generic read consults this, so all
-        declared vendor paths inherit fault handling by construction;
-        the disabled path costs one global check."""
-        from repro.chaos.injector import injector_for
-
-        return injector_for(self, mechanism, label, queries_per_tick)

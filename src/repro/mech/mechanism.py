@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.chaos.faults import FaultPlan
 from repro.chaos.injector import DARK_READING
 from repro.core.capability import PlatformCapabilities, platform_capabilities
 from repro.core.moneq.backend import Backend
@@ -106,7 +107,10 @@ class Mechanism(Backend):
             raise
 
     def read_block(self, times: np.ndarray,
-                   creds: Credentials | None = None) -> np.ndarray:
+                   creds: Credentials | None = None,
+                   plan: FaultPlan | None = None) -> np.ndarray:
+        """Read every field at each of ``times``; with a ``plan``, each
+        crossing of the grid suffers that plan's faults."""
         if creds is not None:
             self.check_access(creds)
         times = np.asarray(times, dtype=np.float64)
@@ -114,10 +118,10 @@ class Mechanism(Backend):
         if times.shape[0] == 0:
             return out
         cache = channel_cache()
-        plan = self._cache_plan
-        cached = cache.enabled and plan is not None
+        cache_plan = self._cache_plan
+        cached = cache.enabled and cache_plan is not None
         if cached:
-            columns = self._collect_cached(cache, plan, times)
+            columns = self._collect_cached(cache, cache_plan, times)
         else:
             columns = self.source.collect(times)
         quantization = self.channel.quantization
@@ -126,17 +130,17 @@ class Mechanism(Backend):
             if quantization is not None:
                 column = quantization.apply_block(column)
             out[name] = column
-        # The fault-injection seam: with a plan active, every crossing
-        # of the grid is decided *after* the source collected — a retry
+        # The fault-injection seam: with a plan, every crossing of the
+        # grid is decided *after* the source collected — a retry
         # re-issues the exchange, never the stateful counter read — and
         # undelivered rows degrade to sensor-dark NaN instead of
         # raising.  Injection always draws over the *full* grid, so a
         # cache hit can never mask a fault a real crossing would have
-        # drawn.  With no plan this is one function call returning
-        # None, and the block above is the entire read path.
-        injector = self.channel.fault_injector(
-            self.mechanism, self.label, self.spec.queries_per_read)
-        if injector is not None:
+        # drawn.  With no plan the block above is the entire read path.
+        if plan is not None:
+            injector = plan.injector(
+                self.channel, self.mechanism, self.label).bind(
+                self.spec.queries_per_read)
             dark, stale = injector.cross_block_verdicts(times)
             delivered = ~(dark | stale)
             if stale.any():
@@ -151,7 +155,7 @@ class Mechanism(Backend):
                 if cached:
                     # A dark channel forfeits its freshness windows: the
                     # next delivered crossing re-collects from scratch.
-                    cache.invalidate_device(self.mechanism, plan.token)
+                    cache.invalidate_device(self.mechanism, cache_plan.token)
         return out
 
     def _collect_cached(self, cache, plan, times: np.ndarray) -> dict:
@@ -202,9 +206,10 @@ class Mechanism(Backend):
                 carried.get(name, DARK_READING),
             )
 
-    def read_at(self, t: float,
-                creds: Credentials | None = None) -> dict[str, float]:
-        block = self.read_block(np.array([t], dtype=np.float64), creds=creds)
+    def read_at(self, t: float, creds: Credentials | None = None,
+                plan: FaultPlan | None = None) -> dict[str, float]:
+        block = self.read_block(np.array([t], dtype=np.float64),
+                                creds=creds, plan=plan)
         return {name: float(block[name][0]) for name in self.spec.fields}
 
     def capabilities(self) -> PlatformCapabilities:

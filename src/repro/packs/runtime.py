@@ -258,17 +258,11 @@ def execute_scenario(spec: ScenarioSpec, seed: int | None = None,
     node, backends = build_testbed(spec.testbed, seed, spec.workload)
     selected = select_backends(spec, backends)
     errors_before = COLLECTOR_ERRORS.samples()
-    config = (MoneqConfig(polling_interval_s=spec.interval_s)
-              if spec.interval_s is not None else None)
+    config = MoneqConfig(polling_interval_s=spec.interval_s, fault_plan=plan)
     session = MoneqSession(selected, node.events, config=config,
                            node_count=1, vfs=node.vfs)
-    if plan is not None:
-        with plan.active():
-            node.events.run_until(node.clock.now + duration_s)
-            result = session.finalize()
-    else:
-        node.events.run_until(node.clock.now + duration_s)
-        result = session.finalize()
+    node.events.run_until(node.clock.now + duration_s)
+    result = session.finalize()
 
     error_deltas: dict[tuple[str, str], int] = {}
     for key, value in COLLECTOR_ERRORS.samples().items():

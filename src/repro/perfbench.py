@@ -222,18 +222,18 @@ def bench_launcher_fanin(size: int = 4096, nbytes: int = 64,
 
 def bench_chaos_hotpath(rows: int = 200_000, pairs: int = 5,
                         check_rows: int = 4_096, seed: int = 0xC4A0) -> dict:
-    """Guard for the fault-injection seam: with no :class:`FaultPlan`
-    active, ``Mechanism.read_block`` must stay a thin wrapper over the
-    raw source collect — the chaos hook is one function call returning
-    None, never per-row work.
+    """Guard for the fault-injection seam: with no :class:`FaultPlan`,
+    ``Mechanism.read_block`` must stay a thin wrapper over the raw
+    source collect — the chaos hook is one ``is None`` check, never
+    per-row work.
 
     ``speedup_vs_scalar`` here is ``wall(source.collect) /
     wall(read_block)``: the fraction of a retry-free block read spent
     below the seam.  It sits near 1x when the wrapper is thin and
     collapses toward 0x if the disabled chaos path ever grows per-row
     overhead — the floor catches exactly that regression.  Byte-identity
-    of a zero-rate active plan against the disabled path is checked on
-    a reduced grid.
+    of a read under a zero-rate plan against the plan-less path is
+    checked on a reduced grid.
     """
     import numpy as np
 
@@ -257,9 +257,8 @@ def bench_chaos_hotpath(rows: int = 200_000, pairs: int = 5,
         check_times = times[:check_rows]
         disabled = backend.read_block(check_times)
         zero_plan = FaultPlan(seed=seed, rules=(FaultRule("nvml", rate=0.0),))
-        with zero_plan.active():
-            wall_zero, under_plan = _wall(
-                lambda: backend.read_block(check_times))
+        wall_zero, under_plan = _wall(
+            lambda: backend.read_block(check_times, plan=zero_plan))
     return {
         "wall_s": timed.candidate_s,
         "speedup_vs_scalar": timed.ratio,

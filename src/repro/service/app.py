@@ -21,6 +21,7 @@ import time
 from typing import Callable, Iterable
 from urllib.parse import parse_qs, urlencode
 
+from repro.chaos.faults import FaultPlan
 from repro.errors import AccessDeniedError, ConfigError
 from repro.obs.instruments import (
     SERVICE_DENIALS,
@@ -67,6 +68,16 @@ class ServiceApp:
         sites (prefixes follow the ``site/location`` convention and
         ``rollup=1`` folds partials into one fleet-wide series); every
         other endpoint keeps serving ``store``.
+
+    Attributes
+    ----------
+    fault_plan:
+        The :class:`~repro.chaos.faults.FaultPlan` this service's
+        crossings suffer, ``None`` (the default) for none: its
+        ``mechanism="store"`` rules take shards dark (``/health``
+        degrades, aggregates over a dark shard 503, streams emit gap
+        markers), and ``/v2/mech/<name>/read`` reads under it.  It may
+        be swapped between requests and between stream polls.
     """
 
     def __init__(self, store: ShardedStore,
@@ -81,6 +92,7 @@ class ServiceApp:
         self.clock = clock
         self.pump = pump
         self.fleet = fleet
+        self.fault_plan: FaultPlan | None = None
 
     def now(self) -> float:
         return float(self.clock.now) if self.clock is not None else 0.0

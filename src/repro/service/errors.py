@@ -84,7 +84,7 @@ class MethodNotAllowed(ServiceError):
 
 
 class Unavailable(ServiceError):
-    """A dependency is dark: shards under an active fault plan, or a
+    """A dependency is dark: shards under the service's fault plan, or a
     service booted without the resource the endpoint needs."""
 
     status = 503

@@ -10,6 +10,7 @@ optional ``(payload, status)`` pair, plain text, or a line iterator
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import repro.obs as obs
@@ -30,6 +31,11 @@ from repro.service.streaming import (
 #: Raw query kinds the /v2/query endpoint serves (tail has its own
 #: cursor-shaped endpoints).
 QUERY_ENDPOINT_KINDS = ("range", "prefix", "latest", "aggregate")
+
+#: Upper bounds of one ``/v2/stream/tail`` request: rows per poll and
+#: polls per stream, so every stream ends in bounded work.
+MAX_STREAM_PAGE = 4096
+MAX_STREAM_BATCHES = 1000
 
 _MISSING = object()
 
@@ -54,20 +60,32 @@ class Request:
     def float_param(self, name: str, default=_MISSING) -> float:
         raw = self.param(name, default)
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError):
             raise BadRequest(
                 f"parameter {name!r} must be a number, got {raw!r}"
             ) from None
+        if not math.isfinite(value):
+            raise BadRequest(
+                f"parameter {name!r} must be a finite number, got {raw!r}")
+        return value
 
-    def int_param(self, name: str, default=_MISSING) -> int:
+    def int_param(self, name: str, default=_MISSING, minimum: int | None = None,
+                  maximum: int | None = None) -> int:
         raw = self.param(name, default)
         try:
-            return int(raw)
+            value = int(raw)
         except (TypeError, ValueError):
             raise BadRequest(
                 f"parameter {name!r} must be an integer, got {raw!r}"
             ) from None
+        if minimum is not None and value < minimum:
+            raise BadRequest(
+                f"parameter {name!r} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise BadRequest(
+                f"parameter {name!r} must be <= {maximum}, got {value}")
+        return value
 
 
 # -- handlers ----------------------------------------------------------------
@@ -100,7 +118,7 @@ def ready(svc, req: Request):
 def health(svc, req: Request):
     """Liveness + degradation detail (dark shards make it ``degraded``,
     not dead — the stream keeps serving with gap markers)."""
-    dark = sorted(dark_shards(svc.store, svc.now()))
+    dark = sorted(dark_shards(svc.store, svc.now(), svc.fault_plan))
     status = "degraded" if dark else "ok"
     return {
         "status": status,
@@ -139,7 +157,7 @@ def query(svc, req: Request, kind: str):
         return _federated_aggregate(svc, req, table, prefix)
     plan = svc.store.plan(kind, table, prefix)
     if kind == "aggregate":
-        dark = dark_shards(svc.store, svc.now())
+        dark = dark_shards(svc.store, svc.now(), svc.fault_plan)
         hit = sorted(dark.intersection(plan.shards))
         if hit:
             raise Unavailable(
@@ -196,7 +214,7 @@ def _federated_aggregate(svc, req: Request, table: str, prefix: str):
     fplan = svc.fleet.aggregate_plan(table, prefix, rollup=rollup)
     now = svc.now()
     for site, site_plan in fplan.per_site.items():
-        dark = dark_shards(svc.fleet.sites[site], now)
+        dark = dark_shards(svc.fleet.sites[site], now, svc.fault_plan)
         hit = sorted(dark.intersection(site_plan.shards))
         if hit:
             raise Unavailable(
@@ -256,17 +274,22 @@ def tail(svc, req: Request):
 
 
 def stream_tail(svc, req: Request):
-    """The chunked NDJSON stream (see :mod:`repro.service.streaming`)."""
+    """The chunked NDJSON stream (see :mod:`repro.service.streaming`).
+    Every parameter is checked before the stream opens, so a bad one is
+    a 400, never an error out of the running stream."""
     table = svc.store._check_table(req.param("table"))
-    cursor = req.param("cursor", "")
+    cursor = (None if req.param("cursor", "now") == "now"
+              else req.int_param("cursor", minimum=0))
     return tail_stream(
         svc.store, table,
-        cursor=None if cursor in ("", "now") else int(cursor),
+        cursor=cursor,
         location_prefix=req.param("prefix", ""),
-        page=req.int_param("page", 256),
-        batches=req.int_param("batches", 10),
+        page=req.int_param("page", 256, minimum=1, maximum=MAX_STREAM_PAGE),
+        batches=req.int_param("batches", 10, minimum=1,
+                              maximum=MAX_STREAM_BATCHES),
         now=svc.now,
         pump=svc.pump,
+        plan=lambda: svc.fault_plan,
     )
 
 
@@ -299,7 +322,8 @@ def mech_read(svc, req: Request, name: str):
             f"service" if known else f"no mechanism {name!r}"
         )
     t = req.float_param("t", svc.now())
-    values = backend.read_at(t, creds=req.tenant.credentials)
+    values = backend.read_at(t, creds=req.tenant.credentials,
+                             plan=svc.fault_plan)
     return {
         "mechanism": name,
         "label": backend.label,

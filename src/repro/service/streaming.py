@@ -7,13 +7,13 @@ left off and a slow consumer never blocks ingest (per-shard locks are
 held only for the page copy).
 
 Degradation reuses :mod:`repro.chaos`: the store's shards are probed
-through a ``store-shard`` access channel, so an active
-:class:`~repro.chaos.faults.FaultPlan` with a ``mechanism="store"``
-rule takes shards dark mid-stream exactly like it takes a sensor bus
-dark mid-session.  A stream crossing a dark shard emits a **gap
-marker** — the consumer knows rows are missing — and keeps going;
-an aggregate query over a dark shard refuses with 503 instead of
-serving a partial sum silently.
+through a ``store-shard`` access channel, so the service's
+:class:`~repro.chaos.faults.FaultPlan` (``ServiceApp.fault_plan``) with
+a ``mechanism="store"`` rule takes shards dark mid-stream exactly like
+a session's plan takes a sensor bus dark mid-session.  A stream
+crossing a dark shard emits a **gap marker** — the consumer knows rows
+are missing — and keeps going; an aggregate query over a dark shard
+refuses with 503 instead of serving a partial sum silently.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.chaos.injector import injector_for
+from repro.chaos.faults import FaultPlan
 from repro.mech.channel import AccessChannel
 from repro.obs.instruments import SERVICE_STREAM_GAPS, SERVICE_STREAM_ROWS
 from repro.store.engine import ShardedStore
@@ -37,20 +37,21 @@ STORE_CHANNEL = AccessChannel(
 )
 
 
-def dark_shards(store: ShardedStore, now: float) -> set[int]:
-    """The shard indices the active fault plan takes dark at ``now``.
+def dark_shards(store: ShardedStore, now: float,
+                plan: FaultPlan | None) -> set[int]:
+    """The shard indices ``plan`` takes dark at ``now``.
 
-    With no plan installed this is one injector lookup returning an
-    empty set — queries outside chaos runs pay a single check, like
-    the mechanism read path.
+    With no plan this is the empty set — queries outside chaos runs pay
+    a single check, like the mechanism read path.
     """
     out: set[int] = set()
+    if plan is None:
+        return out
     probe = np.array([now], dtype=np.float64)
     for index in range(store.n_shards):
-        injector = injector_for(STORE_CHANNEL, "store", f"shard{index}", 1)
-        if injector is None:
-            break
-        if bool(injector.cross_block(probe)[0]):
+        injector = plan.injector(STORE_CHANNEL, "store", f"shard{index}")
+        dark, _ = injector.cross_block_verdicts(probe)
+        if dark[0]:
             out.add(index)
     return out
 
@@ -73,7 +74,9 @@ def tail_stream(store: ShardedStore, table: str, cursor: int | None = None,
                 location_prefix: str = "", page: int = 256,
                 batches: int | None = 10,
                 now: Callable[[], float] = lambda: 0.0,
-                pump: Callable[[int], None] | None = None) -> Iterator[str]:
+                pump: Callable[[int], None] | None = None,
+                plan: Callable[[], FaultPlan | None] = lambda: None,
+                ) -> Iterator[str]:
     """Yield the NDJSON lines of one tail stream.
 
     Each poll emits gap markers for shards that went dark since the
@@ -83,7 +86,9 @@ def tail_stream(store: ShardedStore, table: str, cursor: int | None = None,
     the number of polls (``None`` streams until the consumer hangs up —
     the HTTP endpoint always bounds it).  ``pump`` runs between polls;
     servers wired to a simulated machine advance its event queue there
-    so the stream observes sweeps landing in virtual time.
+    so the stream observes sweeps landing in virtual time.  ``plan``
+    returns the fault plan that decides which shards are dark at each
+    poll (read per poll, so a plan swapped mid-stream takes effect).
     """
     position = store.ingest_cursor if cursor is None else cursor
     yield _line({"marker": "open", "table": table, "cursor": position,
@@ -93,7 +98,7 @@ def tail_stream(store: ShardedStore, table: str, cursor: int | None = None,
     while batches is None or poll < batches:
         poll += 1
         t = now()
-        dark = dark_shards(store, t)
+        dark = dark_shards(store, t, plan())
         fresh_dark = sorted(dark - known_dark)
         if fresh_dark:
             SERVICE_STREAM_GAPS.inc(len(fresh_dark))

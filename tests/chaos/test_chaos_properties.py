@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro import testbeds
 from repro.chaos import FaultPlan, FaultRule, run_scenario
 from repro.core.moneq.backends import RaplMsrBackend
+from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.obs.instruments import RAPL_WRAP_CORRECTIONS
 from repro.rapl.package import CpuModel
@@ -40,17 +41,10 @@ def _fleet_outputs(seed: int, duration_s: float = DURATION_S,
     """One fleet-wide session's output files, optionally under a plan."""
     node, backends = testbeds.fleet_node(seed=seed)
     session = MoneqSession(list(backends.values()), node.events,
+                           config=MoneqConfig(fault_plan=plan),
                            node_count=1, vfs=node.vfs)
-
-    def run():
-        node.events.run_until(node.clock.now + duration_s)
-        return session.finalize()
-
-    if plan is None:
-        result = run()
-    else:
-        with plan.active():
-            result = run()
+    node.events.run_until(node.clock.now + duration_s)
+    result = session.finalize()
     return {p: node.vfs.read_text(p) for p in result.output_paths}
 
 
@@ -127,8 +121,7 @@ class TestRetriesNeverDoubleCountEnergy:
         backend = _hot_msr_backend(31)
         plan = FaultPlan(seed=5, rules=(FaultRule("rapl_msr", rate=0.4),))
         wraps_before = RAPL_WRAP_CORRECTIONS.value("rapl_msr")
-        with plan.active():
-            faulted = backend.read_block(WRAP_TIMES)
+        faulted = backend.read_block(WRAP_TIMES, plan=plan)
         wraps_delta = RAPL_WRAP_CORRECTIONS.value("rapl_msr") - wraps_before
 
         dark = np.isnan(faulted["pkg_w"])
@@ -167,10 +160,9 @@ def test_block_sampling_decides_identically_to_scalar_ticking(
         backend = RaplMsrBackend(package, "s0")
         plan = FaultPlan(seed=seed + 1,
                          rules=(FaultRule("rapl_msr", rate=rate),))
-        with plan.active():
-            parts = [backend.read_block(times[a:b])
-                     for a, b in zip(chunk_bounds[:-1], chunk_bounds[1:])
-                     if b > a]
+        parts = [backend.read_block(times[a:b], plan=plan)
+                 for a, b in zip(chunk_bounds[:-1], chunk_bounds[1:])
+                 if b > a]
         return np.concatenate(parts), plan
 
     scalar_rows, scalar_plan = run(list(range(len(times) + 1)))

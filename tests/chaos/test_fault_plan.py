@@ -1,16 +1,10 @@
 """Unit coverage of the chaos building blocks: fault rules, retry
-policies, the circuit breaker's state machine, and plan activation."""
+policies, the circuit breaker's state machine, and plan ownership."""
 
 import pytest
 
-from repro.chaos.faults import (
-    FaultPlan,
-    FaultRule,
-    activate,
-    active_plan,
-    deactivate,
-    default_kind,
-)
+from repro import testbeds
+from repro.chaos.faults import FaultPlan, FaultRule, default_kind
 from repro.chaos.retry import (
     CLOSED,
     HALF_OPEN,
@@ -19,7 +13,9 @@ from repro.chaos.retry import (
     RetryPolicy,
     default_policy,
 )
-from repro.errors import ChaosError, ConfigError
+from repro.core.moneq.config import MoneqConfig
+from repro.core.moneq.session import MoneqSession
+from repro.errors import ConfigError, MoneqBufferFullError
 
 
 class TestFaultRule:
@@ -134,58 +130,6 @@ class TestCircuitBreaker:
 
 
 class TestPlanActivation:
-    def test_context_manager_installs_and_removes(self):
-        plan = FaultPlan(seed=1)
-        assert active_plan() is None
-        with plan.active():
-            assert active_plan() is plan
-        assert active_plan() is None
-
-    def test_same_plan_nests(self):
-        plan = FaultPlan(seed=1)
-        with plan.active():
-            with plan.active():
-                assert active_plan() is plan
-            # Inner exit must not tear down the outer activation.
-            assert active_plan() is plan
-        assert active_plan() is None
-
-    def test_conflicting_plan_rejected(self):
-        plan, other = FaultPlan(seed=1), FaultPlan(seed=2)
-        with plan.active():
-            with pytest.raises(ChaosError, match="different fault plan"):
-                activate(other)
-            # The failed activation left the original installed.
-            assert active_plan() is plan
-        assert active_plan() is None
-
-    def test_deactivating_a_non_active_plan_rejected(self):
-        with pytest.raises(ChaosError, match="not the active plan"):
-            deactivate(FaultPlan(seed=3))
-
-    def test_a_session_whose_tick_raises_releases_its_plan(self):
-        """A tick that raises ends collection and uninstalls the
-        session's plan, so a session that is never finalized cannot
-        leak it to the rest of the process; a later finalize still
-        writes what was collected."""
-        from repro import testbeds
-        from repro.core.moneq import MoneqConfig
-        from repro.core.moneq.api import initialize
-        from repro.errors import MoneqBufferFullError
-
-        plan = FaultPlan(seed=1)
-        node, _ = testbeds.rapl_node(seed=3)
-        session = initialize(
-            node, config=MoneqConfig(buffer_slots=10, fault_plan=plan))
-        with pytest.raises(MoneqBufferFullError):
-            node.events.run_until(5.0)
-        assert active_plan() is None
-        with FaultPlan(seed=2).active():
-            pass
-        result = session.finalize()
-        assert active_plan() is None
-        assert len(result.trace("pkg_w")) == 10
-
     def test_plan_validation_and_rule_routing(self):
         with pytest.raises(ConfigError, match="seed"):
             FaultPlan(seed=-1)
@@ -206,3 +150,91 @@ class TestPlanActivation:
         assert len({a, b, c}) == 3
         assert plan.retry_seed("ipmb", "mic0-bmc") != \
             plan.retry_seed("ipmb", "mic1-bmc")
+
+
+# -- plan ownership: a plan reaches only the session that carries it ------
+
+STEP_S = 1.5
+STEPS = 4
+
+
+def _plan_a():
+    return FaultPlan(seed=5, rules=(FaultRule("ipmb", rate=0.5),
+                                    FaultRule("rapl_msr", rate=0.3)))
+
+
+def _plan_b():
+    return FaultPlan(seed=9, rules=(
+        FaultRule("nvml", rate=0.5),
+        FaultRule("micras", rate=1.0, t_start=2.0)))
+
+
+class _FleetRun:
+    """One MonEQ session over every vendor path of a fresh fleet node,
+    advanced by hand so runs can be interleaved."""
+
+    def __init__(self, seed, plan, buffer_slots=262_144):
+        self.node, backends = testbeds.fleet_node(seed=seed)
+        self.plan = plan
+        self.session = MoneqSession(
+            list(backends.values()), self.node.events, node_count=1,
+            vfs=self.node.vfs,
+            config=MoneqConfig(fault_plan=plan, buffer_slots=buffer_slots))
+        self.t0 = self.node.clock.now
+
+    def advance(self, step):
+        self.node.events.run_until(self.t0 + step * STEP_S)
+
+    def finish(self):
+        result = self.session.finalize()
+        outputs = {p: self.node.vfs.read_text(p) for p in result.output_paths}
+        timeline = self.plan.timeline_lines() if self.plan else []
+        return outputs, timeline
+
+
+def _solo(seed, make_plan):
+    run = _FleetRun(seed, make_plan())
+    for step in range(1, STEPS + 1):
+        run.advance(step)
+    return run.finish()
+
+
+def _alternating(*runs):
+    for step in range(1, STEPS + 1):
+        for run in runs:
+            run.advance(step)
+    return [run.finish() for run in runs]
+
+
+class TestPlanOwnership:
+    def test_two_plans_interleaved_write_their_solo_bytes(self):
+        """Two sessions with different plans, on two nodes advanced
+        alternately in one process: each writes exactly the bytes and
+        fault timeline of the same session run alone."""
+        alone_a, alone_b = _solo(21, _plan_a), _solo(22, _plan_b)
+        both_a, both_b = _alternating(_FleetRun(21, _plan_a()),
+                                      _FleetRun(22, _plan_b()))
+        assert both_a == alone_a
+        assert both_b == alone_b
+        assert alone_a[1] and alone_b[1], "a plan never fired"
+        assert "nan" in "".join(alone_a[0].values())
+
+    def test_a_planless_session_beside_a_faulted_one_is_untouched(self):
+        alone = _solo(23, lambda: None)
+        faulted, clean = _alternating(_FleetRun(24, _plan_a()),
+                                      _FleetRun(23, None))
+        assert faulted[1], "the faulted session's plan never fired"
+        assert clean == alone
+        assert "nan" not in "".join(clean[0].values())
+
+    def test_a_tick_that_raises_leaves_other_sessions_untouched(self):
+        """A faulted session whose buffer fills mid-run raises out of
+        the event loop; finalize still writes what it collected, and a
+        plan-less session run afterwards writes its solo bytes."""
+        alone = _solo(25, lambda: None)
+        full = _FleetRun(26, _plan_a(), buffer_slots=4)
+        with pytest.raises(MoneqBufferFullError):
+            full.advance(STEPS)
+        outputs, _ = full.finish()
+        assert all("records=4 " in text for text in outputs.values())
+        assert _solo(25, lambda: None) == alone

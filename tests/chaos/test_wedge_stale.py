@@ -47,8 +47,8 @@ def _wedge_plan(mechanism="micras", seed=11, t_start=WEDGE_AT):
 def test_wedged_rows_freeze_at_last_delivered_values():
     backend = _micras()
     times = np.arange(16, dtype=np.float64) * 0.5  # wedge hits at row 4
-    with _wedge_plan().active() as plan:
-        rows = backend.read_block(times)
+    plan = _wedge_plan()
+    rows = backend.read_block(times, plan=plan)
     wedged = times >= WEDGE_AT
     last_live = int(np.flatnonzero(~wedged)[-1])
     for name in backend.fields():
@@ -64,8 +64,8 @@ def test_wedged_rows_freeze_at_last_delivered_values():
 def test_wedge_is_not_a_retry_and_not_a_breaker_failure():
     backend = _micras()
     times = np.arange(12, dtype=np.float64) * 0.5
-    with _wedge_plan().active() as plan:
-        backend.read_block(times)
+    plan = _wedge_plan()
+    backend.read_block(times, plan=plan)
     assert plan.stats.breaker_opens == 0
     assert all(e.outcome == "stale" and e.attempts == 0
                for e in plan.timeline)
@@ -79,22 +79,21 @@ def test_last_delivered_carries_across_blocks():
     times = np.arange(16, dtype=np.float64) * 0.5
 
     whole = _micras()
-    with _wedge_plan().active():
-        contiguous = whole.read_block(times)
+    contiguous = whole.read_block(times, plan=_wedge_plan())
 
     chunked = _micras()
-    with _wedge_plan().active():
-        parts = [chunked.read_block(times[:3]),   # all delivered
-                 chunked.read_block(times[3:5]),  # wedge begins inside
-                 chunked.read_block(times[5:])]   # wedged from row 0
+    plan = _wedge_plan()
+    parts = [chunked.read_block(times[:3], plan=plan),   # all delivered
+             chunked.read_block(times[3:5], plan=plan),  # wedge begins inside
+             chunked.read_block(times[5:], plan=plan)]   # wedged from row 0
     assert np.concatenate(parts).tobytes() == contiguous.tobytes()
 
 
 def test_wedge_before_any_delivery_degrades_to_dark_values():
     backend = _micras()
     times = np.arange(6, dtype=np.float64) * 0.5
-    with _wedge_plan(t_start=0.0).active() as plan:
-        rows = backend.read_block(times)
+    plan = _wedge_plan(t_start=0.0)
+    rows = backend.read_block(times, plan=plan)
     for name in backend.fields():
         assert np.isnan(rows[name]).all()
     # Still accounted as stale serves, not dark reads: the exchange
@@ -113,8 +112,8 @@ def test_cache_hit_never_masks_a_wedge():
     assert warm.source.cache_plan() is not None
     times = np.arange(16, dtype=np.float64) * 0.5
     warm.read_block(times)  # fill every freshness window, no plan
-    with _wedge_plan().active() as plan:
-        rows = wedged.read_block(times)
+    plan = _wedge_plan()
+    rows = wedged.read_block(times, plan=plan)
     assert plan.stats.stale > 0
     mask = times >= WEDGE_AT
     last_live = int(np.flatnonzero(~mask)[-1])
@@ -135,8 +134,7 @@ def test_wedged_values_diverge_from_healthy_timeline():
     times = np.arange(64, dtype=np.float64) * 0.25
     healthy = gpu_backend().read_block(times)
     backend = gpu_backend()
-    with _wedge_plan("nvml", t_start=4.0).active():
-        rows = backend.read_block(times)
+    rows = backend.read_block(times, plan=_wedge_plan("nvml", t_start=4.0))
     mask = times >= 4.0
     assert (rows["board_w"][~mask] == healthy["board_w"][~mask]).all()
     assert (rows["board_w"][mask] != healthy["board_w"][mask]).any()

@@ -149,8 +149,7 @@ class TestEveryMechanismDegrades:
         errors_before = COLLECTOR_ERRORS.value(name, kind)
         t0 = backend.min_interval_s
         times = t0 + np.arange(4, dtype=np.float64) * backend.min_interval_s
-        with plan.active():
-            block = backend.read_block(times)
+        block = backend.read_block(times, plan=plan)
         # Every crossing failed: each row of every field reads dark.
         # (A wedged daemon *serves stale* rather than dark — but with
         # nothing ever delivered before the wedge, stale degrades to
@@ -169,8 +168,7 @@ class TestEveryMechanismDegrades:
     def test_scalar_read_at_degrades_too(self, name):
         backend = mechanism_backend(name, seed=0xFA12)
         plan = FaultPlan(seed=4, rules=(FaultRule(name, rate=1.0),))
-        with plan.active():
-            reading = backend.read_at(backend.min_interval_s)
+        reading = backend.read_at(backend.min_interval_s, plan=plan)
         assert all(math.isnan(v) for v in reading.values())
 
 

@@ -9,6 +9,8 @@ hits, chaos invalidation) is pinned here too; the fleet-wide ablation
 numbers live in ``BENCH_fleet.json``.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -200,8 +202,7 @@ def test_dark_crossing_invalidates_device_entries():
     backend.read_block(times)
     assert channel_cache().stats().entries > 0
     plan = FaultPlan(seed=7, rules=(FaultRule("nvml", rate=1.0),))
-    with plan.active():
-        rows = backend.read_block(times)
+    rows = backend.read_block(times, plan=plan)
     assert np.isnan(rows["board_w"]).all()
     stats = channel_cache().stats()
     assert stats.entries == 0
@@ -215,8 +216,33 @@ def test_cache_hit_never_masks_a_fault():
     times = np.arange(24, dtype=np.float64) * first.min_interval_s
     first.read_block(times)  # warm every freshness window
     plan = FaultPlan(seed=3, rules=(FaultRule("nvml", rate=0.4),))
-    with plan.active():
-        rows = second.read_block(times)
+    rows = second.read_block(times, plan=plan)
     dark = np.isnan(rows["board_w"])
     assert dark.any(), "plan at rate 0.4 over 24 rows drew no fault"
     assert plan.stats.dark == int(np.count_nonzero(dark))
+
+
+def test_entries_of_collected_devices_are_dropped():
+    """A device's entries go when the device is garbage-collected, so
+    the cache does not grow with every device a process has ever read,
+    and the drops are not counted as invalidations."""
+    from repro.core.moneq.session import MoneqSession
+
+    def session_on_a_fresh_node(seed):
+        node, backends = testbeds.fleet_node(seed=seed)
+        session = MoneqSession(list(backends.values()), node.events,
+                               node_count=1, vfs=node.vfs)
+        node.events.run_until(node.clock.now + 4.0)
+        session.finalize()
+        return node, backends
+
+    gc.collect()
+    baseline = channel_cache().stats()
+    alive = [session_on_a_fresh_node(seed) for seed in range(3)]
+    grown = channel_cache().stats()
+    assert grown.entries > baseline.entries
+    del alive
+    gc.collect()
+    after = channel_cache().stats()
+    assert after.entries == baseline.entries
+    assert after.invalidations == grown.invalidations

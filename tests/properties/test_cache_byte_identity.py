@@ -2,11 +2,12 @@
 
 The freshness-aware cache's whole claim is that it is *unobservable in
 the data*: for every registered mechanism, any poll grid, any chunking
-of that grid, and any active fault plan, a cache-on run produces
+of that grid, and any fault plan, a cache-on run produces
 byte-identical output to a cache-off run.  This suite drives exactly
 that oracle over random configurations — reusing the shared-device
 backend factories of the read-block parity suite, with identical fresh
-fault plans installed on each side so chaos draws replay identically.
+fault plans passed to each side's reads so chaos draws replay
+identically.
 """
 
 import pytest
@@ -53,11 +54,10 @@ def test_cache_on_equals_cache_off(mechanism, seed, start, span, count,
             FaultRule(backend.mechanism, rate=rate, t_start=t_start),
         ))
         channel_cache().clear()
-        with plan.active():
-            if disabled:
-                with channel_cache_disabled():
-                    return _block_rows(backend, times, splits).tobytes()
-            return _block_rows(backend, times, splits).tobytes()
+        if disabled:
+            with channel_cache_disabled():
+                return _block_rows(backend, times, splits, plan).tobytes()
+        return _block_rows(backend, times, splits, plan).tobytes()
 
     assert run(False) == run(True)
 

@@ -59,11 +59,12 @@ def _scalar_rows(backend, times, clock=None):
     return out
 
 
-def _block_rows(backend, times, splits):
-    """Native blocks over the same grid, chunked at ``splits``."""
+def _block_rows(backend, times, splits, plan=None):
+    """Native blocks over the same grid, chunked at ``splits``, read
+    under ``plan``."""
     bounds = [0] + sorted(set(splits)) + [len(times)]
     parts = [
-        backend.read_block(times[a:b])
+        backend.read_block(times[a:b], plan=plan)
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]

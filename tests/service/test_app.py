@@ -1,11 +1,15 @@
 """End-to-end WSGI behavior: probes, planned queries, errors, the
 credentialed mechanism read path (the structured 403)."""
 
+import math
+
 import pytest
 
 import repro.obs as obs
+from repro.chaos import FaultPlan, FaultRule
 from repro.obs.instruments import SERVICE_DENIALS, SERVICE_REQUESTS
 from repro.service import ServiceApp, ServiceClient
+from repro.service.routes import MAX_STREAM_PAGE
 from repro.testbeds import fleet_node
 
 
@@ -165,6 +169,31 @@ class TestErrors:
         assert client.get("/v2/tail", {
             "table": "bpm", "cursor": -1}).status == 400
 
+    @pytest.mark.parametrize("name, value", [
+        ("page", 0), ("page", -1), ("page", MAX_STREAM_PAGE + 1),
+        ("batches", 0), ("batches", -1), ("batches", 1_000_000_000),
+        ("cursor", "abc"), ("cursor", -1), ("page", "many"),
+    ])
+    def test_stream_tail_rejects_bad_parameters_before_opening(
+            self, client, name, value):
+        params = {"table": "bpm", "cursor": 0, "batches": 1, "page": 16}
+        params[name] = value
+        response = client.get("/v2/stream/tail", params)
+        assert response.status == 400
+        assert response.headers["Content-Type"] == "application/json"
+        assert repr(name) in response.json()["error"]["detail"]
+
+    @pytest.mark.parametrize("bad", [
+        {"t0": "nan", "t1": 1.0}, {"t0": 0.0, "t1": "nan"},
+        {"t0": "-inf", "t1": "inf"}, {"t0": 0.0, "t1": "inf"},
+    ])
+    def test_non_finite_range_bounds_400(self, client, bad):
+        response = client.get("/v2/query/range", {"table": "bpm", **bad})
+        assert response.status == 400
+        detail = response.json()["error"]["detail"]
+        assert "finite" in detail
+        assert any(repr(name) in detail for name in bad)
+
     def test_post_is_405(self, rig):
         _, app, _ = rig
         captured = {}
@@ -230,6 +259,22 @@ class TestMechEndpoints:
         assert live.get("/v2/mech/rapl_msr/read", {"t": 5.0}).status == 403
         node.kernel.module("msr").grant_readonly_access()
         assert live.get("/v2/mech/rapl_msr/read", {"t": 5.0}).status == 200
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_read_time_400(self, mech_rig, t):
+        _, client = mech_rig
+        response = client.get("/v2/mech/nvml/read", {"t": t})
+        assert response.status == 400
+        assert "'t'" in response.json()["error"]["detail"]
+
+    def test_reads_cross_under_the_service_plan_only(self, mech_rig):
+        app, client = mech_rig
+        dark_app = ServiceApp(app.store, backends=app.backends)
+        dark_app.fault_plan = FaultPlan(rules=(FaultRule("nvml", rate=1.0),))
+        faulted = ServiceClient(dark_app).get("/v2/mech/nvml/read", {"t": 10.0}).json()
+        assert all(math.isnan(v) for v in faulted["values"].values())
+        clean = client.get("/v2/mech/nvml/read", {"t": 10.0}).json()
+        assert not any(math.isnan(v) for v in clean["values"].values())
 
     def test_ungated_mechanism_serves_everyone(self, mech_rig):
         _, client = mech_rig

@@ -8,9 +8,13 @@ query tests treat as immutable.
 import pytest
 
 from repro.chaos import FaultPlan, FaultRule
-from repro.chaos.faults import activate, deactivate
 from repro.obs.instruments import SERVICE_STREAM_GAPS, SERVICE_STREAM_ROWS
-from repro.service import build_rig, dark_shards
+from repro.service import (
+    ServiceClient,
+    build_rig,
+    dark_shards,
+    service_for_machine,
+)
 from repro.service.loadgen import SWEEP_INTERVAL_S
 
 
@@ -90,9 +94,9 @@ class TestTailStream:
 
 
 class TestChaosDegradation:
-    """ISSUE satellite: a shard goes dark mid-tail — the stream emits a
-    gap marker and keeps going, aggregates refuse with 503, and
-    everything recovers when the plan deactivates."""
+    """A shard goes dark mid-tail under the service's fault plan — the
+    stream emits a gap marker and keeps going, aggregates refuse with
+    503, and everything recovers when the service drops the plan."""
 
     def plan(self):
         return FaultPlan(seed=3, rules=[
@@ -100,7 +104,8 @@ class TestChaosDegradation:
 
     def test_no_plan_means_no_dark_shards(self, srig):
         machine, _, _ = srig
-        assert dark_shards(machine.envdb.store, machine.clock.now) == set()
+        assert dark_shards(machine.envdb.store, machine.clock.now,
+                           None) == set()
 
     def test_shard_dark_mid_tail_degrades_the_stream(self, srig):
         machine, app, client = srig
@@ -113,17 +118,10 @@ class TestChaosDegradation:
         first = next(lines)
         assert first["marker"] == "open"
         collected = [first]
-        plan = self.plan()
-        darkened = False
-        try:
-            for obj in lines:
-                collected.append(obj)
-                if not darkened and "marker" not in obj:
-                    darkened = True
-                    activate(plan)
-        finally:
-            if darkened:
-                deactivate(plan)
+        for obj in lines:
+            collected.append(obj)
+            if app.fault_plan is None and "marker" not in obj:
+                app.fault_plan = self.plan()
         kinds = [m["marker"] for m in markers(collected)]
         assert kinds[0] == "open"
         assert "gap" in kinds, "dark shards must surface as a gap marker"
@@ -136,35 +134,56 @@ class TestChaosDegradation:
     def test_gap_marker_emitted_once_while_dark(self, srig):
         _, app, client = srig
         app.pump = None
-        with self.plan().active():
-            lines = list(client.get("/v2/stream/tail", {
-                "table": "bpm", "cursor": "now", "batches": 4}).lines())
+        app.fault_plan = self.plan()
+        lines = list(client.get("/v2/stream/tail", {
+            "table": "bpm", "cursor": "now", "batches": 4}).lines())
         kinds = [m["marker"] for m in markers(lines)]
         assert kinds.count("gap") == 1, \
             "a persistently dark shard is announced once, not per poll"
 
     def test_aggregate_refuses_503_then_recovers(self, srig):
-        machine, _, client = srig
+        machine, app, client = srig
         params = {"table": "bpm", "field": "input_power_w", "t0": 0.0,
                   "t1": machine.clock.now, "window": SWEEP_INTERVAL_S}
         assert client.get("/v2/query/aggregate", params).status == 200
-        with self.plan().active():
-            response = client.get("/v2/query/aggregate", params)
-            assert response.status == 503
-            error = response.json()["error"]
-            assert error["origin"] == "repro.chaos"
-            assert "dark" in error["detail"]
-            # Raw range queries keep serving: dark shards degrade
-            # aggregates, they do not take the service down.
-            assert client.get("/v2/query/range", {
-                "table": "bpm", "t0": 0.0,
-                "t1": machine.clock.now}).status == 200
+        app.fault_plan = self.plan()
+        response = client.get("/v2/query/aggregate", params)
+        assert response.status == 503
+        error = response.json()["error"]
+        assert error["origin"] == "repro.chaos"
+        assert "dark" in error["detail"]
+        # Raw range queries keep serving: dark shards degrade
+        # aggregates, they do not take the service down.
+        assert client.get("/v2/query/range", {
+            "table": "bpm", "t0": 0.0,
+            "t1": machine.clock.now}).status == 200
+        app.fault_plan = None
         assert client.get("/v2/query/aggregate", params).status == 200
 
     def test_health_reports_degraded_under_the_plan(self, srig):
-        _, _, client = srig
-        with self.plan().active():
-            payload = client.get("/health").json()
-            assert payload["status"] == "degraded"
-            assert payload["store"]["dark_shards"] == [0, 1]
+        _, app, client = srig
+        app.fault_plan = self.plan()
+        payload = client.get("/health").json()
+        assert payload["status"] == "degraded"
+        assert payload["store"]["dark_shards"] == [0, 1]
+        app.fault_plan = None
         assert client.get("/health").json()["status"] == "ok"
+
+    def test_only_the_service_holding_the_plan_degrades(self, srig):
+        """Two services over one store: the store-dark plan of one never
+        reaches the other's health, aggregates or streams."""
+        machine, dark_app, dark_client = srig
+        clean_client = ServiceClient(service_for_machine(machine))
+        dark_app.fault_plan = self.plan()
+        dark_app.pump = None
+        params = {"table": "bpm", "field": "input_power_w", "t0": 0.0,
+                  "t1": machine.clock.now, "window": SWEEP_INTERVAL_S}
+        stream = {"table": "bpm", "cursor": "now", "batches": 1}
+        assert dark_client.get("/health").json()["status"] == "degraded"
+        assert dark_client.get("/v2/query/aggregate", params).status == 503
+        assert "gap" in [m["marker"] for m in markers(
+            dark_client.get("/v2/stream/tail", stream).lines())]
+        assert clean_client.get("/health").json()["status"] == "ok"
+        assert clean_client.get("/v2/query/aggregate", params).status == 200
+        assert "gap" not in [m["marker"] for m in markers(
+            clean_client.get("/v2/stream/tail", stream).lines())]
