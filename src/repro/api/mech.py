@@ -7,10 +7,10 @@ identities a channel crossing is checked against:
 and ``USER`` pair, so callers can exercise the permission gate without
 reaching into implementation modules.  The freshness-aware channel
 cache (refresh-window hits skip the access-channel crossing,
-byte-identically) is supported here too: the process-wide
-:func:`channel_cache`, the :func:`channel_cache_disabled` ablation
-guard, and the :class:`CachePlan` / :class:`FieldPlan` declarations a
-source publishes.
+byte-identically) is supported here too: :func:`device_cache`, the
+cache each shared device owns, the :func:`channel_cache_disabled`
+ablation guard, and the :class:`CachePlan` / :class:`FieldPlan`
+declarations a source publishes.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from repro.mech import (
     FreshnessModel,
     MechanismSpec,
     SensorSource,
-    channel_cache,
     channel_cache_disabled,
+    device_cache,
     mechanisms,
 )
 from repro.mech.mechanism import Mechanism
@@ -50,7 +50,7 @@ __all__ = [
     "Mechanism",
     "MechanismSpec",
     "SensorSource",
-    "channel_cache",
     "channel_cache_disabled",
+    "device_cache",
     "mechanisms",
 ]

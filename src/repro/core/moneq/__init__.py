@@ -9,10 +9,11 @@ contract is preserved::
 
 Internals mirror the paper's description: a per-hardware minimum polling
 interval used by default, a (virtual) SIGALRM timer per agent, records
-appended to a preallocated array "local to the finest granularity
-possible on the system", tagging with post-run marker injection, and
-most of the cost pushed to initialize/finalize so the only unavoidable
-run-time overhead is the periodic collection call.
+appended to an array "local to the finest granularity possible on the
+system" (``buffer_slots`` records at most, grown as it fills), tagging
+with post-run marker injection, and most of the cost pushed to
+initialize/finalize so the only unavoidable run-time overhead is the
+periodic collection call.
 """
 
 from repro.core.moneq.config import MoneqConfig

@@ -28,9 +28,11 @@ class MoneqConfig:
         hardware" (the max of the attached backends' minima).  Explicit
         values below a backend's minimum are rejected at initialize.
     buffer_slots:
-        Preallocated record capacity per agent — "allocated to a
-        reasonably large number ... while not consuming an excess of
-        memory"; the paper notes the number "isn't set in stone".
+        Record capacity per agent — "allocated to a reasonably large
+        number ... while not consuming an excess of memory"; the paper
+        notes the number "isn't set in stone".  The session's slab
+        starts small and doubles up to this capacity as it fills; a
+        session that collects more raises ``MoneqBufferFullError``.
     output_dir:
         Directory (in the node's VFS) for per-agent output files.
     tagging_enabled:
@@ -73,8 +75,9 @@ class MoneqConfig:
             raise ConfigError(f"output_dir must be absolute, got {self.output_dir!r}")
 
     def memory_bytes_per_agent(self, field_count: int) -> int:
-        """Buffer footprint: timestamp + fields, 8 bytes each — the
-        'essentially constant with respect to scale' memory overhead."""
+        """Modelled MonEQ buffer footprint at full capacity: timestamp
+        + fields, 8 bytes each — the 'essentially constant with respect
+        to scale' memory overhead."""
         return self.buffer_slots * 8 * (field_count + 1)
 
     def resolve_interval(self, backends) -> float:

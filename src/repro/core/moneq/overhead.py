@@ -58,9 +58,9 @@ class OverheadReport:
     ticks: int
     node_count: int
     agent_count: int
-    #: Preallocated record-buffer footprint per agent, bytes.  "Memory
-    #: overhead is essentially a constant with respect to scale" — this
-    #: is the same number at every node count.
+    #: Modelled full-capacity record-buffer footprint per agent, bytes.
+    #: "Memory overhead is essentially a constant with respect to
+    #: scale" — this is the same number at every node count.
     memory_bytes_per_agent: int = 0
 
     @property

@@ -61,13 +61,21 @@ from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceSeries, TraceSet
 
 
+#: Rows of an agent's first record slab; it doubles as it fills.
+_FIRST_SLAB_ROWS = 1024
+
+
 @dataclass
 class _Agent:
-    """One collection locus: a backend plus its record buffer."""
+    """One collection locus: a backend plus its record buffer.  The
+    buffer holds up to ``capacity`` records (``buffer_slots``) in a slab
+    that starts small and doubles as it fills, so memory follows what a
+    session collects rather than what it may."""
 
     backend: Backend
     process: Process | None
     records: np.ndarray
+    capacity: int
     count: int = 0
     instrument: CollectorInstrument | None = None
 
@@ -75,6 +83,14 @@ class _Agent:
         """Slab-append one block: row ``i`` gets ``times[i]`` plus
         ``block``'s columns.  The caller guarantees capacity."""
         n = times.shape[0]
+        if self.count + n > len(self.records):
+            size = len(self.records)
+            while size < self.count + n:
+                size *= 2
+            grown = np.zeros(min(size, self.capacity),
+                             dtype=self.records.dtype)
+            grown[:self.count] = self.records[:self.count]
+            self.records = grown
         rows = self.records[self.count:self.count + n]
         rows["time_s"] = times
         for name in block.dtype.names:
@@ -151,7 +167,9 @@ class MoneqSession:
             self.agents.append(_Agent(
                 backend=backend,
                 process=processes[i] if processes is not None else None,
-                records=np.zeros(self.config.buffer_slots, dtype=dtype),
+                records=np.zeros(min(self.config.buffer_slots,
+                                     _FIRST_SLAB_ROWS), dtype=dtype),
+                capacity=self.config.buffer_slots,
                 instrument=backend.instrument,
             ))
 
@@ -178,14 +196,14 @@ class MoneqSession:
 
     def _on_tick(self, t: float, index: int) -> None:
         """Collect the block that starts at the firing tick ``t``."""
-        capacity = min(len(a.records) - a.count for a in self.agents)
+        capacity = min(a.capacity - a.count for a in self.agents)
         if capacity == 0:
-            agent = next(a for a in self.agents if a.count == len(a.records))
+            agent = next(a for a in self.agents if a.count == a.capacity)
             MONEQ_BUFFER_FULL.inc()
             if agent.instrument is not None:
                 agent.instrument.record_error("buffer_full")
             raise MoneqBufferFullError(
-                f"agent {agent.backend.label}: buffer of {len(agent.records)} "
+                f"agent {agent.backend.label}: buffer of {agent.capacity} "
                 "records exhausted; raise MoneqConfig.buffer_slots"
             )
         horizon = self.queue.horizon
@@ -222,7 +240,7 @@ class MoneqSession:
                 agent.process.charge(cost * n)
             if agent.instrument is not None:
                 agent.instrument.record_query(cost, n)
-            fill = agent.count / len(agent.records)
+            fill = agent.count / agent.capacity
             if fill > max_fill:
                 max_fill = fill
         MONEQ_TICKS.inc(n)

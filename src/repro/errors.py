@@ -132,7 +132,7 @@ class MoneqStateError(MoneqError):
 
 
 class MoneqBufferFullError(MoneqError):
-    """The preallocated collection buffer filled before finalize."""
+    """An agent's collection buffer reached its capacity before finalize."""
 
 
 class ConfigError(ReproError):

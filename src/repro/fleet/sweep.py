@@ -117,7 +117,7 @@ def cache_ablation(consumers: int = 8, ticks: int = 400,
     from repro.core.moneq.backends import NvmlBackend
     from repro.core.moneq.config import MoneqConfig
     from repro.core.moneq.session import MoneqSession
-    from repro.mech.cache import channel_cache, channel_cache_disabled
+    from repro.mech.cache import channel_cache_disabled, device_cache
     from repro.workloads.vectoradd import VectorAddWorkload
 
     def run_once(disabled: bool):
@@ -143,26 +143,19 @@ def cache_ablation(consumers: int = 8, ticks: int = 400,
             node.events.run_until(horizon)
             result = session.finalize()
         files = {p: node.vfs.read_text(p) for p in result.output_paths}
-        return files, queries_per_read
+        return files, queries_per_read, device_cache(gpu).stats()
 
-    cache = channel_cache()
-    before = cache.stats()
-    files_cached, queries_per_read = run_once(disabled=False)
-    after = cache.stats()
-
-    hits = after.hits - before.hits
-    misses = after.misses - before.misses
-    saved = after.crossings_saved - before.crossings_saved
-    rows = hits + misses
+    files_cached, queries_per_read, stats = run_once(disabled=False)
+    rows = stats.hits + stats.misses
     crossings_uncached = rows * queries_per_read
-    crossings_cached = crossings_uncached - saved
+    crossings_cached = crossings_uncached - stats.crossings_saved
 
-    files_plain, _ = run_once(disabled=True)
+    files_plain, _, _ = run_once(disabled=True)
     return {
         "consumers": consumers,
         "ticks": ticks,
         "rows": rows,
-        "hit_rate": hits / rows if rows else 0.0,
+        "hit_rate": stats.hit_rate,
         "crossings_uncached": crossings_uncached,
         "crossings_cached": crossings_cached,
         "crossings_reduction": (crossings_uncached / crossings_cached

@@ -29,8 +29,8 @@ from repro.mech.cache import (
     ChannelCache,
     ChannelCacheStats,
     FieldPlan,
-    channel_cache,
     channel_cache_disabled,
+    device_cache,
 )
 from repro.mech.capability_decl import PLATFORM_DECLS, CapabilityDecl
 from repro.mech.channel import MILLI_UNITS, AccessChannel, Quantization
@@ -64,8 +64,8 @@ __all__ = [
     "ChannelCacheStats",
     "CachePlan",
     "FieldPlan",
-    "channel_cache",
     "channel_cache_disabled",
+    "device_cache",
 ]
 
 

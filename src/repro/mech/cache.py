@@ -5,12 +5,13 @@ rate-limited *at the device*: NVML boards and the Phi SMC refresh their
 registers on fixed periods, EMON serves the oldest of two sample
 generations — polling faster than the freshness window just re-reads
 the identical register value over an expensive channel.  The
-:class:`ChannelCache` exploits exactly that: entries are keyed by
-``(mechanism, device, field)`` with a per-field *freshness key* derived
-from the mechanism's declared refresh behavior, so a refresh-window hit
-skips the device collection entirely and is **byte-identical** to the
-uncached timeline by construction — the device would have returned the
-same held value.
+:class:`ChannelCache` exploits exactly that, and so it belongs to the
+device: each shared device object holds one cache (created on first
+use by :func:`device_cache`), keyed by ``(mechanism, field)`` with a
+per-field *freshness key* derived from the mechanism's declared refresh
+behavior.  A refresh-window hit skips the device collection entirely
+and is **byte-identical** to the uncached timeline by construction —
+the device would have returned the same held value.
 
 Two keying modes, declared per field by the source's
 :class:`CachePlan`:
@@ -29,18 +30,18 @@ Two keying modes, declared per field by the source's
 Interplay with :mod:`repro.chaos` is handled one layer up, in
 ``Mechanism.read_block``: fault injection always runs over the full
 grid (a cached value never masks a fault that a real crossing would
-have drawn), and dark periods invalidate the device's entries.
+have drawn), and dark periods invalidate the mechanism's entries in
+the device's cache.
 
-The cache is process-global and enabled by default;
-:func:`channel_cache_disabled` turns it off for a dynamic extent (the
-ablation benches and the byte-identity property suite use it).
+Caches are on by default and live and die with their device;
+:func:`channel_cache_disabled` bypasses every cache for a dynamic
+extent (the ablation benches and the byte-identity property suite use
+it).
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -54,44 +55,14 @@ from repro.obs.instruments import (
     CACHE_MISSES,
 )
 
-_TOKENS = itertools.count(1)
-_TOKEN_ATTR = "_repro_cache_token"
-#: Every live cache, told when a device it may hold entries for is
-#: collected.
-_CACHES: "weakref.WeakSet[ChannelCache]" = weakref.WeakSet()
+#: A field entry holding more keys than this drops its oldest half — a
+#: safety valve for a device whose read history grows unboundedly.
+MAX_KEYS_PER_ENTRY = 1 << 20
 
+_CACHE_ATTR = "_channel_cache"
 
-def _device_collected(token: int) -> None:
-    """``weakref.finalize`` callback of a tokened device.  It runs
-    inside garbage collection, possibly while a cache method holds that
-    cache's lock on this thread, so it only queues the token; the cache
-    purges it under its lock on its next call."""
-    for cache in list(_CACHES):
-        cache._collected.append(token)
-
-
-def cache_token(device) -> int:
-    """A stable identity for one shared device object.
-
-    Backends over the *same* device (1024 MonEQ agents on one GPU, the
-    three Phi paths on one SMC) share cache entries through this token;
-    distinct devices — even identically configured ones — never do.
-    The token is attached lazily to the device object itself, so it
-    survives however many sources wrap the device.  When the device is
-    garbage-collected, every cache drops its entries.
-    """
-    token = getattr(device, _TOKEN_ATTR, None)
-    if token is None:
-        token = next(_TOKENS)
-        try:
-            setattr(device, _TOKEN_ATTR, token)
-        except AttributeError:  # __slots__ device: identity still works
-            token = id(device)
-        try:
-            weakref.finalize(device, _device_collected, token).atexit = False
-        except TypeError:  # not weakly referenceable: entries stay
-            pass
-    return int(token)
+#: How many :func:`channel_cache_disabled` extents are open.
+_bypass_depth = 0
 
 
 @dataclass(frozen=True)
@@ -121,7 +92,11 @@ class FieldPlan:
 
 class CachePlan:
     """One source's cacheability declaration: the shared device object
-    plus a :class:`FieldPlan` per output field.
+    plus a :class:`FieldPlan` per output field.  ``cache`` is that
+    device's own :class:`ChannelCache`, so every source over one device
+    (1024 MonEQ agents on one GPU, the three Phi paths on one SMC)
+    shares entries, and distinct devices — even identically configured
+    ones — never do.
 
     Stateful sources (the RAPL counter differencers) declare no plan at
     all — consecutive-read deltas depend on reader history, never on
@@ -133,7 +108,7 @@ class CachePlan:
             raise ConfigError("cache plan needs at least one field")
         self.device = device
         self.fields = dict(fields)
-        self.token = cache_token(device)
+        self.cache = device_cache(device)
 
     def keys_for(self, name: str, times: np.ndarray) -> np.ndarray:
         return self.fields[name].keys_for(times)
@@ -171,45 +146,27 @@ class ChannelCacheStats:
 
 
 class ChannelCache:
-    """The process-global ``(mechanism, device, field)`` value cache.
+    """One device's ``(mechanism, field)`` value cache.
 
     Entries are parallel sorted float64 arrays (keys, values); lookups
-    are one ``searchsorted`` per field, inserts merge-and-dedupe.  Both
-    caps are safety valves, not tuning knobs: ``max_keys_per_entry``
-    drops the oldest half of a field's keys when a single device's
-    history grows unboundedly, ``max_entries`` clears the cache outright
-    if a workload churns through that many distinct (mechanism, device,
-    field) triples.  Values are stored *pre-quantization* (the raw
-    collect column); the channel's wire quantization is deterministic
-    per element, so applying it downstream of the cache preserves
-    byte-identity.
+    are one ``searchsorted`` per field, inserts merge-and-dedupe.  A
+    device holds at most (its mechanisms × their fields) entries.
+    Values are stored *pre-quantization* (the raw collect column); the
+    channel's wire quantization is deterministic per element, so
+    applying it downstream of the cache preserves byte-identity.  The
+    lock is there because threads can share a device.
     """
 
-    def __init__(self, max_keys_per_entry: int = 1 << 20,
-                 max_entries: int = 8192):
-        self.enabled = True
-        self.max_keys_per_entry = int(max_keys_per_entry)
-        self.max_entries = int(max_entries)
+    def __init__(self):
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, int, str],
+        self._entries: dict[tuple[str, str],
                             tuple[np.ndarray, np.ndarray]] = {}
         self._by_mechanism: dict[str, MechanismCacheStats] = {}
         self._invalidations = 0
-        #: Tokens of collected devices, queued by the GC callback.
-        self._collected: list[int] = []
-        _CACHES.add(self)
-
-    def _purge_collected(self) -> None:
-        """Drop the entries of collected devices (caller holds the
-        lock).  Not invalidations: nothing can ever look them up."""
-        tokens, self._collected = self._collected, []
-        gone = set(tokens)
-        for key in [key for key in self._entries if key[1] in gone]:
-            del self._entries[key]
 
     # -- the read path -------------------------------------------------------
 
-    def lookup(self, mechanism: str, token: int, field_name: str,
+    def lookup(self, mechanism: str, field_name: str,
                keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(values, hit_mask)`` for one field over one key column.
 
@@ -218,51 +175,38 @@ class ChannelCache:
         """
         values = np.empty(keys.shape[0], dtype=np.float64)
         with self._lock:
-            if self._collected:
-                self._purge_collected()
-            entry = self._entries.get((mechanism, token, field_name))
-            if entry is None:
-                return values, np.zeros(keys.shape[0], dtype=bool)
-            stored_keys, stored_values = entry
+            entry = self._entries.get((mechanism, field_name))
+        if entry is None:
+            return values, np.zeros(keys.shape[0], dtype=bool)
+        stored_keys, stored_values = entry
         idx = np.searchsorted(stored_keys, keys)
         clamped = np.minimum(idx, stored_keys.shape[0] - 1)
         hit = stored_keys[clamped] == keys
         values[hit] = stored_values[clamped[hit]]
         return values, hit
 
-    def store(self, mechanism: str, token: int, field_name: str,
+    def store(self, mechanism: str, field_name: str,
               keys: np.ndarray, values: np.ndarray) -> None:
         """Merge freshly collected ``(key, value)`` rows into one
         field's entry, keeping the key column sorted and unique."""
         if keys.shape[0] == 0:
             return
+        entry_key = (mechanism, field_name)
         with self._lock:
-            if self._collected:
-                self._purge_collected()
-            if len(self._entries) >= self.max_entries:
-                self._invalidations += len(self._entries)
-                CACHE_INVALIDATIONS.labels(mechanism).inc(len(self._entries))
-                self._entries.clear()
-            entry_key = (mechanism, token, field_name)
             entry = self._entries.get(entry_key)
             if entry is None:
-                merged_keys, merged_values = np.asarray(
-                    keys, dtype=np.float64), np.asarray(
-                    values, dtype=np.float64)
-                order = np.argsort(merged_keys, kind="stable")
-                merged_keys = merged_keys[order]
-                merged_values = merged_values[order]
+                merged_keys = np.asarray(keys, dtype=np.float64)
+                merged_values = np.asarray(values, dtype=np.float64)
             else:
                 merged_keys = np.concatenate([entry[0], keys])
                 merged_values = np.concatenate([entry[1], values])
-                order = np.argsort(merged_keys, kind="stable")
-                merged_keys = merged_keys[order]
-                merged_values = merged_values[order]
+            order = np.argsort(merged_keys, kind="stable")
             # Equal keys carry equal values by construction (the device
             # would have returned the same bytes); keep the first.
-            merged_keys, first = np.unique(merged_keys, return_index=True)
-            merged_values = merged_values[first]
-            if merged_keys.shape[0] > self.max_keys_per_entry:
+            merged_keys, first = np.unique(merged_keys[order],
+                                           return_index=True)
+            merged_values = merged_values[order][first]
+            if merged_keys.shape[0] > MAX_KEYS_PER_ENTRY:
                 keep = merged_keys.shape[0] // 2  # newest (largest) keys
                 merged_keys = merged_keys[-keep:].copy()
                 merged_values = merged_values[-keep:].copy()
@@ -290,13 +234,12 @@ class ChannelCache:
 
     # -- invalidation --------------------------------------------------------
 
-    def invalidate_device(self, mechanism: str, token: int) -> int:
-        """Drop every field entry of one (mechanism, device) — chaos
-        dark periods land here: a channel declared dark forfeits its
-        cached freshness windows."""
+    def invalidate(self, mechanism: str) -> int:
+        """Drop every field entry of one mechanism on this device —
+        chaos dark periods land here: a channel declared dark forfeits
+        its cached freshness windows."""
         with self._lock:
-            stale = [key for key in self._entries
-                     if key[0] == mechanism and key[1] == token]
+            stale = [key for key in self._entries if key[0] == mechanism]
             for key in stale:
                 del self._entries[key]
             self._invalidations += len(stale)
@@ -304,19 +247,10 @@ class ChannelCache:
             CACHE_INVALIDATIONS.labels(mechanism).inc(len(stale))
         return len(stale)
 
-    def clear(self) -> None:
-        """Drop every entry and reset the accounting."""
-        with self._lock:
-            self._entries.clear()
-            self._by_mechanism.clear()
-            self._invalidations = 0
-
     # -- accounting ----------------------------------------------------------
 
     def stats(self) -> ChannelCacheStats:
         with self._lock:
-            if self._collected:
-                self._purge_collected()
             by_mechanism = {
                 name: MechanismCacheStats(s.hits, s.misses, s.crossings_saved)
                 for name, s in self._by_mechanism.items()
@@ -332,24 +266,30 @@ class ChannelCache:
             )
 
 
-#: The process-global cache every generic ``Mechanism`` consults.
-CHANNEL_CACHE = ChannelCache()
+def device_cache(device) -> ChannelCache:
+    """The channel cache of one shared device object, created on first
+    use and stored on the device, so it lives exactly as long as the
+    device does."""
+    cache = getattr(device, _CACHE_ATTR, None)
+    if cache is None:
+        # setdefault: two threads racing here still end up sharing one.
+        cache = vars(device).setdefault(_CACHE_ATTR, ChannelCache())
+    return cache
 
 
-def channel_cache() -> ChannelCache:
-    """The process-global channel cache."""
-    return CHANNEL_CACHE
+def cache_bypassed() -> bool:
+    """Whether a :func:`channel_cache_disabled` extent is open."""
+    return _bypass_depth > 0
 
 
 @contextmanager
 def channel_cache_disabled():
-    """``with channel_cache_disabled():`` — bypass the cache for the
-    dynamic extent (ablation benches, byte-identity oracles).  Nests
-    safely; entries are kept, only lookups are suspended."""
-    cache = CHANNEL_CACHE
-    previous = cache.enabled
-    cache.enabled = False
+    """``with channel_cache_disabled():`` — bypass every device's cache
+    for the dynamic extent (ablation benches, byte-identity oracles).
+    Nests safely; entries are kept, only lookups are suspended."""
+    global _bypass_depth
+    _bypass_depth += 1
     try:
-        yield cache
+        yield
     finally:
-        cache.enabled = previous
+        _bypass_depth -= 1

@@ -19,7 +19,7 @@ from repro.core.capability import PlatformCapabilities, platform_capabilities
 from repro.core.moneq.backend import Backend
 from repro.errors import AccessDeniedError, ConfigError
 from repro.host.permissions import Credentials
-from repro.mech.cache import channel_cache
+from repro.mech.cache import cache_bypassed
 from repro.mech.channel import AccessChannel
 from repro.mech.registry import MechanismSpec
 from repro.mech.source import SensorSource, empty_block
@@ -117,11 +117,10 @@ class Mechanism(Backend):
         out = empty_block(self.spec.fields, times.shape[0])
         if times.shape[0] == 0:
             return out
-        cache = channel_cache()
         cache_plan = self._cache_plan
-        cached = cache.enabled and cache_plan is not None
+        cached = cache_plan is not None and not cache_bypassed()
         if cached:
-            columns = self._collect_cached(cache, cache_plan, times)
+            columns = self._collect_cached(cache_plan, times)
         else:
             columns = self.source.collect(times)
         quantization = self.channel.quantization
@@ -155,22 +154,23 @@ class Mechanism(Backend):
                 if cached:
                     # A dark channel forfeits its freshness windows: the
                     # next delivered crossing re-collects from scratch.
-                    cache.invalidate_device(self.mechanism, cache_plan.token)
+                    cache_plan.cache.invalidate(self.mechanism)
         return out
 
-    def _collect_cached(self, cache, plan, times: np.ndarray) -> dict:
-        """Collect through the channel cache: fields whose freshness key
-        hits are served from cache; rows with any miss fall through to
-        one subset collection.  Sources that declare a plan are
-        elementwise-pure in the poll time, so collecting the miss subset
-        yields exactly the rows a full collection would have."""
+    def _collect_cached(self, plan, times: np.ndarray) -> dict:
+        """Collect through the device's channel cache: fields whose
+        freshness key hits are served from cache; rows with any miss
+        fall through to one subset collection.  Sources that declare a
+        plan are elementwise-pure in the poll time, so collecting the
+        miss subset yields exactly the rows a full collection would
+        have."""
         n = times.shape[0]
+        cache = plan.cache
         keys = {name: plan.keys_for(name, times) for name in self.spec.fields}
         columns: dict[str, np.ndarray] = {}
         hit_all = np.ones(n, dtype=bool)
         for name in self.spec.fields:
-            values, hit = cache.lookup(
-                self.mechanism, plan.token, name, keys[name])
+            values, hit = cache.lookup(self.mechanism, name, keys[name])
             columns[name] = values
             hit_all &= hit
         need = ~hit_all
@@ -179,8 +179,7 @@ class Mechanism(Backend):
             for name in self.spec.fields:
                 fresh = np.asarray(collected[name], dtype=np.float64)
                 columns[name][need] = fresh
-                cache.store(
-                    self.mechanism, plan.token, name, keys[name][need], fresh)
+                cache.store(self.mechanism, name, keys[name][need], fresh)
         cache.note_block(self.mechanism, n, int(np.count_nonzero(hit_all)),
                          self.spec.queries_per_read)
         return columns

@@ -33,7 +33,8 @@ from repro.service.streaming import (
 QUERY_ENDPOINT_KINDS = ("range", "prefix", "latest", "aggregate")
 
 #: Upper bounds of one ``/v2/stream/tail`` request: rows per poll and
-#: polls per stream, so every stream ends in bounded work.
+#: polls per stream, so every stream ends in bounded work.  A
+#: ``/v2/tail`` page is capped at the same row count.
 MAX_STREAM_PAGE = 4096
 MAX_STREAM_BATCHES = 1000
 
@@ -214,7 +215,7 @@ def _federated_aggregate(svc, req: Request, table: str, prefix: str):
     fplan = svc.fleet.aggregate_plan(table, prefix, rollup=rollup)
     now = svc.now()
     for site, site_plan in fplan.per_site.items():
-        dark = dark_shards(svc.fleet.sites[site], now, svc.fault_plan)
+        dark = dark_shards(svc.fleet.sites[site], now, svc.fault_plan, site)
         hit = sorted(dark.intersection(site_plan.shards))
         if hit:
             raise Unavailable(
@@ -263,7 +264,8 @@ def tail(svc, req: Request):
         table,
         cursor=req.int_param("cursor", 0),
         location_prefix=req.param("prefix", ""),
-        limit=req.int_param("limit", 256),
+        limit=req.int_param("limit", 256, minimum=1,
+                            maximum=MAX_STREAM_PAGE),
     )
     return {
         "table": table,

@@ -38,18 +38,23 @@ STORE_CHANNEL = AccessChannel(
 
 
 def dark_shards(store: ShardedStore, now: float,
-                plan: FaultPlan | None) -> set[int]:
+                plan: FaultPlan | None, site: str = "") -> set[int]:
     """The shard indices ``plan`` takes dark at ``now``.
 
-    With no plan this is the empty set — queries outside chaos runs pay
-    a single check, like the mechanism read path.
+    Shard ``i`` crosses as device ``shard{i}``, or ``<site>/shard{i}``
+    for one site of a fleet, so each site's shards draw their own
+    faults whatever else was probed before them.  With no plan this is
+    the empty set — queries outside chaos runs pay a single check, like
+    the mechanism read path.
     """
     out: set[int] = set()
     if plan is None:
         return out
     probe = np.array([now], dtype=np.float64)
+    prefix = f"{site}/" if site else ""
     for index in range(store.n_shards):
-        injector = plan.injector(STORE_CHANNEL, "store", f"shard{index}")
+        injector = plan.injector(STORE_CHANNEL, "store",
+                                 f"{prefix}shard{index}")
         dark, _ = injector.cross_block_verdicts(probe)
         if dark[0]:
             out.add(index)

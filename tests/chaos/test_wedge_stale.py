@@ -13,21 +13,12 @@ a wedge).
 """
 
 import numpy as np
-import pytest
 
 from repro import testbeds
 from repro.chaos.faults import FaultPlan, FaultRule
 from repro.core.moneq.backends import NvmlBackend, PhiMicrasBackend
-from repro.mech.cache import channel_cache
 
 WEDGE_AT = 2.0
-
-
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    channel_cache().clear()
-    yield
-    channel_cache().clear()
 
 
 def _micras(seed=0x57A1E):

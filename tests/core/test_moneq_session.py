@@ -43,6 +43,46 @@ class TestConfig:
         assert config.memory_bytes_per_agent(4) == 1000 * 8 * 5
 
 
+class TestRecordSlab:
+    """An agent's records live in a slab that starts small and doubles
+    up to ``buffer_slots``; the capacity, the full error and the output
+    are those of a buffer preallocated at full size."""
+
+    def test_fresh_session_slab_is_smaller_than_its_capacity(self):
+        node, _ = rapl_node(seed=9)
+        session = initialize(node)
+        assert all(len(agent.records) < session.config.buffer_slots
+                   for agent in session.agents)
+
+    def test_slab_grows_to_capacity_and_fills_at_it(self):
+        def run(config, steps):
+            node, _ = rapl_node(seed=9)
+            session = initialize(node, config)
+            agent = session.agents[0]
+            sizes = [len(agent.records)]
+            error = None
+            for _ in range(steps):
+                try:
+                    node.events.run_until(node.clock.now + 20.0)
+                except MoneqBufferFullError as err:
+                    error = err
+                    break
+                sizes.append(len(agent.records))
+            return agent, sizes, error
+
+        small, sizes, error = run(
+            MoneqConfig(buffer_slots=3000, block_ticks=256), 12)
+        assert sizes[0] < 3000
+        assert sorted(set(sizes)) == [1024, 2048, 3000]
+        assert small.count == 3000
+        assert str(error) == (
+            f"agent {small.backend.label}: buffer of 3000 records "
+            "exhausted; raise MoneqConfig.buffer_slots")
+        full, _, error = run(MoneqConfig(), 10)
+        assert error is None and full.count > 3000
+        assert small.filled().tobytes() == full.filled()[:3000].tobytes()
+
+
 class TestTwoLineUsage:
     def test_rapl_quickstart(self):
         node, _ = rapl_node(seed=1)

@@ -7,14 +7,6 @@ import pytest
 from repro import perfbench
 from repro.fleet import build_fleet, cache_ablation, fleet_sweep
 from repro.fleet.sweep import FleetSweepReport
-from repro.mech.cache import channel_cache
-
-
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    channel_cache().clear()
-    yield
-    channel_cache().clear()
 
 
 def test_fleet_sweep_report_accounts_one_horizon():

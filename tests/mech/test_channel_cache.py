@@ -2,18 +2,22 @@
 
 The cache's contract has three legs: keys derive from each mechanism's
 declared refresh behavior (held windows or exact timestamps), entries
-are shared exactly by consumers of the same device object, and the
+are shared exactly by consumers of the same device object (each device
+owns its cache), and the
 cache is byte-invisible — a hit returns precisely the bytes the device
 would have produced.  The mechanism-level integration (shared-device
-hits, chaos invalidation) is pinned here too; the fleet-wide ablation
-numbers live in ``BENCH_fleet.json``.
+hits, chaos invalidation, per-device isolation) is pinned here too;
+the fleet-wide ablation numbers are the ``fleet`` row of
+``BENCH_trajectory.json``.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.mech.cache as cache_module
 from repro import testbeds
 from repro.chaos.faults import FaultPlan, FaultRule
 from repro.core.moneq.backends import NvmlBackend, RaplMsrBackend
@@ -22,18 +26,12 @@ from repro.mech.cache import (
     CachePlan,
     ChannelCache,
     FieldPlan,
-    cache_token,
-    channel_cache,
+    cache_bypassed,
     channel_cache_disabled,
+    device_cache,
 )
 from repro.nvml.source import NvmlSource
-
-
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    channel_cache().clear()
-    yield
-    channel_cache().clear()
+from repro.obs.instruments import CACHE_HITS, CACHE_MISSES
 
 
 # -- key derivation ----------------------------------------------------------
@@ -63,15 +61,15 @@ def test_cache_plan_rejects_empty_fields():
         CachePlan(object(), {})
 
 
-def test_tokens_shared_per_device_object():
+def test_one_device_gives_one_cache():
     _, gpu, _ = testbeds.gpu_node(seed=1)
     _, other, _ = testbeds.gpu_node(seed=1)
-    assert cache_token(gpu) == cache_token(gpu)
-    assert cache_token(gpu) != cache_token(other)
-    # Two sources over one device share the token — that is what makes
+    assert device_cache(gpu) is device_cache(gpu)
+    assert device_cache(gpu) is not device_cache(other)
+    # Two sources over one device share the cache — that is what makes
     # 1024 MonEQ agents on one GPU share entries.
-    assert NvmlSource(gpu).cache_plan().token == \
-        NvmlSource(gpu).cache_plan().token
+    assert NvmlSource(gpu).cache_plan().cache is device_cache(gpu)
+    assert NvmlSource(other).cache_plan().cache is device_cache(other)
 
 
 # -- entry mechanics ---------------------------------------------------------
@@ -80,55 +78,45 @@ def test_tokens_shared_per_device_object():
 def test_lookup_miss_then_store_then_hit():
     cache = ChannelCache()
     keys = np.array([1.0, 2.0, 3.0])
-    _, hit = cache.lookup("m", 1, "f", keys)
+    _, hit = cache.lookup("m", "f", keys)
     assert not hit.any()
-    cache.store("m", 1, "f", keys, np.array([10.0, 20.0, 30.0]))
-    values, hit = cache.lookup("m", 1, "f", np.array([0.5, 2.0, 3.0, 9.0]))
+    cache.store("m", "f", keys, np.array([10.0, 20.0, 30.0]))
+    values, hit = cache.lookup("m", "f", np.array([0.5, 2.0, 3.0, 9.0]))
     assert hit.tolist() == [False, True, True, False]
     assert values[1] == 20.0 and values[2] == 30.0
 
 
 def test_store_merges_and_keeps_first_on_duplicate_keys():
     cache = ChannelCache()
-    cache.store("m", 1, "f", np.array([2.0, 1.0]), np.array([20.0, 10.0]))
-    cache.store("m", 1, "f", np.array([2.0, 3.0]), np.array([99.0, 30.0]))
-    values, hit = cache.lookup("m", 1, "f", np.array([1.0, 2.0, 3.0]))
+    cache.store("m", "f", np.array([2.0, 1.0]), np.array([20.0, 10.0]))
+    cache.store("m", "f", np.array([2.0, 3.0]), np.array([99.0, 30.0]))
+    values, hit = cache.lookup("m", "f", np.array([1.0, 2.0, 3.0]))
     assert hit.all()
     # Equal keys carry equal values by construction; the first stays.
     assert values.tolist() == [10.0, 20.0, 30.0]
 
 
-def test_key_overflow_keeps_newest_half():
-    cache = ChannelCache(max_keys_per_entry=8)
+def test_key_overflow_keeps_newest_half(monkeypatch):
+    monkeypatch.setattr(cache_module, "MAX_KEYS_PER_ENTRY", 8)
+    cache = ChannelCache()
     keys = np.arange(12, dtype=np.float64)
-    cache.store("m", 1, "f", keys, keys * 10.0)
-    _, hit = cache.lookup("m", 1, "f", keys)
+    cache.store("m", "f", keys, keys * 10.0)
+    _, hit = cache.lookup("m", "f", keys)
     # The oldest (smallest) keys were dropped; the newest survive.
     assert not hit[:6].any()
     assert hit[6:].all()
 
 
-def test_entry_overflow_clears_cache_and_counts_invalidations():
-    cache = ChannelCache(max_entries=2)
-    cache.store("m", 1, "a", np.array([1.0]), np.array([1.0]))
-    cache.store("m", 1, "b", np.array([1.0]), np.array([1.0]))
-    cache.store("m", 2, "a", np.array([1.0]), np.array([1.0]))
-    stats = cache.stats()
-    assert stats.entries == 1  # the overflowing store survives alone
-    assert stats.invalidations == 2
-
-
-def test_invalidate_device_drops_only_that_token():
+def test_invalidate_drops_only_that_mechanism():
     cache = ChannelCache()
-    cache.store("m", 1, "a", np.array([1.0]), np.array([1.0]))
-    cache.store("m", 1, "b", np.array([1.0]), np.array([1.0]))
-    cache.store("m", 2, "a", np.array([1.0]), np.array([1.0]))
-    cache.store("n", 1, "a", np.array([1.0]), np.array([1.0]))
-    assert cache.invalidate_device("m", 1) == 2
+    cache.store("m", "a", np.array([1.0]), np.array([1.0]))
+    cache.store("m", "b", np.array([1.0]), np.array([1.0]))
+    cache.store("n", "a", np.array([1.0]), np.array([1.0]))
+    assert cache.invalidate("m") == 2
     stats = cache.stats()
-    assert stats.entries == 2
+    assert stats.entries == 1
     assert stats.invalidations == 2
-    _, hit = cache.lookup("m", 2, "a", np.array([1.0]))
+    _, hit = cache.lookup("n", "a", np.array([1.0]))
     assert hit.all()
 
 
@@ -143,20 +131,6 @@ def test_note_block_accounting_and_hit_rate():
     assert stats.hit_rate == 8 / 15
 
 
-def test_disabled_context_restores_and_keeps_entries():
-    cache = channel_cache()
-    cache.store("m", 1, "f", np.array([1.0]), np.array([1.0]))
-    assert cache.enabled
-    with channel_cache_disabled() as inner:
-        assert inner is cache and not cache.enabled
-        with channel_cache_disabled():
-            assert not cache.enabled
-        assert not cache.enabled
-    assert cache.enabled
-    _, hit = cache.lookup("m", 1, "f", np.array([1.0]))
-    assert hit.all()
-
-
 # -- mechanism integration ---------------------------------------------------
 
 
@@ -169,12 +143,12 @@ def _shared_gpu_backends(seed=0x1CE, consumers=2):
 
 
 def test_second_consumer_hits_and_bytes_match_uncached():
-    _, (first, second) = _shared_gpu_backends()
+    gpu, (first, second) = _shared_gpu_backends()
     times = np.arange(40, dtype=np.float64) * first.min_interval_s
     first.read_block(times)
-    before = channel_cache().stats()
+    before = device_cache(gpu).stats()
     cached_rows = second.read_block(times)
-    after = channel_cache().stats()
+    after = device_cache(gpu).stats()
     assert after.hits - before.hits == times.shape[0]
     assert after.misses == before.misses
 
@@ -184,27 +158,47 @@ def test_second_consumer_hits_and_bytes_match_uncached():
     assert cached_rows.tobytes() == plain_rows.tobytes()
 
 
+def test_disabled_context_restores_and_keeps_entries():
+    gpu, (backend, _) = _shared_gpu_backends()
+    times = np.arange(8, dtype=np.float64) * backend.min_interval_s
+    backend.read_block(times)
+    warm = device_cache(gpu).stats()
+    assert not cache_bypassed()
+    with channel_cache_disabled():
+        assert cache_bypassed()
+        with channel_cache_disabled():
+            backend.read_block(times)
+        assert cache_bypassed()
+        backend.read_block(times)
+    assert not cache_bypassed()
+    # Bypassed reads neither hit nor count; the entries stayed.
+    assert device_cache(gpu).stats() == warm
+    backend.read_block(times)
+    assert device_cache(gpu).stats().hits == warm.hits + times.shape[0]
+
+
 def test_counter_sources_declare_no_plan():
     node, _ = testbeds.rapl_node(seed=5)
     backend = RaplMsrBackend(node.devices("cpu")[0], "a")
     # Consecutive-read deltas depend on reader history: uncacheable.
     assert backend.source.cache_plan() is None
     times = np.linspace(0.0, 3.0, 16)
-    before = channel_cache().stats()
+    mechanism = backend.mechanism
+    before = (CACHE_HITS.value(mechanism), CACHE_MISSES.value(mechanism))
     backend.read_block(times)
-    after = channel_cache().stats()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert (CACHE_HITS.value(mechanism),
+            CACHE_MISSES.value(mechanism)) == before
 
 
 def test_dark_crossing_invalidates_device_entries():
-    _, (backend, _) = _shared_gpu_backends(seed=0xDA2C)
+    gpu, (backend, _) = _shared_gpu_backends(seed=0xDA2C)
     times = np.arange(16, dtype=np.float64) * backend.min_interval_s
     backend.read_block(times)
-    assert channel_cache().stats().entries > 0
+    assert device_cache(gpu).stats().entries > 0
     plan = FaultPlan(seed=7, rules=(FaultRule("nvml", rate=1.0),))
     rows = backend.read_block(times, plan=plan)
     assert np.isnan(rows["board_w"]).all()
-    stats = channel_cache().stats()
+    stats = device_cache(gpu).stats()
     assert stats.entries == 0
     assert stats.invalidations > 0
 
@@ -222,27 +216,46 @@ def test_cache_hit_never_masks_a_fault():
     assert plan.stats.dark == int(np.count_nonzero(dark))
 
 
-def test_entries_of_collected_devices_are_dropped():
-    """A device's entries go when the device is garbage-collected, so
-    the cache does not grow with every device a process has ever read,
-    and the drops are not counted as invalidations."""
-    from repro.core.moneq.session import MoneqSession
+def test_devices_cache_in_isolation():
+    """Two GPUs' consumer groups read interleaved in one process write
+    the bytes, and leave the per-device hits, misses, crossings saved
+    and invalidations, that each group leaves when read alone — one
+    group under a fault plan whose dark crossings invalidate entries."""
+    seeds = (0x150, 0x151)
 
-    def session_on_a_fresh_node(seed):
-        node, backends = testbeds.fleet_node(seed=seed)
-        session = MoneqSession(list(backends.values()), node.events,
-                               node_count=1, vfs=node.vfs)
-        node.events.run_until(node.clock.now + 4.0)
-        session.finalize()
-        return node, backends
+    def run(order):
+        groups = {seed: _shared_gpu_backends(seed, consumers=3)
+                  for seed in seeds}
+        plans = {seeds[0]: FaultPlan(seed=5, rules=(
+            FaultRule("nvml", rate=0.9),)), seeds[1]: None}
+        interval = groups[seeds[0]][1][0].min_interval_s
+        rows = {seed: [] for seed in seeds}
+        for seed, block in order:
+            times = (np.arange(12, dtype=np.float64) + 12 * block) * interval
+            for backend in groups[seed][1]:
+                rows[seed].append(backend.read_block(
+                    times, plan=plans[seed]).tobytes())
+        return {seed: (rows[seed], device_cache(groups[seed][0]).stats())
+                for seed in seeds}
 
+    blocks = range(4)
+    interleaved = run([(seed, k) for k in blocks for seed in seeds])
+    for seed in seeds:
+        alone = run([(seed, k) for k in blocks])[seed]
+        assert interleaved[seed] == alone
+    assert interleaved[seeds[0]][1].invalidations > 0
+    assert interleaved[seeds[1]][1].hits > 0
+
+
+def test_a_device_cache_dies_with_the_device():
+    """The cache lives on the device, so a process does not keep the
+    entries of every device it has ever read."""
+    gpu, backends = _shared_gpu_backends()
+    times = np.arange(8, dtype=np.float64) * backends[0].min_interval_s
+    for backend in backends:
+        backend.read_block(times)
+    cache = weakref.ref(device_cache(gpu))
+    assert cache().stats().entries > 0
+    del gpu, backends, backend
     gc.collect()
-    baseline = channel_cache().stats()
-    alive = [session_on_a_fresh_node(seed) for seed in range(3)]
-    grown = channel_cache().stats()
-    assert grown.entries > baseline.entries
-    del alive
-    gc.collect()
-    after = channel_cache().stats()
-    assert after.entries == baseline.entries
-    assert after.invalidations == grown.invalidations
+    assert cache() is None

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import repro.core.moneq.backends  # noqa: F401  (registers the fleet)
 from repro.chaos.faults import FaultPlan, FaultRule
-from repro.mech.cache import channel_cache, channel_cache_disabled
+from repro.mech.cache import channel_cache_disabled
 from repro.mech.registry import mechanisms
 
 from tests.properties.test_read_block_parity import PAIRS, _block_rows, _grid
@@ -53,7 +53,6 @@ def test_cache_on_equals_cache_off(mechanism, seed, start, span, count,
         plan = FaultPlan(seed=seed ^ 0x5EED, rules=(
             FaultRule(backend.mechanism, rate=rate, t_start=t_start),
         ))
-        channel_cache().clear()
         if disabled:
             with channel_cache_disabled():
                 return _block_rows(backend, times, splits, plan).tobytes()
@@ -67,7 +66,6 @@ def test_repolling_the_same_grid_is_byte_stable(mechanism):
     """The fleet's canonical pattern: a second consumer re-polls the
     grid the first already paid for.  Whatever the hit rate, the bytes
     must match the first run exactly."""
-    channel_cache().clear()
     first, second, _ = PAIRS[mechanism](0xD0)
     times = _grid(0.0, 8.0, 24, [0.1, 0.5])
     a = first.read_block(times)
@@ -76,4 +74,3 @@ def test_repolling_the_same_grid_is_byte_stable(mechanism):
     # make instances independent-but-identical; cacheable ones share
     # freshness windows.  Both must agree byte for byte.
     assert a.tobytes() == b.tobytes()
-    channel_cache().clear()

@@ -169,6 +169,12 @@ class TestErrors:
         assert client.get("/v2/tail", {
             "table": "bpm", "cursor": -1}).status == 400
 
+    @pytest.mark.parametrize("limit", [0, MAX_STREAM_PAGE + 1, 100_000_000])
+    def test_tail_limit_out_of_range_400(self, client, limit):
+        response = client.get("/v2/tail", {"table": "bpm", "limit": limit})
+        assert response.status == 400
+        assert "'limit'" in response.json()["error"]["detail"]
+
     @pytest.mark.parametrize("name, value", [
         ("page", 0), ("page", -1), ("page", MAX_STREAM_PAGE + 1),
         ("batches", 0), ("batches", -1), ("batches", 1_000_000_000),

@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.chaos import FaultPlan, FaultRule
 from repro.fleet import build_fleet
 from repro.service import ServiceClient, service_for_fleet
 
@@ -93,3 +94,28 @@ def test_non_finite_rollup_bounds_400(client, bad):
     response = client.get("/v2/query/aggregate", _params(rollup=1, **bad))
     assert response.status == 400
     assert "finite" in response.json()["error"]["detail"]
+
+
+def test_a_sites_dark_shards_do_not_depend_on_other_sites(fleet_rig):
+    """Each site's shards cross as their own devices, so whether a
+    site's aggregate finds a dark shard does not depend on which other
+    sites were probed before it."""
+    fleet, _ = fleet_rig
+
+    def site01_statuses(sites):
+        app = service_for_fleet(fleet)
+        app.fault_plan = FaultPlan(seed=7, rules=[
+            FaultRule(mechanism="store", rate=0.8)])
+        client = ServiceClient(app)
+        out = []
+        for _ in range(12):
+            for site in sites:
+                status = client.get("/v2/query/aggregate",
+                                    _params(prefix=f"{site}/")).status
+                if site == "site01":
+                    out.append(status)
+        return out
+
+    alone = site01_statuses(["site01"])
+    assert {200, 503} <= set(alone)
+    assert site01_statuses(["site00", "site01"]) == alone

@@ -1,4 +1,4 @@
-"""Tier-1 contract tests of the versioned ``repro.api`` v5 surface.
+"""Tier-1 contract tests of the versioned ``repro.api`` v6 surface.
 
 The contract cuts both ways: every supported name resolves from its
 namespace, and no legacy v1 flat name resolves from ``repro.api``
@@ -23,8 +23,8 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_5():
-    assert api.API_VERSION == "5"
+def test_api_version_is_6():
+    assert api.API_VERSION == "6"
     assert api.__version__.count(".") == 2
 
 
