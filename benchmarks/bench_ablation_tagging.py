@@ -10,7 +10,6 @@ finalize cost.
 import pytest
 
 from repro.core import moneq
-from repro.core.moneq.config import MoneqConfig
 from repro.testbeds import rapl_node
 
 

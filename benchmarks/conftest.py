@@ -1,10 +1,11 @@
 """Benchmark harness configuration.
 
-Each ``bench_*`` module regenerates one table or figure of the paper,
-asserts the paper's qualitative shape, and hands a paper-vs-measured
-block to the ``report`` fixture.  The blocks are emitted in the
-terminal summary (after the pytest-benchmark table), so they appear in
-``bench_output.txt`` without needing ``-s``.
+The ablation, extension and Mira-scale benches measure what lies
+beyond the paper's tables and figures (those regenerate through
+``python -m repro <id>``), assert their claims, and hand a
+paper-vs-measured block to the ``report`` fixture.  The blocks are
+emitted in the terminal summary (after the pytest-benchmark table), so
+they appear without needing ``-s``.
 """
 
 import pytest

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import ChaosError, ExperimentExecutionError, PackError
-from repro.experiments import ALL_EXPERIMENTS
+from repro.exec.registry import EXPERIMENT_IDS, experiment_module
 from repro.experiments import report as report_module
 
 _PROG = "python -m repro"
@@ -131,15 +131,15 @@ _OVERRIDE_FLAGS = {
 
 
 def _list(args: list[str]) -> int:
-    for name in ALL_EXPERIMENTS:
+    for name in EXPERIMENT_IDS:
         print(name)
     return 0
 
 
 def _all(args: list[str]) -> int:
-    for name, module in ALL_EXPERIMENTS.items():
+    for name in EXPERIMENT_IDS:
         print(f"==== {name} " + "=" * (60 - len(name)))
-        module.main()
+        experiment_module(name).main()
         print()
     return 0
 
@@ -153,7 +153,6 @@ def _exec_run(args: list[str], no_cache: bool,
               cache_root: str | None) -> int:
     from repro.exec import Engine
     from repro.exec.registry import specs_for
-    from repro.experiments.report import render_block
 
     if not args:
         raise UsageError("name at least one experiment "
@@ -161,7 +160,7 @@ def _exec_run(args: list[str], no_cache: bool,
     engine = Engine(cache=not no_cache, cache_root=cache_root)
     blocks = engine.run(specs_for(args))
     for block in blocks.values():
-        print("\n".join(render_block(block)))
+        report_module.print_block(block)
     stats = engine.stats
     print(f"# {stats.executed} executed, {stats.cache_hits} cached, "
           f"{stats.wall_s * 1e3:.1f} ms")
@@ -472,7 +471,7 @@ def _pack_run(args: list[str], smoke: bool, json: bool,
             })
             continue
         for block in result.blocks.values():
-            print("\n".join(render_block(block)))
+            report_module.print_block(block)
         stats = result.stats
         print(f"# pack {result.spec.name}: {stats.executed} executed, "
               f"{stats.cache_hits} cached, {stats.wall_s * 1e3:.1f} ms")
@@ -485,18 +484,18 @@ def _pack_run(args: list[str], smoke: bool, json: bool,
 
 
 def _experiment(args: list[str]) -> int:
-    module = ALL_EXPERIMENTS.get(args[0])
-    if module is None:
+    if args[0] not in EXPERIMENT_IDS:
         raise UsageError(f"unknown experiment {args[0]!r}; "
                          f"try '{_PROG} list'")
-    module.main()
+    experiment_module(args[0]).main()
     return 0
 
 
 #: The catch-all row: a first word no other row claims names an
 #: experiment.
-_EXPERIMENT = Command((), "<experiment>", "regenerate one table/figure",
-                      _experiment)
+_EXPERIMENT = Command((), "<experiment>",
+                      "regenerate one table/figure: its data, then its "
+                      "EXPERIMENTS.md block", _experiment)
 
 
 COMMANDS: tuple[Command, ...] = (

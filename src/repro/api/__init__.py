@@ -1,4 +1,4 @@
-"""``repro.api`` — the versioned, supported public surface (v6).
+"""``repro.api`` — the versioned, supported public surface (v7).
 
 Since API v2 the surface is **namespaced**: each sub-surface groups
 one concern, and new code imports from the namespace it needs.
@@ -33,7 +33,7 @@ Compatibility policy
   supported name changes incompatibly.
 
 See ``docs/api.md`` for the name-by-name reference, the table of
-removed v1 flat names and what changed in v4, v5 and v6.
+removed v1 flat names and what changed in v4, v5, v6 and v7.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.api import (
 )
 
 #: Version of the supported surface (not the package release).
-API_VERSION = "6"
+API_VERSION = "7"
 
 #: The nine namespaced sub-surfaces.
 NAMESPACES = {

@@ -1,7 +1,8 @@
 """``repro.api.exec`` — the experiment execution engine.
 
-Experiment specs and reports, the in-process engine that runs them,
-and the content-addressed result cache.
+Experiment specs and the paper-vs-measured report blocks each
+experiment's ``render()`` produces, the in-process engine that runs
+them, and the content-addressed result cache.
 """
 
 from __future__ import annotations

@@ -77,6 +77,10 @@ from repro.xeonphi.sysmgmt import SYSMGMT_QUERY_LATENCY_S, SysMgmtApi
 # a vendor path is here; the classes below only bind live devices.
 # ---------------------------------------------------------------------------
 
+#: One NVML library call (board power + die temperature): dispatch plus
+#: a PCIe round trip, the paper's ~1.3 ms per query.
+NVML_QUERY_LATENCY_S = 1.3e-3
+
 #: RAPL's freshness floor is shared by all three access paths — same
 #: counters, same documented update jitter underneath.
 _RAPL_FRESHNESS = FreshnessModel.floor(
@@ -149,7 +153,7 @@ NVML_SPEC = register(MechanismSpec(
     name="nvml",
     platform="NVML",
     channel=AccessChannel(
-        "nvml-library", 1.3e-3,
+        "nvml-library", NVML_QUERY_LATENCY_S,
         description="NVML library call covering board power + die temp",
     ),
     freshness=FreshnessModel.refresh(
@@ -293,7 +297,8 @@ class RaplPowercapBackend(Mechanism):
 class NvmlBackend(Mechanism):
     """Board power + temperature of one Kepler GPU."""
 
-    def __init__(self, gpu: GpuDevice, query_latency_s: float = 1.3e-3):
+    def __init__(self, gpu: GpuDevice,
+                 query_latency_s: float = NVML_QUERY_LATENCY_S):
         if not gpu.model.supports_power_readings:
             raise ConfigError(
                 f"{gpu.model.name} is pre-Kepler: NVML exposes no power data"

@@ -15,7 +15,8 @@ Layers, bottom up:
 * :mod:`repro.exec.spec` — spec/report dataclasses and config canonicalization;
 * :mod:`repro.exec.fingerprint` — source fingerprints of declared modules;
 * :mod:`repro.exec.cache` — the content-addressed result cache;
-* :mod:`repro.exec.registry` — specs collected from ``repro.experiments``;
+* :mod:`repro.exec.registry` — the ordered experiment ids, resolved to
+  specs on lookup;
 * :mod:`repro.exec.engine` — cache-then-execute orchestration.
 """
 

@@ -48,7 +48,6 @@ class ExperimentReport:
 
     exp_id: str
     title: str
-    bench: str
     rows: list[tuple[str, str, str]]  # (quantity, paper, measured)
     notes: str = ""
 
@@ -57,7 +56,6 @@ class ExperimentReport:
         return {
             "exp_id": self.exp_id,
             "title": self.title,
-            "bench": self.bench,
             "rows": [list(row) for row in self.rows],
             "notes": self.notes,
         }
@@ -67,7 +65,6 @@ class ExperimentReport:
         return cls(
             exp_id=payload["exp_id"],
             title=payload["title"],
-            bench=payload["bench"],
             rows=[tuple(row) for row in payload["rows"]],
             notes=payload.get("notes", ""),
         )

@@ -1,39 +1,11 @@
 """Experiment regenerators — one module per paper table/figure.
 
 Each module exposes ``run(...)`` returning a structured result (the
-rows/series the paper reports) and ``main()`` printing it.  The
-benchmarks in ``benchmarks/`` wrap these, and EXPERIMENTS.md records
-paper-vs-measured for each.
+rows/series the paper reports), ``render(result)`` — the one place its
+paper-vs-measured block is written — and ``main()``, which prints the
+result's own data view followed by that block, byte for byte as
+EXPERIMENTS.md holds it.  Table III renders from its per-scale parts
+instead (``run_part`` + ``render_block``).  The ids and their order
+live in :data:`repro.exec.registry.EXPERIMENT_IDS`, which imports a
+module on first lookup; importing this package loads no experiment.
 """
-
-from repro.experiments import (  # noqa: F401
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    overheads,
-    rapl_overflow,
-    table1,
-    table2,
-    table3,
-)
-
-ALL_EXPERIMENTS = {
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "fig1": fig1,
-    "fig2": fig2,
-    "fig3": fig3,
-    "fig4": fig4,
-    "fig5": fig5,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "overheads": overheads,
-    "rapl_overflow": rapl_overflow,
-}

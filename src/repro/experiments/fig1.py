@@ -19,6 +19,7 @@ from repro.analysis.compare import (
 )
 from repro.bgq.machine import BgqMachine
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceSeries
 from repro.workloads.mmps import MmpsWorkload
@@ -64,9 +65,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
           f"({result.samples} samples at {result.poll_interval_s:.0f} s)")
     for t, w in result.series.to_rows():
         print(f"  t={t:7.1f} s  input={w:8.1f} W")
-    print(f"idle shelf: {result.idle.idle_level:.0f} W, "
-          f"job plateau: {result.idle.active_level:.0f} W, "
-          f"idle visible: {result.idle.visible}")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,6 @@ def render(result: Fig1Result) -> ExperimentReport:
     """Figure 1's paper-vs-measured block."""
     return ExperimentReport(
         "Figure 1", "MMPS power at the bulk power modules",
-        "benchmarks/bench_fig1.py",
         [
             ("idle shelf", "~800 W, visible before/after job",
              f"{result.idle.idle_level:.0f} W, visible={result.idle.visible}"),

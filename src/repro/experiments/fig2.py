@@ -19,7 +19,7 @@ from repro.core.moneq.backends import BgqEmonBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.exec.spec import ExperimentReport, ExperimentSpec
-from repro.experiments import fig1
+from repro.experiments.report import print_block
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceSeries, TraceSet
 from repro.workloads.mmps import MmpsWorkload
@@ -90,11 +90,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
         series = result.domains[name]
         print(f"  {name:16s} mean={series.mean():8.1f} W")
     print(f"  node card        mean={result.node_card.mean():8.1f} W")
-    print(f"agreement with BPM output: "
-          f"{100 * result.agreement_with_bpm.relative_difference:.1f}% difference")
-    print(f"idle shelf visible: {result.idle_samples_present} (paper: no)")
-    fig1_result = fig1.run()
-    print(f"sample count vs Figure 1: {result.samples} vs {fig1_result.samples}")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,6 @@ def render(result: Fig2Result) -> ExperimentReport:
     """Figure 2's paper-vs-measured block."""
     return ExperimentReport(
         "Figure 2", "MMPS via MonEQ: 7 domains at 560 ms",
-        "benchmarks/bench_fig2.py",
         [
             ("domains", "7 (chip core largest)",
              f"{len(result.domains)}; largest = "
@@ -127,5 +123,5 @@ SPEC = ExperimentSpec(
     exp_id="fig2", title="Figure 2 — MMPS via MonEQ, 7 domains at 560 ms",
     module="repro.experiments.fig2", config=Fig2Config(), seed=0xF162,
     sources=("repro.bgq", "repro.core", "repro.workloads", "repro.store",
-             "repro.host", "repro.experiments.fig1"),
+             "repro.host"),
 )

@@ -18,6 +18,7 @@ from repro.core.moneq.backends import RaplMsrBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.sim.trace import TraceSeries
 from repro.testbeds import rapl_node
 from repro.workloads.gaussian import GaussianEliminationWorkload
@@ -82,12 +83,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
     result = run()
     print(ascii_chart(result.series, width=70, height=14,
                       title="Figure 3: RAPL package power (W) vs time"))
-    print(f"\nFigure 3: RAPL package power, {len(result.series)} samples at 100 ms")
-    print(f"  idle head/tail : {result.idle_head_w:.1f} / {result.idle_tail_w:.1f} W")
-    print(f"  plateau        : {result.plateau_w:.1f} W (paper: ~45-50 W)")
-    print(f"  rhythmic drop  : {result.drop_depth_w:.1f} W every "
-          f"{result.drop_period_s:.1f} s (paper: ~5 W)")
-    print(f"  spikes between : +{result.spike_height_w:.1f} W")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,6 @@ def render(result: Fig3Result) -> ExperimentReport:
     """Figure 3's paper-vs-measured block."""
     return ExperimentReport(
         "Figure 3", "RAPL package power of Gaussian elimination (100 ms)",
-        "benchmarks/bench_fig3.py",
         [
             ("idle shelf", "visible both ends",
              f"head {result.idle_head_w:.1f} W / tail {result.idle_tail_w:.1f} W"),

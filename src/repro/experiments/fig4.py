@@ -16,6 +16,7 @@ from repro.core.moneq.backends import NvmlBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.sim.trace import TraceSeries
 from repro.testbeds import gpu_node
 from repro.workloads.noop import GpuNoopWorkload
@@ -64,10 +65,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
     result = run()
     print(ascii_chart(result.series, width=70, height=12,
                       title="Figure 4: K20 NOOP board power (W) vs time"))
-    print(f"\nFigure 4: K20 NOOP power, {len(result.series)} samples at 100 ms")
-    print(f"  start : {result.start_w:.1f} W (paper: ~44-46 W)")
-    print(f"  level : {result.level_w:.1f} W (paper: ~55 W)")
-    print(f"  levels off after ~{result.time_to_level_s:.1f} s (paper: ~5 s)")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class Fig4Config:
 def render(result: Fig4Result) -> ExperimentReport:
     """Figure 4's paper-vs-measured block."""
     return ExperimentReport(
-        "Figure 4", "K20 NOOP power ramp (100 ms)", "benchmarks/bench_fig4.py",
+        "Figure 4", "K20 NOOP power ramp (100 ms)",
         [
             ("start -> level", "~44-46 -> ~55 W",
              f"{result.start_w:.1f} -> {result.level_w:.1f} W"),

@@ -17,6 +17,7 @@ from repro.core.moneq.backends import NvmlBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.sim.trace import TraceSeries
 from repro.testbeds import gpu_node
 from repro.workloads.vectoradd import VectorAddWorkload
@@ -79,13 +80,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
     print()
     print(ascii_chart(result.temperature, width=70, height=8,
                       title="Figure 5: die temperature (C)"))
-    print(f"\nFigure 5: K20 vector-add, {len(result.power)} samples at 100 ms")
-    print(f"  datagen power : {result.datagen_mean_w:.1f} W (GPU idle-ish)")
-    print(f"  compute power : {result.compute_mean_w:.1f} W (paper: ~125-150 W)")
-    print(f"  temperature   : {result.temp_start_c:.1f} -> "
-          f"{result.temp_end_c:.1f} C (paper: ~40 -> ~65 C)")
-    print(f"  steady climb  : {100 * result.temp_monotone_fraction:.0f}% of "
-          "compute-phase steps rising")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,6 @@ def render(result: Fig5Result) -> ExperimentReport:
     """Figure 5's paper-vs-measured block."""
     return ExperimentReport(
         "Figure 5", "K20 vector-add power + temperature",
-        "benchmarks/bench_fig5.py",
         [
             ("first ~10 s", "GPU unloaded (host datagen)",
              f"{result.datagen_mean_w:.1f} W"),

@@ -4,18 +4,18 @@ The paper reproduces Intel's architecture diagram: the host and
 coprocessor SCIF stacks, and the three data paths — (1) "in-band"
 through the SysMgmt SCIF interface, (2) "out-of-band" through the SMC
 and BMC, (3) MICRAS.  A diagram is structural, so the regeneration
-builds the component graph with networkx, verifies each path exists in
-the *simulator's wiring*, and annotates the paths with the measured
-per-query costs the other experiments use.
+builds the component graph as an adjacency dict, verifies each path
+exists in the *simulator's wiring*, and annotates the paths with the
+measured per-query costs the other experiments use.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.xeonphi.ipmb import IPMB_EXCHANGE_LATENCY_S
 from repro.xeonphi.micras import MICRAS_READ_LATENCY_S
 from repro.xeonphi.sysmgmt import SYSMGMT_QUERY_LATENCY_S
@@ -48,30 +48,41 @@ PATH_COSTS: dict[str, float] = {
 class Fig6Result:
     """The architecture graph plus per-path reachability and cost."""
 
-    graph: nx.DiGraph
+    graph: dict[str, set[str]]  # component -> components it links to
     path_exists: dict[str, bool]
     path_costs: dict[str, float]
     symmetric_scif: bool
 
 
-def build_graph() -> nx.DiGraph:
-    """The Figure 6 component graph."""
-    graph = nx.DiGraph()
-    for name, nodes in PATHS.items():
-        for a, b in zip(nodes, nodes[1:]):
-            graph.add_edge(a, b, path=name)
+def build_graph() -> dict[str, set[str]]:
+    """The Figure 6 component graph, as directed adjacency sets."""
     # Symmetry property: the same SCIF interface exists on both sides.
-    graph.nodes["host user scif"]["layer"] = "user"
-    graph.add_edge("card application", "card user scif", path="symmetry")
-    graph.add_edge("card user scif", "coprocessor scif driver", path="symmetry")
+    symmetry = ["card application", "card user scif",
+                "coprocessor scif driver"]
+    graph: dict[str, set[str]] = {}
+    for nodes in (*PATHS.values(), symmetry):
+        for a, b in zip(nodes, nodes[1:]):
+            graph.setdefault(a, set()).add(b)
+            graph.setdefault(b, set())
     return graph
+
+
+def has_path(graph: dict[str, set[str]], source: str, target: str) -> bool:
+    """Whether ``target`` is reachable from ``source`` (breadth-first)."""
+    seen, queue = {source}, deque([source])
+    while queue:
+        for nxt in graph.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return target in seen
 
 
 def run() -> Fig6Result:
     """Regenerate the Figure 6 structure and verify it."""
     graph = build_graph()
     exists = {
-        name: nx.has_path(graph, nodes[0], nodes[-1])
+        name: has_path(graph, nodes[0], nodes[-1])
         for name, nodes in PATHS.items()
     }
     # SCIF symmetry: user-level SCIF endpoints exist host- and card-side.
@@ -84,21 +95,19 @@ def run() -> Fig6Result:
 
 def main() -> None:  # pragma: no cover - CLI convenience
     result = run()
+    links = sum(len(targets) for targets in result.graph.values())
     print("Figure 6: Xeon Phi control-panel architecture "
-          f"({result.graph.number_of_nodes()} components, "
-          f"{result.graph.number_of_edges()} links)")
-    for name in PATHS:
-        cost_ms = 1000.0 * result.path_costs[name]
-        print(f"  {name:12s} reachable={result.path_exists[name]}  "
-              f"per-query cost={cost_ms:.2f} ms")
-    print(f"  SCIF symmetric across host/card: {result.symmetric_scif}")
+          f"({len(result.graph)} components, {links} links)")
+    for name, nodes in PATHS.items():
+        print(f"  {name:12s} " + " -> ".join(nodes))
+    print()
+    print_block(render(result))
 
 
 def render(result: Fig6Result) -> ExperimentReport:
     """Figure 6's paper-vs-measured block."""
     return ExperimentReport(
         "Figure 6", "Phi control-panel software architecture",
-        "benchmarks/bench_fig6.py",
         [
             ("paths", "in-band, out-of-band, MICRAS all present",
              f"reachable: {result.path_exists}"),

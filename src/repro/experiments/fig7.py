@@ -22,6 +22,7 @@ from repro.core.moneq.backends import PhiMicrasBackend, PhiSysMgmtBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.testbeds import phi_node
 from repro.workloads.noop import PhiNoopWorkload
 
@@ -78,9 +79,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
         print(f"  {label:14s} median={box.median:7.2f} W  "
               f"IQR=[{box.q1:.2f}, {box.q3:.2f}]  "
               f"whiskers=[{box.whisker_low:.2f}, {box.whisker_high:.2f}]")
-    print(f"  mean difference: {result.ttest.mean_difference:+.2f} W, "
-          f"Welch p={result.ttest.pvalue:.2e} "
-          f"(significant: {result.ttest.significant()})")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ def render(result: Fig7Result) -> ExperimentReport:
     """Figure 7's paper-vs-measured block."""
     return ExperimentReport(
         "Figure 7", "Phi power boxplot: SysMgmt API vs daemon",
-        "benchmarks/bench_fig7.py",
         [
             ("API median", "~115.5-117 W band", f"{result.api_box.median:.2f} W"),
             ("daemon median", "~113-115 W band", f"{result.daemon_box.median:.2f} W"),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.sim.trace import TraceSeries
 from repro.testbeds import stampede_slice
 from repro.workloads.gaussian import OffloadGaussianWorkload
@@ -67,14 +68,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
     result = run()
     print(ascii_chart(result.series, width=70, height=12,
                       title=f"Figure 8: sum power over {result.cards} Phi cards (W)"))
-    print(f"\nFigure 8: sum power over {result.cards} Xeon Phi cards "
-          f"({len(result.series)} samples)")
-    print(f"  datagen phase : {result.datagen_mean_w / 1e3:.1f} kW "
-          "(cards idle; paper: ~14-15 kW)")
-    print(f"  compute phase : {result.compute_mean_w / 1e3:.1f} kW "
-          "(paper: rises toward ~25 kW)")
-    print(f"  computation begins at ~{result.compute_start_s:.0f} s "
-          "(paper: shortly after 100 s)")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,6 @@ def render(result: Fig8Result) -> ExperimentReport:
     """Figure 8's paper-vs-measured block."""
     return ExperimentReport(
         "Figure 8", "Sum power, Gaussian elimination on 128 Stampede Phis",
-        "benchmarks/bench_fig8.py",
         [
             ("datagen phase", "~first 100 s, low",
              f"{result.datagen_mean_w / 1e3:.1f} kW"),

@@ -1,19 +1,9 @@
 """The per-query overhead survey (§II running text).
 
-Paper numbers:
-
-==================  ============  =========================
-mechanism           per query     overhead at paper cadence
-==================  ============  =========================
-BG/Q EMON           ~1.10 ms      ~0.19 % (560 ms polls)
-RAPL via MSR        ~0.03 ms      (fastest of all)
-NVML                ~1.3 ms       ~1.25 % (100 ms polls)
-Phi SysMgmt API     ~14.2 ms      ~14 % (100 ms polls)
-Phi MICRAS daemon   ~0.04 ms      (RAPL-class)
-==================  ============  =========================
-
-The regeneration *measures* each cost on the simulators by timing a
-query's effect on the virtual clock, rather than quoting the constants.
+The regeneration *measures* each mechanism's per-query cost on the
+simulators by timing a query's effect on the virtual clock, rather than
+quoting the constants; :func:`render` holds the paper's values beside
+the measured ones.
 """
 
 from __future__ import annotations
@@ -23,6 +13,7 @@ from dataclasses import dataclass
 from repro.analysis.tables import format_table
 from repro.bgq.machine import BgqMachine
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.host.permissions import ROOT
 from repro.rapl.driver import read_msr_userspace
 from repro.rapl.msr import MSR_PKG_ENERGY_STATUS
@@ -106,6 +97,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
         float_format="{:.3f}",
     ))
     print(f"\ncheapest-first: {result.ordering()}")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,7 @@ def render(result: OverheadsResult) -> ExperimentReport:
                  f"Phi API {result.costs['phi-sysmgmt'].overhead_percent:.1f} %"))
     return ExperimentReport(
         "§II text", "Per-query collection overheads",
-        "benchmarks/bench_overheads.py", rows,
+        rows,
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.sim.sensor import CounterSensor
 from repro.sim.signals import ConstantSignal
 from repro.units import RAPL_ENERGY_UNIT_J
@@ -76,8 +77,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
               f"(wrap period {result.wrap_period_s:.1f} s)",
         float_format="{:.2f}",
     ))
-    print(f"\nmax safe interval in sweep: {result.max_safe_interval():.0f} s "
-          "(paper: 'more than about 60 seconds ... erroneous')")
+    print()
+    print_block(render(result))
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,6 @@ def render(result: OverflowResult) -> ExperimentReport:
     bad = [p for p in result.points if p.interval_s >= 70.0]
     return ExperimentReport(
         "§II-B text", "RAPL counter overflow past ~60 s sampling",
-        "benchmarks/bench_rapl_overflow.py",
         [
             ("wrap period @1 kW", "'about 60 seconds'",
              f"{result.wrap_period_s:.1f} s"),

@@ -1,10 +1,12 @@
 """EXPERIMENTS.md generator, built on the ``repro.exec`` engine.
 
 Every experiment is declared as an :class:`repro.exec.ExperimentSpec`
-in its own module; the engine runs the registry through its
-content-addressed cache and this module renders the blocks — in
-registry order, from JSON payloads — so the output is byte-identical
-whatever the cache state.  Regenerate with::
+in its own module, whose ``render`` (Table III: ``render_block``) is
+the one place that experiment's paper-vs-measured text lives.  The
+engine runs the registry through its content-addressed cache and this
+module renders the blocks — in registry order, from JSON payloads — so
+the output is byte-identical whatever the cache state.  Regenerate
+with::
 
     python -m repro report > EXPERIMENTS.md          # warm cache
     python -m repro report --no-cache                # cold
@@ -21,8 +23,9 @@ HEADER = [
     "Regenerated by `python -m repro report`.  Absolute watts come from",
     "behavioural simulators, not the authors' testbeds; the claims under",
     "test are the *shapes*: who wins, by what rough factor, and where",
-    "the crossovers fall.  Each block names the benchmark that",
-    "regenerates it (`pytest <bench> --benchmark-only -s`).",
+    "the crossovers fall.  `python -m repro <id>` regenerates one",
+    "block after that experiment's own data; `python -m repro list`",
+    "names the ids.",
     "",
 ]
 
@@ -44,8 +47,6 @@ FOOTER = [
 def render_block(report: ExperimentReport) -> list[str]:
     """One experiment's markdown section."""
     lines = [f"## {report.exp_id} — {report.title}", ""]
-    lines.append(f"Bench: `{report.bench}`")
-    lines.append("")
     lines.append("| quantity | paper | measured |")
     lines.append("|---|---|---|")
     for quantity, paper, measured in report.rows:
@@ -55,6 +56,11 @@ def render_block(report: ExperimentReport) -> list[str]:
         lines.append(f"*{report.notes}*")
     lines.append("")
     return lines
+
+
+def print_block(report: ExperimentReport) -> None:
+    """Print one experiment's section exactly as EXPERIMENTS.md holds it."""
+    print("\n".join(render_block(report)))
 
 
 def generate_markdown(cache: bool = False,

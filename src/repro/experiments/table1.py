@@ -13,6 +13,7 @@ from repro.core.capability import (
     universal_rows,
 )
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ def main() -> None:  # pragma: no cover - CLI convenience
     result = run()
     print("Table I: environmental data available per platform\n")
     print(result.rendered)
-    print(f"\nAvailable counts: {result.availability_counts}")
-    print(f"Universal data points: {result.universal_items}")
+    print()
+    print_block(render(result))
 
 
 def render(result: Table1Result) -> ExperimentReport:
@@ -59,7 +60,6 @@ def render(result: Table1Result) -> ExperimentReport:
     counts = result.availability_counts
     return ExperimentReport(
         "Table I", "Environmental data available per platform",
-        "benchmarks/bench_table1.py",
         [
             ("universal data points", "total power consumption only",
              ", ".join(result.universal_items)),

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
 from repro.exec.spec import ExperimentReport, ExperimentSpec
-from repro.rapl.domains import RAPL_DOMAIN_TABLE
+from repro.experiments.report import print_block
+from repro.rapl.domains import RAPL_DOMAIN_TABLE, RaplDomain
 from repro.rapl.msr import ENERGY_STATUS_MSR
 from repro.rapl.package import SANDY_BRIDGE, CpuPackage
-from repro.rapl.domains import RaplDomain
 from repro.sim.rng import RngRegistry
 
 
@@ -46,13 +46,14 @@ def main() -> None:  # pragma: no cover - CLI convenience
     ))
     print(f"\nEnergy-status MSRs: "
           f"{ {k: hex(v) for k, v in result.msr_addresses.items()} }")
-    print(f"Counters responding: {result.live_counters}")
+    print()
+    print_block(render(result))
 
 
 def render(result: Table2Result) -> ExperimentReport:
     """Table II's paper-vs-measured block."""
     return ExperimentReport(
-        "Table II", "Available RAPL sensors", "benchmarks/bench_table2.py",
+        "Table II", "Available RAPL sensors",
         [
             ("domains", "PKG, PP0, PP1, DRAM",
              ", ".join(r[0] for r in result.rows)),

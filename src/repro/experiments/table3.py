@@ -3,17 +3,8 @@
 The toy application runs for exactly the same time regardless of scale;
 MonEQ profiles it through the EMON backend at the BG/Q minimum interval
 (560 ms).  One agent covers one node card (32 nodes), so the three
-scales use 1, 16 and 32 agents.  Expected shape (paper values):
-
-======================  ========  =========  =========
-row                     32 nodes  512 nodes  1024 nodes
-======================  ========  =========  =========
-Application Runtime      202.78    202.73     202.74
-Time for Initialization  0.0027    0.0032     0.0033
-Time for Finalize        0.1510    0.1550     0.3347
-Time for Collection      0.3871    0.3871     0.3871
-Total Time for MonEQ     0.5409    0.5455     0.7251
-======================  ========  =========  =========
+scales use 1, 16 and 32 agents.  :func:`render_block` holds the
+paper's values beside the measured ones.
 
 Init and collection are scale-(in)sensitive exactly as the paper
 argues; finalize jumps once the agent-file count exceeds the I/O
@@ -31,6 +22,7 @@ from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.overhead import OverheadReport
 from repro.core.moneq.session import MoneqSession
 from repro.exec.spec import ExperimentReport, ExperimentSpec
+from repro.experiments.report import print_block
 from repro.sim.rng import RngRegistry
 from repro.workloads.toy import TABLE3_RUNTIME_S, FixedRuntimeToyWorkload
 
@@ -78,9 +70,9 @@ def main() -> None:  # pragma: no cover - CLI convenience
         ["(seconds)"] + [f"{n} Nodes" for n in SCALES], rows,
         title="Table III: time overhead for MonEQ on Mira",
     ))
-    pct = result.reports[1024].percent_of_runtime
-    print(f"\nTotal overhead at 1024 nodes: {pct:.2f}% of runtime "
-          f"(paper: ~0.4%)")
+    print()
+    print_block(render_block({str(n): _part_payload(report)
+                              for n, report in result.reports.items()}))
 
 
 @dataclass(frozen=True)
@@ -90,13 +82,16 @@ class Table3Config:
     seed: int = 0x7AB1E3
 
 
-def run_part(part: str, config: Table3Config) -> dict:
-    """One scale's overhead report, as a cacheable payload."""
-    report = run_scale(int(part), seed=config.seed)
+def _part_payload(report: OverheadReport) -> dict:
     return {
         "rows": report.as_table_row(),
         "percent_of_runtime": report.percent_of_runtime,
     }
+
+
+def run_part(part: str, config: Table3Config) -> dict:
+    """One scale's overhead report, as a cacheable payload."""
+    return _part_payload(run_scale(int(part), seed=config.seed))
 
 
 def render_block(parts: dict[str, dict]) -> ExperimentReport:
@@ -118,8 +113,7 @@ def render_block(parts: dict[str, dict]) -> ExperimentReport:
     rows.append(("total overhead @1K", "~0.4 % of runtime",
                  f"{parts['1024']['percent_of_runtime']:.2f} %"))
     return ExperimentReport(
-        "Table III", "MonEQ time overhead on Mira (32/512/1024 nodes, s)",
-        "benchmarks/bench_table3.py", rows,
+        "Table III", "MonEQ time overhead on Mira (32/512/1024 nodes, s)", rows,
     )
 
 

@@ -11,12 +11,9 @@ device nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.errors import DriverError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.host.vfs import VirtualFileSystem
 
 
 @dataclass(frozen=True, order=True)

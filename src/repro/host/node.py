@@ -8,7 +8,7 @@ one workload run on one node (or one rank's slice of a job).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.errors import DeviceNotFoundError
 from repro.host.kernel import Kernel
@@ -17,9 +17,6 @@ from repro.host.vfs import VirtualFileSystem
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventQueue
 from repro.sim.rng import RngRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.workloads.base import Workload
 
 
 class Node:

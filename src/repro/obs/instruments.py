@@ -223,7 +223,7 @@ MONEQ_BUFFER_FILL = _REGISTRY.gauge(
 )
 MONEQ_BUFFER_FULL = _REGISTRY.counter(
     "repro_moneq_buffer_full_total",
-    "Appends refused because an agent's preallocated buffer was full",
+    "Appends refused because an agent reached its buffer_slots capacity",
 )
 
 # -- SPMD launcher ----------------------------------------------------------

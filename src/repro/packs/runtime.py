@@ -359,7 +359,6 @@ def render_block(parts: dict[str, dict]) -> ExperimentReport:
     return ExperimentReport(
         exp_id=f"pack:{name}",
         title=payload["summary"],
-        bench=f"repro pack run {name}",
         rows=rows,
         notes=f"seed {payload['seed']}, kind {payload['kind']}"
               if payload["kind"] != "fleet" else "wall-clock timed, uncached",

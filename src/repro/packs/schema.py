@@ -378,12 +378,12 @@ def _check_mechanisms(ctx: str, spec_kind: str, testbed: TestbedSpec,
 
 
 def _check_experiments(ctx: str, names: tuple[str, ...]) -> None:
-    from repro.exec.registry import ALL_SPECS
+    from repro.exec.registry import EXPERIMENT_IDS
 
     for i, name in enumerate(names):
-        if name not in ALL_SPECS:
+        if name not in EXPERIMENT_IDS:
             _fail(ctx, f"experiments[{i}]: unknown experiment {name!r} "
-                       f"(registered: {', '.join(ALL_SPECS)})")
+                       f"(registered: {', '.join(EXPERIMENT_IDS)})")
 
 
 _TOP_KEYS = ("name", "kind", "summary", "duration_s", "seed", "interval_s",

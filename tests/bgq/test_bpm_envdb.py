@@ -12,7 +12,6 @@ from repro.bgq.envdb import (
 from repro.bgq.machine import BgqMachine
 from repro.bgq.topology import NodeBoard
 from repro.errors import ConfigError
-from repro.sim.events import EventQueue
 from repro.sim.hashrand import hash_normal
 from repro.sim.rng import RngRegistry
 from repro.workloads.mmps import MmpsWorkload

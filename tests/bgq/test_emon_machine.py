@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgq.domains import BGQ_DOMAINS, BgqDomain
+from repro.bgq.domains import BgqDomain
 from repro.bgq.emon import (
     EMON_QUERY_LATENCY_S,
     GENERATION_PERIOD_S,

@@ -5,8 +5,6 @@ The capability matrix is declared data; these tests keep it honest by
 checking the declarations against the APIs the device packages expose.
 """
 
-import pytest
-
 from repro.bgq.emon import EmonInterface
 from repro.core.capability import (
     Availability,

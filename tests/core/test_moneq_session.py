@@ -1,11 +1,9 @@
 """Unit and integration tests for MonEQ sessions."""
 
-import numpy as np
 import pytest
 
 from repro.core.moneq import (
     MoneqConfig,
-    NvmlBackend,
     PhiMicrasBackend,
     PhiSysMgmtBackend,
     RaplMsrBackend,

@@ -1,6 +1,5 @@
 """Integration tests for SPMD profiling (the Listing 1 path)."""
 
-import numpy as np
 import pytest
 
 from repro.bgq.machine import BgqMachine

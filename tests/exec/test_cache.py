@@ -18,7 +18,7 @@ from repro.exec.fingerprint import source_fingerprint
 from repro.exec.spec import ExperimentSpec
 
 PAYLOAD = {"rows": [["a", "b", "c"]], "exp_id": "x", "title": "t",
-           "bench": "none", "notes": ""}
+           "notes": ""}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Tests for the CLI entry point and the EXPERIMENTS.md generator."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.__main__ import main as cli_main
 from repro.exec.engine import Engine
-from repro.exec.registry import specs_for
-from repro.experiments import ALL_EXPERIMENTS
+from repro.exec.registry import EXPERIMENT_IDS, specs_for
+
+EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 @pytest.fixture(scope="module")
@@ -17,11 +21,23 @@ class TestCli:
     def test_list_prints_all_experiments(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out.split()
-        assert set(out) == set(ALL_EXPERIMENTS)
+        assert out == list(EXPERIMENT_IDS)
 
     def test_single_experiment_runs(self, capsys):
         assert cli_main(["table2"]) == 0
         assert "RAPL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("exp_id, heading", [
+        ("table2", "## Table II — "), ("fig6", "## Figure 6 — ")],
+        ids=["table2", "fig6"])
+    def test_experiment_prints_its_experiments_md_block(
+            self, capsys, exp_id, heading):
+        sections = re.split(r"(?m)^(?=## )", EXPERIMENTS_MD.read_text())
+        block = next(s for s in sections if s.startswith(heading))
+        assert cli_main([exp_id]) == 0
+        out = capsys.readouterr().out
+        assert block in out
+        assert out.index(block) > 0, "the data view comes first"
 
     def test_unknown_experiment_errors(self, capsys):
         assert cli_main(["fig99"]) == 2
@@ -45,18 +61,10 @@ class TestReportBlocks:
             for quantity, paper, measured in block.rows:
                 assert quantity and paper and measured
 
-    def test_bench_paths_exist(self, blocks):
-        import pathlib
-
-        for block in blocks.values():
-            assert pathlib.Path(block.bench).exists(), block.bench
-
 
 class TestExperimentsMdUpToDate:
     def test_committed_file_has_all_sections(self):
-        import pathlib
-
-        text = pathlib.Path("EXPERIMENTS.md").read_text()
+        text = EXPERIMENTS_MD.read_text()
         for section in ("Table I", "Table II", "Table III",
                         "Figure 1", "Figure 7", "Figure 8",
                         "Per-query collection overheads", "RAPL counter overflow"):

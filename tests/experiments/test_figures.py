@@ -52,6 +52,25 @@ class TestFig2:
         assert result.samples > 400
 
 
+class TestFig2AtDefaultDuration:
+    """The shape of the 1500 s run that EXPERIMENTS.md reports."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        from repro.experiments import fig2
+
+        return fig2.run()
+
+    def test_seven_domains_chip_core_largest(self, result):
+        assert len(result.domains) == 7
+        chip = result.domains["chip_core"].mean()
+        assert all(chip >= result.domains[d].mean() for d in result.domains.names)
+
+    def test_total_matches_bpm_output_without_idle_shelf(self, result):
+        assert result.agreement_with_bpm.relative_difference < 0.05
+        assert not result.idle_samples_present
+
+
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self):
@@ -148,6 +167,9 @@ class TestFig8:
 
     def test_compute_plateau_near_25kw(self, result):
         assert 22_000.0 < result.compute_mean_w < 27_000.0
+
+    def test_default_run_sums_128_cards(self):
+        assert fig8.run().cards == 128
 
     def test_jump_at_100s(self, result):
         before = result.series.between(90.0, 98.0).mean()

@@ -24,6 +24,12 @@ class TestTable2:
         assert len(result.rows) == 4
         assert result.rows[0][0] == "Package (PKG)"
 
+    def test_domain_names_in_paper_order(self):
+        assert [row[0] for row in table2.run().rows] == [
+            "Package (PKG)", "Power Plane 0 (PP0)", "Power Plane 1 (PP1)",
+            "DRAM",
+        ]
+
     def test_all_counters_live(self):
         assert all(table2.run().live_counters.values())
 
@@ -61,6 +67,10 @@ class TestTable3:
     def test_total_under_half_percent(self, result):
         for report in result.reports.values():
             assert report.percent_of_runtime < 0.5  # paper: ~0.4 %
+
+    def test_total_overhead_at_1k_near_paper(self, result):
+        assert result.reports[1024].percent_of_runtime == pytest.approx(
+            0.36, abs=0.15)
 
     def test_totals_match_paper_ordering(self, result):
         totals = result.row("Total Time for MonEQ")

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigError, DeviceNotFoundError
 from repro.host.cluster import Cluster
 from repro.host.node import Node, total_device_count
-from repro.host.permissions import ROOT
 from repro.host.process import ProcessError, ProcessTable
 from repro.sim.rng import RngRegistry
 

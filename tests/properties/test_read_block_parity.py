@@ -29,7 +29,7 @@ from repro.core.moneq.backends import (
     RaplPerfBackend,
     RaplPowercapBackend,
 )
-from repro.rapl.package import SANDY_BRIDGE, CpuModel, CpuPackage
+from repro.rapl.package import CpuModel
 from repro.rapl.perf_event import PerfEventRapl
 from repro.rapl.powercap import install_powercap_driver
 from repro.sim.clock import VirtualClock

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FileNotFoundVfsError, KernelTooOldError
+from repro.errors import KernelTooOldError
 from repro.host.kernel import Kernel
 from repro.host.node import Node
 from repro.host.permissions import USER

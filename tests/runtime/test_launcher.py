@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, DeadlockError, RankError, RuntimeSimError
 from repro.runtime.interconnect import BGQ_TORUS, CLUSTER_FDR_IB, Interconnect
-from repro.runtime.launcher import Launcher, RankContext
+from repro.runtime.launcher import Launcher
 from repro.runtime.ops import (
     ANY_SOURCE,
     Allreduce,

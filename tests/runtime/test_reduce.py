@@ -1,7 +1,5 @@
 """Unit tests for the root-only Reduce collective."""
 
-import pytest
-
 from repro.runtime.launcher import Launcher
 from repro.runtime.ops import Reduce
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RankError, RuntimeSimError
+from repro.errors import RuntimeSimError
 from repro.runtime.launcher import Launcher
 from repro.runtime.ops import Gather, Scatter
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import EventQueue
 
 
 def test_events_fire_in_time_order(queue):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.events import EventQueue
 from repro.sim.timers import PeriodicTimer
 
 

@@ -1,4 +1,4 @@
-"""Tier-1 contract tests of the versioned ``repro.api`` v6 surface.
+"""Tier-1 contract tests of the versioned ``repro.api`` v7 surface.
 
 The contract cuts both ways: every supported name resolves from its
 namespace, and no legacy v1 flat name resolves from ``repro.api``
@@ -9,6 +9,7 @@ import importlib
 import pathlib
 import shutil
 import subprocess
+import sys
 import types
 
 import pytest
@@ -23,9 +24,29 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_6():
-    assert api.API_VERSION == "6"
+def test_api_version_is_7():
+    assert api.API_VERSION == "7"
     assert api.__version__.count(".") == 2
+
+
+@pytest.mark.tier1
+def test_import_loads_no_experiment_module_and_no_networkx():
+    """The experiment registry resolves ids on lookup, so importing the
+    surface in a fresh interpreter loads no ``repro.experiments.<id>``
+    module, and nothing in the package pulls in networkx."""
+    from repro.exec.registry import EXPERIMENT_IDS
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.api; print('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, cwd=REPO_ROOT,
+        env={"PYTHONPATH": f"{REPO_ROOT}/src", "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "networkx" not in loaded
+    experiments = {f"repro.experiments.{exp_id}" for exp_id in EXPERIMENT_IDS}
+    assert not loaded & experiments, sorted(loaded & experiments)
 
 
 @pytest.mark.tier1

@@ -5,9 +5,6 @@ it — the quickest way to audit the reproduction's coverage.  Each test
 cites the section it checks.
 """
 
-import numpy as np
-import pytest
-
 from repro.core import moneq
 from repro.testbeds import multi_device_node, phi_node, rapl_node
 
@@ -58,6 +55,7 @@ class TestSectionIIB:
         """§II-B: 'This is the fastest access time that we have seen for
         all of the hardware discussed in this paper.'"""
         from repro.bgq.emon import EMON_QUERY_LATENCY_S
+        from repro.core.moneq.backends import NVML_QUERY_LATENCY_S
         from repro.rapl.package import CpuPackage
         from repro.xeonphi.micras import MICRAS_READ_LATENCY_S
         from repro.xeonphi.sysmgmt import SYSMGMT_QUERY_LATENCY_S
@@ -66,7 +64,7 @@ class TestSectionIIB:
         assert msr < MICRAS_READ_LATENCY_S
         assert msr < EMON_QUERY_LATENCY_S
         assert msr < SYSMGMT_QUERY_LATENCY_S
-        assert msr < 1.3e-3  # NVML
+        assert msr < NVML_QUERY_LATENCY_S
 
 
 class TestSectionIIC:
