@@ -10,13 +10,22 @@ One BPM in this model feeds one node board — the granularity at which
 Figure 1 and Figure 2 are compared ("the power consumption of the node
 card matches that of the data collected at the BPM in terms of total
 power consumption").
+
+A metering scan is one block over many BPMs: :class:`BpmBlock` draws
+every module's meter noise in one seed-array hash per direction and
+evaluates board power once per distinct board schedule
+(:func:`~repro.bgq.topology.total_power_block`).  The environmental
+database meters a whole sweep this way; :meth:`BulkPowerModule.metered`
+is the one-element view of the same block.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.bgq.topology import NodeBoard
+from repro.bgq.topology import NodeBoard, total_power_block
 from repro.errors import ConfigError
 from repro.sim.hashrand import hash_normal
 
@@ -24,6 +33,8 @@ from repro.sim.hashrand import hash_normal
 AC_INPUT_VOLTAGE = 208.0
 #: DC distribution voltage.
 DC_OUTPUT_VOLTAGE = 48.0
+#: Seed offset of the output meter's noise draws.
+_OUTPUT_NOISE_SALT = np.uint64(0xBEEF)
 
 
 class BulkPowerModule:
@@ -57,14 +68,34 @@ class BulkPowerModule:
     def metered(self, t: float) -> dict[str, float]:
         """One metering scan: input/output power (W) and current (A).
 
-        Meter noise is deterministic per scan instant.
+        Meter noise is deterministic per scan instant.  This is the
+        one-element view of :meth:`BpmBlock.metered`, the envdb sweep's
+        meter.
         """
+        return {name: float(column[0])
+                for name, column in BpmBlock([self]).metered(t).items()}
+
+
+class BpmBlock:
+    """BPMs metered together, their parameters held as arrays."""
+
+    def __init__(self, bpms: Sequence[BulkPowerModule]):
+        self.boards = [bpm.node_board for bpm in bpms]
+        self.seeds = np.array([bpm.seed & 0xFFFFFFFFFFFFFFFF for bpm in bpms],
+                              dtype=np.uint64)
+        self.efficiency = np.array([bpm.efficiency for bpm in bpms])
+        self.meter_noise_w = np.array([bpm.meter_noise_w for bpm in bpms])
+
+    def metered(self, t: float) -> dict[str, np.ndarray]:
+        """One metering scan of every BPM at ``t``: input/output power (W)
+        and current (A), one element per BPM in construction order."""
         idx = int(round(t * 1000.0))
-        noise_in = float(hash_normal(self.seed, idx)) * self.meter_noise_w
-        noise_out = float(hash_normal(self.seed ^ 0xBEEF, idx)) * self.meter_noise_w
+        noise_in = hash_normal(self.seeds, idx) * self.meter_noise_w
+        noise_out = hash_normal(self.seeds ^ _OUTPUT_NOISE_SALT, idx) \
+            * self.meter_noise_w
         # One board evaluation for both directions: the same arithmetic
         # as input_power_w/output_power_w, bit for bit.
-        out = float(self.output_power_w(t))
+        out = total_power_block(self.boards, t)
         input_w = (out / self.efficiency + 12.0) + noise_in
         output_w = out + noise_out
         return {

@@ -18,13 +18,21 @@ same query results — while ``shards=16`` sustains a full-Mira sweep at
 the 60 s minimum interval.  Queries return :class:`EnvRecord` rows (the
 legacy shape) adapted from the store's normalized
 :class:`~repro.store.Reading` records.
+
+A sweep meters every registered BPM as one
+:class:`~repro.bgq.bpm.BpmBlock`: meter noise and coolant jitter are
+seed-array hashes over the BPMs, board power is evaluated once per
+distinct board schedule, and the four tables' rows are cut from the
+block's columns — bit-identical to metering each BPM on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgq.bpm import BulkPowerModule
+import numpy as np
+
+from repro.bgq.bpm import BpmBlock, BulkPowerModule
 from repro.errors import ConfigError
 from repro.obs.instruments import ENVDB_POLLS, ENVDB_QUERY_ROWS, ENVDB_RECORDS, collector
 from repro.sim.events import EventQueue
@@ -33,6 +41,8 @@ from repro.store import Aggregate, Reading, ShardedStore, WriteBatcher
 
 _OBS = collector("envdb")
 _RECORD_COUNTERS = {}
+#: Seed offset of the per-BPM coolant jitter draws.
+_COOLANT_JITTER_SALT = np.uint64(0xC0FFEE)
 
 #: Allowed polling-interval range (s).
 MIN_POLL_INTERVAL_S = 60.0
@@ -46,6 +56,13 @@ DEFAULT_POLL_INTERVAL_S = 240.0
 #: the paper's capacity rationale.  With sharding this is a *per-shard*
 #: ceiling; one shard reproduces the paper's single server.
 SERVER_CAPACITY_RECORDS_PER_S = 60.0
+
+
+def _rows(columns: dict[str, np.ndarray]) -> list[dict[str, float]]:
+    """Equal-length value columns as one ``{name: float}`` row per element."""
+    names = tuple(columns)
+    return [dict(zip(names, values))
+            for values in zip(*(column.tolist() for column in columns.values()))]
 
 
 @dataclass(frozen=True)
@@ -170,27 +187,26 @@ class EnvironmentalDatabase:
             if child is None:
                 child = _RECORD_COUNTERS[table] = ENVDB_RECORDS.labels(table)
             child.inc(len(self._bpms))
-        for bpm in self._bpms:
-            metered = bpm.metered(t)
-            self._batcher.add("bpm", Reading(t, bpm.location, "envdb", metered))
-            # Ambient rows derived from the board's electrical state.
-            out_w = metered["output_power_w"]
-            idx = int(round(t))
-            jitter = float(hash_normal(bpm.seed ^ 0xC0FFEE, idx))
-            self._batcher.add("coolant", Reading(
-                t, bpm.node_board.location, "envdb",
-                {"flow_lpm": 18.0 + 0.2 * jitter,
-                 "pressure_kpa": 310.0 + 1.5 * jitter,
-                 "inlet_c": 16.5 + 0.1 * jitter,
-                 "outlet_c": 16.5 + out_w / 900.0},
-            ))
-            self._batcher.add("temperature", Reading(
-                t, bpm.node_board.location, "envdb",
-                {"board_c": 24.0 + out_w / 250.0},
-            ))
-            self._batcher.add("fan", Reading(
-                t, bpm.location, "envdb", {"speed_rpm": 3600.0 + out_w / 4.0},
-            ))
+        block = BpmBlock(self._bpms)
+        metered = block.metered(t)
+        # Ambient rows derived from the board's electrical state.
+        out_w = metered["output_power_w"]
+        jitter = hash_normal(block.seeds ^ _COOLANT_JITTER_SALT, int(round(t)))
+        coolant = {"flow_lpm": 18.0 + 0.2 * jitter,
+                   "pressure_kpa": 310.0 + 1.5 * jitter,
+                   "inlet_c": 16.5 + 0.1 * jitter,
+                   "outlet_c": 16.5 + out_w / 900.0}
+        temperature = {"board_c": 24.0 + out_w / 250.0}
+        fan = {"speed_rpm": 3600.0 + out_w / 4.0}
+        add = self._batcher.add
+        for bpm, bpm_row, coolant_row, temperature_row, fan_row in zip(
+                self._bpms, _rows(metered), _rows(coolant),
+                _rows(temperature), _rows(fan)):
+            board = bpm.node_board.location
+            add("bpm", Reading(t, bpm.location, "envdb", bpm_row))
+            add("coolant", Reading(t, board, "envdb", coolant_row))
+            add("temperature", Reading(t, board, "envdb", temperature_row))
+            add("fan", Reading(t, bpm.location, "envdb", fan_row))
         if len(self._batcher):
             self._batcher.flush(self.poll_interval_s)
         self.queue.schedule_in(self.poll_interval_s, self._sweep)

@@ -15,6 +15,9 @@ Location strings follow the IBM convention: ``R07-M1-N03-J12`` is rack
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable, Sequence
+
+import numpy as np
 
 from repro.bgq.domains import BGQ_DOMAINS, BgqDomain, domain_spec
 from repro.devices.load import LoadBoard
@@ -100,6 +103,35 @@ class NodeBoard:
         for spec in BGQ_DOMAINS[1:]:
             total = total + self.domain_power(spec.domain, t)
         return total
+
+    def schedule_key(self) -> Hashable:
+        """A key two boards share only if they draw equal power at
+        every instant.
+
+        Every board shares the :data:`BGQ_DOMAINS` table, so its power
+        depends only on its load board's schedule: the ordered
+        ``(workload, t_start)`` placements.  A board with a parasitic
+        signal gets a key of its own.
+        """
+        if self.board.parasitic:
+            return ("parasitic", id(self))
+        return tuple((id(placed.workload), placed.t_start)
+                     for placed in self.board.scheduled)
+
+
+def total_power_block(boards: Sequence[NodeBoard], t: float) -> np.ndarray:
+    """``total_power(t)`` of each board, evaluated once per distinct
+    :meth:`~NodeBoard.schedule_key` — all idle boards share one
+    evaluation, as do the boards of one job partition."""
+    shared: dict[Hashable, float] = {}
+    out = np.empty(len(boards))
+    for i, board in enumerate(boards):
+        key = board.schedule_key()
+        power = shared.get(key)
+        if power is None:
+            power = shared[key] = float(board.total_power(t))
+        out[i] = power
+    return out
 
 
 @dataclass

@@ -30,6 +30,10 @@ class LoadBoard:
     def scheduled(self) -> list[ScheduledWorkload]:
         return list(self._scheduled)
 
+    @property
+    def parasitic(self) -> list[tuple[str, Signal]]:
+        return list(self._parasitic)
+
     def schedule(self, workload: Workload, t_start: float = 0.0) -> ScheduledWorkload:
         """Place a workload on the device starting at ``t_start``."""
         placed = workload.shifted(t_start)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_U64 = np.uint64
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK_INT = 0xFFFFFFFFFFFFFFFF
+_MASK = np.uint64(_MASK_INT)
 # SplitMix64 constants (Steele, Lea, Flood 2014).
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -34,27 +34,44 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def hash_u64(seed: int, index: np.ndarray | int) -> np.ndarray:
-    """Deterministic 64-bit hash of (seed, index); vectorized over index."""
+def hash_u64(seed: int | np.ndarray,
+             index: int | np.ndarray) -> np.ndarray:
+    """Deterministic 64-bit hash of (seed, index).
+
+    ``seed`` and ``index`` are integers or integer arrays that broadcast
+    against each other, so one call hashes a whole block of sensors (an
+    array of seeds) at one sample index.  Both wrap mod 2**64: a Python
+    int hashes exactly as the same value in a one-element array.
+    """
+    if isinstance(index, int):
+        index &= _MASK_INT
     idx = np.asarray(index, dtype=np.uint64)
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    if isinstance(seed, int):
+        s = np.uint64(seed & _MASK_INT)
+    else:
+        s = np.asarray(seed).astype(np.uint64, copy=False)
     # Two rounds: fold the seed in, then finalize the combination.
     return _splitmix64(_splitmix64(idx) ^ s)
 
 
-def hash_uniform(seed: int, index: np.ndarray | int) -> np.ndarray:
-    """Uniform floats in [0, 1) from (seed, index).  Shape follows index."""
+def hash_uniform(seed: int | np.ndarray,
+                 index: int | np.ndarray) -> np.ndarray:
+    """Uniform floats in [0, 1) from (seed, index).  Shape is the
+    broadcast of seed and index."""
     bits = hash_u64(seed, index)
     # Use the top 53 bits for a full-precision double in [0, 1).
     with np.errstate(over="ignore"):
         return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def hash_normal(seed: int, index: np.ndarray | int) -> np.ndarray:
+def hash_normal(seed: int | np.ndarray,
+                index: int | np.ndarray) -> np.ndarray:
     """Standard-normal deviates from (seed, index) via Box-Muller.
 
     Each index yields one deviate; the pair partner comes from a
-    seed-offset second hash so indices stay 1:1 with samples.
+    seed-offset second hash so indices stay 1:1 with samples.  Like
+    :func:`hash_u64`, ``seed`` may be an array that broadcasts against
+    ``index``.
     """
     u1 = hash_uniform(seed, index)
     u2 = hash_uniform(seed ^ 0x5DEECE66D, index)

@@ -64,3 +64,37 @@ def test_choice_mask_validates_probability():
 
     with pytest.raises(ValueError):
         hash_choice_mask(1, 0, 1.5)
+
+
+@given(SEEDS, st.sampled_from([-(2**63), -5, -1, 0, 1, 2**63 - 1, 2**63,
+                               2**64 - 1, 2**64 + 3]))
+@settings(max_examples=50)
+def test_scalar_index_hashes_like_a_one_element_array(seed, index):
+    """Scalar and array indices both wrap mod 2**64."""
+    as_array = np.array([index % 2**64], dtype=np.uint64)
+    for fn in (hash_u64, hash_uniform, hash_normal):
+        assert fn(seed, index) == fn(seed, as_array)[0]
+    if index < 0:
+        signed = np.array([index], dtype=np.int64)
+        assert hash_normal(seed, index) == hash_normal(seed, signed)[0]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                max_size=16),
+       st.integers(min_value=-(2**40), max_value=2**40))
+@settings(max_examples=50)
+def test_seed_array_broadcasts_like_per_seed_calls(seeds, index):
+    seed_array = np.array(seeds, dtype=np.uint64)
+    for fn in (hash_u64, hash_uniform, hash_normal):
+        block = fn(seed_array, index)
+        assert block.shape == (len(seeds),)
+        assert block.tolist() == [fn(seed, index).item() for seed in seeds]
+
+
+def test_seed_array_broadcasts_against_index_array():
+    seeds = np.array([3, 77, 2**63 + 9], dtype=np.uint64)
+    idx = np.arange(-2, 5)
+    block = hash_normal(seeds[:, None], idx[None, :])
+    assert block.shape == (3, 7)
+    for row, seed in zip(block, [3, 77, 2**63 + 9]):
+        np.testing.assert_array_equal(row, hash_normal(seed, idx))
