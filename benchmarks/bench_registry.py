@@ -2,8 +2,8 @@
 
 One test per row of :data:`repro.perfbench.BENCHES`, held to the row's
 own full-profile floors — the block engine >= 10x over one-tick blocks,
-a full MonEQ session > 1.5x, the heap scheduler >= 5x over the linear
-scan on a 4096-rank fan-in, the engine's warm cache >= 10x over cold
+a full MonEQ session > 1.5x, the 4096-rank fan-in scaling at >= 0.5 of
+linear from 512 ranks, the engine's warm cache >= 10x over cold
 serial, the fleet sweep >= 2x realtime, and the rest — so no floor is
 restated here.  ``python -m repro bench`` runs the same measurements
 outside pytest and records them in ``BENCH_trajectory.json``.

@@ -4,7 +4,7 @@ Unlike the figure benches (which regenerate paper artifacts), these
 measure the *wall-clock* cost of the substrate — the launcher's
 messaging loop, dense sensor sampling, and a full MonEQ session — so
 regressions in the hot paths show up in `--benchmark-compare` runs.
-The scheduler's fan-in speedup floor is a row of the bench registry
+The scheduler's fan-in scaling floor is a row of the bench registry
 (`bench_registry.py`).
 """
 

@@ -33,7 +33,7 @@ Compatibility policy
   supported name changes incompatibly.
 
 See ``docs/api.md`` for the name-by-name reference, the table of
-removed v1 flat names and what changed in v4, v5, v6 and v7.
+removed v1 flat names and what changed in v4 through v8.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.api import (
 )
 
 #: Version of the supported surface (not the package release).
-API_VERSION = "7"
+API_VERSION = "8"
 
 #: The nine namespaced sub-surfaces.
 NAMESPACES = {

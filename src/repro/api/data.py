@@ -1,14 +1,14 @@
 """``repro.api.data`` — the environmental data plane.
 
 The sharded store and its query types (plans, readings, aggregates,
-tail batches), the BG/Q environmental database, the write batcher,
-and the analysis-side series constructors.
+tail batches), the BG/Q environmental database, and the
+analysis-side series constructors.
 """
 
 from __future__ import annotations
 
 from repro.analysis.compare import series_from_readings, store_series
-from repro.bgq.envdb import EnvironmentalDatabase, EnvRecord
+from repro.bgq.envdb import EnvironmentalDatabase
 from repro.store import (
     Aggregate,
     FlushReport,
@@ -17,12 +17,10 @@ from repro.store import (
     ShardedStore,
     ShardMap,
     TailBatch,
-    WriteBatcher,
 )
 
 __all__ = [
     "Aggregate",
-    "EnvRecord",
     "EnvironmentalDatabase",
     "FlushReport",
     "QueryPlan",
@@ -30,7 +28,6 @@ __all__ = [
     "ShardMap",
     "ShardedStore",
     "TailBatch",
-    "WriteBatcher",
     "series_from_readings",
     "store_series",
 ]

@@ -24,7 +24,7 @@ from repro.bgq.topology import (
 )
 from repro.bgq.bpm import BulkPowerModule
 from repro.bgq.emon import EMON_QUERY_LATENCY_S, EmonInterface, EmonReading
-from repro.bgq.envdb import EnvironmentalDatabase, EnvRecord
+from repro.bgq.envdb import EnvironmentalDatabase
 from repro.bgq.machine import BgqMachine, MIRA_RACKS
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "EmonReading",
     "EMON_QUERY_LATENCY_S",
     "EnvironmentalDatabase",
-    "EnvRecord",
     "BgqMachine",
     "MIRA_RACKS",
 ]

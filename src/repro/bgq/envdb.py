@@ -12,11 +12,11 @@ capacity."  (paper §II-A)
 
 Storage routes through :class:`repro.store.ShardedStore`: records shard
 by rack prefix, each shard carries the paper's single-server ingest
-ceiling, and sweeps are written as one batch.  The default
+ceiling, and each sweep is written as one
+:meth:`~repro.store.ShardedStore.ingest_batch`.  The default
 ``shards=1`` *is* the paper's DB2 server — same capacity arithmetic,
 same query results — while ``shards=16`` sustains a full-Mira sweep at
-the 60 s minimum interval.  Queries return :class:`EnvRecord` rows (the
-legacy shape) adapted from the store's normalized
+the 60 s minimum interval.  Queries return the store's normalized
 :class:`~repro.store.Reading` records.
 
 A sweep meters every registered BPM as one
@@ -28,8 +28,6 @@ block's columns — bit-identical to metering each BPM on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.bgq.bpm import BpmBlock, BulkPowerModule
@@ -37,7 +35,7 @@ from repro.errors import ConfigError
 from repro.obs.instruments import ENVDB_POLLS, ENVDB_QUERY_ROWS, ENVDB_RECORDS, collector
 from repro.sim.events import EventQueue
 from repro.sim.hashrand import hash_normal
-from repro.store import Aggregate, Reading, ShardedStore, WriteBatcher
+from repro.store import Aggregate, Reading, ShardedStore
 
 _OBS = collector("envdb")
 _RECORD_COUNTERS = {}
@@ -63,27 +61,6 @@ def _rows(columns: dict[str, np.ndarray]) -> list[dict[str, float]]:
     names = tuple(columns)
     return [dict(zip(names, values))
             for values in zip(*(column.tolist() for column in columns.values()))]
-
-
-@dataclass(frozen=True)
-class EnvRecord:
-    """One row: timestamp, location, measurement name -> value.
-
-    Legacy adapter over :class:`repro.store.Reading` — the shape the
-    seed envdb exposed and the bgq tests still consume.
-    """
-
-    timestamp: float
-    location: str
-    values: dict[str, float]
-
-    @classmethod
-    def from_reading(cls, reading: Reading) -> "EnvRecord":
-        return cls(reading.timestamp, reading.location, dict(reading.values))
-
-    def to_reading(self) -> Reading:
-        return Reading(self.timestamp, self.location, "envdb",
-                       dict(self.values))
 
 
 class EnvironmentalDatabase:
@@ -116,7 +93,6 @@ class EnvironmentalDatabase:
             self.TABLES, n_shards=shards,
             capacity_records_per_s=SERVER_CAPACITY_RECORDS_PER_S,
         )
-        self._batcher = WriteBatcher(self.store)
         self._bpms: list[BulkPowerModule] = []
         self._polls = 0
         self._started = False
@@ -198,17 +174,18 @@ class EnvironmentalDatabase:
                    "outlet_c": 16.5 + out_w / 900.0}
         temperature = {"board_c": 24.0 + out_w / 250.0}
         fan = {"speed_rpm": 3600.0 + out_w / 4.0}
-        add = self._batcher.add
+        items: list[tuple[str, Reading]] = []
+        add = items.append
         for bpm, bpm_row, coolant_row, temperature_row, fan_row in zip(
                 self._bpms, _rows(metered), _rows(coolant),
                 _rows(temperature), _rows(fan)):
             board = bpm.node_board.location
-            add("bpm", Reading(t, bpm.location, "envdb", bpm_row))
-            add("coolant", Reading(t, board, "envdb", coolant_row))
-            add("temperature", Reading(t, board, "envdb", temperature_row))
-            add("fan", Reading(t, bpm.location, "envdb", fan_row))
-        if len(self._batcher):
-            self._batcher.flush(self.poll_interval_s)
+            add(("bpm", Reading(t, bpm.location, "envdb", bpm_row)))
+            add(("coolant", Reading(t, board, "envdb", coolant_row)))
+            add(("temperature", Reading(t, board, "envdb", temperature_row)))
+            add(("fan", Reading(t, bpm.location, "envdb", fan_row)))
+        if items:
+            self.store.ingest_batch(items, self.poll_interval_s)
         self.queue.schedule_in(self.poll_interval_s, self._sweep)
 
     @property
@@ -216,12 +193,6 @@ class EnvironmentalDatabase:
         return self._polls
 
     # -- queries ----------------------------------------------------------------
-
-    def query(self, table: str, t0: float, t1: float,
-              location_prefix: str = "") -> list[EnvRecord]:
-        """Range + location-prefix query over one table (legacy rows)."""
-        return [EnvRecord.from_reading(r)
-                for r in self.range_readings(table, t0, t1, location_prefix)]
 
     def range_readings(self, table: str, t0: float, t1: float,
                        location_prefix: str = "") -> list[Reading]:
@@ -242,6 +213,6 @@ class EnvironmentalDatabase:
     def bpm_input_power_series(self, location_prefix: str, t0: float,
                                t1: float) -> tuple[list[float], list[float]]:
         """(times, input watts) for Figure 1-style plots."""
-        records = self.query("bpm", t0, t1, location_prefix)
+        records = self.range_readings("bpm", t0, t1, location_prefix)
         return ([r.timestamp for r in records],
                 [r.values["input_power_w"] for r in records])

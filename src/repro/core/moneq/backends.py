@@ -42,7 +42,7 @@ from repro.mech.channel import MILLI_UNITS, AccessChannel
 from repro.mech.freshness import FreshnessModel
 from repro.mech.mechanism import Mechanism
 from repro.mech.registry import MechanismSpec, register
-from repro.nvml.device import GpuDevice
+from repro.nvml.device import NVML_POWER_UPDATE_S, GpuDevice
 from repro.nvml.source import NVML_FIELDS, NvmlSource
 from repro.rapl.domains import RaplDomain
 from repro.rapl.package import CpuPackage
@@ -157,7 +157,7 @@ NVML_SPEC = register(MechanismSpec(
         description="NVML library call covering board power + die temp",
     ),
     freshness=FreshnessModel.refresh(
-        0.060, note="board power register refreshes every ~60 ms",
+        NVML_POWER_UPDATE_S, note="board power register refreshes every ~60 ms",
     ),
     capability=NVML_DECL,
     fields=NVML_FIELDS,

@@ -18,7 +18,7 @@ from repro.errors import ConfigError
 from repro.host.node import Node
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import RngRegistry
-from repro.store import FlushReport, Reading, ShardedStore, WriteBatcher
+from repro.store import FlushReport, Reading, ShardedStore
 
 
 class Cluster:
@@ -103,11 +103,14 @@ class Cluster:
 
     def record_readings(self, table: str, readings: list[Reading],
                         interval_s: float) -> FlushReport:
-        """Batch one collection sweep's readings into the store."""
-        batcher = WriteBatcher(self.store)
-        for reading in readings:
-            batcher.add(table, reading)
-        return batcher.flush(interval_s)
+        """Ingest one collection sweep's readings as one batch; an empty
+        sweep is an error (a collector that swept nothing is a bug)."""
+        if not readings:
+            raise ConfigError(
+                f"cluster {self.name!r}: empty write batch for table {table!r}"
+            )
+        return self.store.ingest_batch(
+            [(table, reading) for reading in readings], interval_s)
 
     def devices(self, kind: str) -> list[object]:
         """All devices of a kind across the cluster, node order."""

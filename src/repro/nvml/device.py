@@ -20,6 +20,10 @@ from repro.sim.rng import RngRegistry
 from repro.sim.sensor import SampledSensor
 from repro.workloads.base import Component
 
+#: NVML's documented board-power refresh period: the power register
+#: updates every ~60 ms, so faster polling re-reads the same value.
+NVML_POWER_UPDATE_S = 0.060
+
 
 @dataclass(frozen=True)
 class GpuModel:
@@ -38,7 +42,7 @@ class GpuModel:
     supports_power_readings: bool
     #: NVML-documented power accuracy (+/- W) and refresh period.
     power_accuracy_w: float = 5.0
-    power_update_s: float = 0.060
+    power_update_s: float = NVML_POWER_UPDATE_S
     base_clock_mhz: int = 706
     mem_clock_mhz: int = 2600
     ambient_c: float = 28.0

@@ -15,21 +15,13 @@ Semantics:
 * if every unfinished rank is blocked, :class:`DeadlockError` names the
   blocked ranks, their local times, and what they wait on.
 
-Two schedulers produce that identical order.  The ``"heap"`` scheduler
-keeps runnable ranks in a (time, rank) heap — a rank leaves the heap
+Runnable ranks live in a (time, rank) heap: a rank leaves the heap
 when it blocks and is pushed back by the send or collective completion
 that unblocks it, so each scheduling decision is O(log n) instead of an
 O(n) rescan.  ANY_SOURCE receives use a per-(dest, tag) heap over the
 *heads* of the per-source message queues (heads only: within one queue
 arrivals are not sorted, because transfer time depends on message
-size).  The ``"linear"`` scheduler is the original full-scan reference,
-kept for equivalence tests and benchmarks.
-
-The default ``"auto"`` picks per run: below
-:data:`AUTO_HEAP_MIN_RANKS` ranks the linear scan's two-line inner loop
-beats the heap's push/pop bookkeeping (measured on the MMPS exchange,
-where lockstep time advance defeats the heap's run-ahead fast path),
-so small jobs take ``"linear"`` and large jobs take ``"heap"``.
+size).
 """
 
 from __future__ import annotations
@@ -63,14 +55,6 @@ from repro.runtime.ops import (
 
 #: Fixed software cost of posting/completing a receive.
 RECV_OVERHEAD_S = 0.3e-6
-
-#: ``scheduler="auto"`` crossover: jobs with at least this many ranks
-#: use the heap, smaller ones the linear scan.  Measured on the MMPS
-#: pairwise exchange (the heap's worst case — every rank advances in
-#: lockstep): linear wins up to ~16 ranks, the heap from ~32 on, and
-#: the gap to the heap's best case only widens with size (a 4096-rank
-#: ANY_SOURCE fan-in runs ~30x faster under the heap).
-AUTO_HEAP_MIN_RANKS = 32
 
 
 @dataclass(frozen=True)
@@ -135,40 +119,22 @@ class Launcher:
         Number of ranks.
     interconnect:
         Cost model; defaults to the BG/Q torus.
-    scheduler:
-        ``"auto"`` (default), ``"heap"``, or ``"linear"``; all produce
-        the same deterministic schedule (see the module docstring).
-        ``"auto"`` resolves by job size against
-        :data:`AUTO_HEAP_MIN_RANKS`; the choice is exposed as
-        ``effective_scheduler``.
     """
 
     def __init__(self, rank_fn: Callable[[RankContext], Any], size: int,
                  interconnect: Interconnect = BGQ_TORUS,
-                 record_busy: bool = False, scheduler: str = "auto"):
+                 record_busy: bool = False):
         if size <= 0:
             raise RuntimeSimError(f"size must be positive, got {size}")
-        if scheduler not in ("auto", "heap", "linear"):
-            raise RuntimeSimError(
-                f"scheduler must be 'auto', 'heap', or 'linear', "
-                f"got {scheduler!r}"
-            )
         self.rank_fn = rank_fn
         self.size = size
         self.net = interconnect
         self.record_busy = record_busy
-        self.scheduler = scheduler
-        if scheduler == "auto":
-            self.effective_scheduler = (
-                "heap" if size >= AUTO_HEAP_MIN_RANKS else "linear")
-        else:
-            self.effective_scheduler = scheduler
-        self._heap_mode = self.effective_scheduler == "heap"
         self._ranks: list[_RankState] = []
         #: (dest, source, tag) -> deque of (arrival_time, payload)
         self._mailboxes: dict[tuple[int, int, int], deque] = {}
         self._collective_gate: dict[Any, list[int]] = {}
-        #: Runnable ranks as a (time, rank) heap ("heap" scheduler).
+        #: Runnable ranks as a (time, rank) heap.
         self._runnable: list[tuple[float, int]] = []
         #: (dest, tag) -> heap of (head_arrival, source) over non-empty
         #: mailboxes, for O(log n) ANY_SOURCE matching.  Entries go
@@ -187,20 +153,16 @@ class Launcher:
         for rank in range(self.size):
             gen = self._as_generator(self.rank_fn, RankContext(rank, self.size))
             self._ranks.append(_RankState(generator=gen, rank=rank))
-        heap_mode = self._heap_mode
-        if heap_mode:
-            for state in self._ranks:
-                self._push_runnable(state)
+        for state in self._ranks:
+            self._push_runnable(state)
         runnable = self._runnable
         while True:
-            state = self._pop_runnable() if heap_mode else self._pick_runnable()
+            state = self._pop_runnable()
             if state is None:
                 if all(s.finished for s in self._ranks):
                     break
                 self._raise_deadlock()
             self._step(state)
-            if not heap_mode:
-                continue
             # Fast path: while this rank stays runnable, unqueued, and
             # strictly ahead of every queued rank, keep stepping it
             # without a push/pop round trip.  Every other runnable rank
@@ -244,18 +206,6 @@ class Launcher:
         state = self._ranks[rank]
         state.queued = False
         return state
-
-    def _pick_runnable(self) -> _RankState | None:
-        """The reference scan: smallest (time, rank) over runnable ranks."""
-        best = None
-        for state in self._ranks:
-            if state.finished or state.in_collective is not None:
-                continue
-            if state.blocked_on is not None and not self._match_exists(state):
-                continue
-            if best is None or state.time < best.time:
-                best = state
-        return best
 
     def _step(self, state: _RankState) -> None:
         rank = state.rank
@@ -317,15 +267,11 @@ class Launcher:
         queue.append((arrival, op.payload))
         state.sent += 1
         dest_state = self._ranks[op.dest]
-        if (self._heap_mode
-                and dest_state.blocked_on is not None
+        if (dest_state.blocked_on is not None
                 and dest_state.blocked_on.tag == op.tag
                 and dest_state.blocked_on.source in (rank, ANY_SOURCE)):
             # This send is the match the blocked receiver waits for.
             self._push_runnable(dest_state)
-
-    def _match_exists(self, state: _RankState) -> bool:
-        return self._match_exists_for(state.rank, state.blocked_on)
 
     def _match_exists_for(self, rank: int, op: Recv) -> bool:
         return self._find_mailbox(rank, op) is not None
@@ -401,14 +347,12 @@ class Launcher:
             self.size, nbytes
         )
         results = self._collective_results(key, gate, members)
-        heap_mode = self._heap_mode
         for state, result in zip(members, results):
             state.time = exit_time
             state.in_collective = None
             state.collective_payload = None
             state.send_next = result
-            if heap_mode:
-                self._push_runnable(state)
+            self._push_runnable(state)
         del self._collective_gate[key]
 
     def _collective_results(self, key: tuple, gate: list[int],

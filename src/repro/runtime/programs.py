@@ -38,8 +38,7 @@ class MmpsResult:
 
 def run_mmps(ranks: int = 2, messages_per_rank: int = 1000,
              message_bytes: int = 32,
-             interconnect: Interconnect = BGQ_TORUS,
-             scheduler: str = "auto") -> MmpsResult:
+             interconnect: Interconnect = BGQ_TORUS) -> MmpsResult:
     """The messaging-rate benchmark: every rank streams messages to its
     XOR-partner, then drains its inbox; the achieved per-rank rate is
     messages / elapsed."""
@@ -58,8 +57,7 @@ def run_mmps(ranks: int = 2, messages_per_rank: int = 1000,
         yield Barrier()
         return ctx.rank
 
-    results = Launcher(program, size=ranks, interconnect=interconnect,
-                       scheduler=scheduler).run()
+    results = Launcher(program, size=ranks, interconnect=interconnect).run()
     elapsed = max(r.finish_time for r in results)
     achieved = messages_per_rank / elapsed
     return MmpsResult(

@@ -11,7 +11,6 @@ repeated range queries O(windows) instead of O(records).
 * :mod:`repro.store.reading` — the shared :class:`Reading` record all
   vendor read paths normalize to;
 * :mod:`repro.store.shards` — deterministic location-prefix sharding;
-* :mod:`repro.store.batcher` — per-sweep write batching;
 * :mod:`repro.store.aggregate` — the per-shard min/mean/max window cache;
 * :mod:`repro.store.planner` — shard routing + cache-use planning;
 * :mod:`repro.store.engine` — :class:`ShardedStore` with the
@@ -34,7 +33,6 @@ from repro.store.aggregate import (
     merge_partials,
     window_index,
 )
-from repro.store.batcher import WriteBatcher
 from repro.store.engine import FlushReport, ShardedStore, TailBatch
 from repro.store.federation import FederatedQueryPlan, FederatedStore
 from repro.store.planner import QUERY_KINDS, QueryPlan, plan_query
@@ -53,7 +51,6 @@ __all__ = [
     "ShardMap",
     "ShardedStore",
     "TailBatch",
-    "WriteBatcher",
     "merge_partials",
     "plan_query",
     "shard_key",

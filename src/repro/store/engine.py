@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.obs.instruments import (
+    STORE_BATCH_RECORDS,
     STORE_BATCHES,
     STORE_DROPPED,
     STORE_QUERIES,
@@ -188,6 +189,7 @@ class ShardedStore:
         """Insert one record, bypassing capacity enforcement."""
         shard = self._shards[self.shard_map.shard_of(reading.location)]
         self._insert(shard, self._check_table(table), reading)
+        self._record_children[shard.index].inc()
 
     def ingest_batch(self, items: list[tuple[str, Reading]],
                      interval_s: float) -> FlushReport:
@@ -196,10 +198,14 @@ class ShardedStore:
         Each shard absorbs at most ``capacity_records_per_s *
         interval_s`` records per sweep; the overflow — the tail of that
         shard's batch, in offered order — is dropped and accounted to
-        the shard that saturated.
+        the shard that saturated.  The batch's size is one
+        ``repro_store_batch_records`` observation, and each shard's
+        accepted records one ``repro_store_records_total`` increment.
         """
         if interval_s <= 0.0:
             raise ConfigError(f"sweep interval must be positive, got {interval_s}")
+        for table in {table for table, _ in items}:
+            self._check_table(table)
         budget = None
         if self.capacity_records_per_s is not None:
             budget = int(math.floor(self.capacity_records_per_s * interval_s))
@@ -209,16 +215,18 @@ class ShardedStore:
         # at most its per-sweep budget and drops its overflow tail.
         offered_by_shard: dict[int, int] = {}
         dropped_by_shard: dict[int, int] = {}
-        accepted = 0
         for table, reading in items:
-            self._check_table(table)
             index = self.shard_map.shard_of(reading.location)
             offered_by_shard[index] = offered_by_shard.get(index, 0) + 1
             if budget is not None and offered_by_shard[index] > budget:
                 dropped_by_shard[index] = dropped_by_shard.get(index, 0) + 1
                 continue
             self._insert(self._shards[index], table, reading)
-            accepted += 1
+        accepted = len(items) - sum(dropped_by_shard.values())
+        for index, offered in offered_by_shard.items():
+            kept = offered - dropped_by_shard.get(index, 0)
+            if kept:
+                self._record_children[index].inc(kept)
         for index, dropped in dropped_by_shard.items():
             shard = self._shards[index]
             with shard.lock:
@@ -226,6 +234,7 @@ class ShardedStore:
             self._dropped_children[index].inc(dropped)
         self._batches_flushed += 1
         STORE_BATCHES.inc()
+        STORE_BATCH_RECORDS.observe(len(items))
         return FlushReport(
             interval_s=interval_s,
             offered=len(items),
@@ -242,7 +251,6 @@ class ShardedStore:
         with shard.lock:
             shard.tables[table].insert(reading, seq)
             shard.records_ingested += 1
-        self._record_children[shard.index].inc()
 
     # -- queries ---------------------------------------------------------------
 

@@ -7,13 +7,17 @@ its own tuple/dict shape into ``store`` and ``analysis`` consumers.  A
 *where* (the vendor location or device label), *which mechanism*
 produced it, and the field → value mapping the mechanism reported.
 
-The record is deliberately dumb: adapters at the edges (``EnvRecord``
-in :mod:`repro.bgq.envdb`) translate legacy shapes without the storage
-or analysis layers special-casing per-platform formats.
+The record is deliberately dumb — the environmental database's queries
+return it as is, and the storage and analysis layers never
+special-case per-platform formats — but it is checked where it is
+built: a record needs a location, a mechanism and a finite timestamp,
+so no ingest path can take one that would sort or window wrongly.
+Values may be NaN: a dark reading under fault injection is one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -36,7 +40,8 @@ class Reading:
         :data:`repro.obs.instruments.VENDOR_MECHANISMS`, or ``envdb``
         for environmental-database rows.
     values:
-        Field name → float value, in the mechanism's column order.
+        Field name → float value, in the mechanism's column order
+        (NaN allowed).
     """
 
     timestamp: float
@@ -49,6 +54,11 @@ class Reading:
             raise ConfigError("Reading needs a non-empty location")
         if not self.mechanism:
             raise ConfigError("Reading needs a non-empty mechanism")
+        if not math.isfinite(self.timestamp):
+            raise ConfigError(
+                f"reading at {self.location!r} has non-finite timestamp "
+                f"{self.timestamp}"
+            )
 
     def value(self, name: str) -> float:
         """One field's value; raises :class:`ConfigError` when absent."""

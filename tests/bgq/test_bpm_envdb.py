@@ -110,7 +110,7 @@ class TestEnvDbPollingAndQueries:
 
     def test_bpm_rows_timestamped_and_located(self, machine):
         machine.advance_to(1000.0)
-        rows = machine.envdb.query("bpm", 0.0, 1000.0, "R00-M0-N00")
+        rows = machine.envdb.range_readings("bpm", 0.0, 1000.0, "R00-M0-N00")
         assert len(rows) == 4
         assert all(r.location == "R00-M0-N00-BPM" for r in rows)
         assert [r.timestamp for r in rows] == [240.0, 480.0, 720.0, 960.0]
@@ -125,31 +125,31 @@ class TestEnvDbPollingAndQueries:
 
     def test_location_prefix_filters(self, machine):
         machine.advance_to(500.0)
-        all_rows = machine.envdb.query("bpm", 0.0, 500.0)
-        one_board = machine.envdb.query("bpm", 0.0, 500.0, "R00-M0-N00")
+        all_rows = machine.envdb.range_readings("bpm", 0.0, 500.0)
+        one_board = machine.envdb.range_readings("bpm", 0.0, 500.0, "R00-M0-N00")
         # One rack = 2 midplanes x 16 node boards = 32 BPMs.
         assert len(all_rows) == 32 * len(one_board)
 
     def test_ambient_tables_populated(self, machine):
         machine.advance_to(300.0)
         for table in ("coolant", "temperature", "fan"):
-            rows = machine.envdb.query(table, 0.0, 300.0)
+            rows = machine.envdb.range_readings(table, 0.0, 300.0)
             assert rows, f"no rows in {table}"
 
     def test_coolant_outlet_warms_with_load(self, machine):
         machine.advance_to(3000.0)
-        rows = machine.envdb.query("coolant", 0.0, 3000.0, "R00-M0-N00")
+        rows = machine.envdb.range_readings("coolant", 0.0, 3000.0, "R00-M0-N00")
         in_job = [r.values["outlet_c"] for r in rows if 700.0 < r.timestamp < 2000.0]
         idle = [r.values["outlet_c"] for r in rows if r.timestamp < 500.0]
         assert min(in_job) > max(idle)
 
     def test_unknown_table_rejected(self, machine):
         with pytest.raises(ConfigError):
-            machine.envdb.query("gpu", 0.0, 1.0)
+            machine.envdb.range_readings("gpu", 0.0, 1.0)
 
     def test_inverted_window_rejected(self, machine):
         with pytest.raises(ConfigError):
-            machine.envdb.query("bpm", 10.0, 0.0)
+            machine.envdb.range_readings("bpm", 10.0, 0.0)
 
 
 class TestCapacityModel:

@@ -78,7 +78,7 @@ def test_block_sweep_rows_equal_scalar_rows(seed, poll_interval_s, sweeps,
 
     stored = {}
     for table in machine.envdb.TABLES:
-        for row in machine.envdb.query(table, 0.0, t_end):
+        for row in machine.envdb.range_readings(table, 0.0, t_end):
             stored[(table, row.location, row.timestamp)] = _bits(row.values)
     expected = {}
     for k in range(1, sweeps + 1):

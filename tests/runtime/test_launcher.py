@@ -16,6 +16,8 @@ from repro.runtime.ops import (
     Send,
 )
 
+from tests.runtime.linear_oracle import LinearLauncher
+
 
 class TestInterconnect:
     def test_ptp_time_postal_model(self):
@@ -253,24 +255,20 @@ class TestMmpsStyleProgram:
 
 
 class TestHeapScheduler:
-    """The heap scheduler must reproduce the linear reference schedule
-    exactly — same values, same times, same message counts."""
+    """The heap scheduler must reproduce the linear-scan oracle's
+    schedule exactly — same values, same times, same message counts."""
 
     @staticmethod
     def _equivalent(program, size, interconnect=BGQ_TORUS):
-        a = Launcher(program, size=size, scheduler="linear",
-                     interconnect=interconnect, record_busy=True).run()
-        b = Launcher(program, size=size, scheduler="heap",
-                     interconnect=interconnect, record_busy=True).run()
+        a = LinearLauncher(program, size=size, interconnect=interconnect,
+                           record_busy=True).run()
+        b = Launcher(program, size=size, interconnect=interconnect,
+                     record_busy=True).run()
         assert [(r.value, r.finish_time, r.messages_sent, r.messages_received,
                  r.busy_spans) for r in a] == \
                [(r.value, r.finish_time, r.messages_sent, r.messages_received,
                  r.busy_spans) for r in b]
         return b
-
-    def test_scheduler_name_validated(self):
-        with pytest.raises(RuntimeSimError, match="scheduler"):
-            Launcher(lambda ctx: None, size=1, scheduler="quantum")
 
     def test_any_source_fan_in_equivalent(self):
         def program(ctx):
@@ -341,9 +339,9 @@ class TestHeapScheduler:
             yield Recv(source=(ctx.rank + 1) % ctx.size, tag=1)
 
         messages = []
-        for scheduler in ("linear", "heap"):
+        for launcher in (LinearLauncher, Launcher):
             with pytest.raises(DeadlockError) as err:
-                Launcher(program, size=4, scheduler=scheduler).run()
+                launcher(program, size=4).run()
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -356,46 +354,3 @@ class TestHeapScheduler:
         assert [r.value for r in launcher.run()] == \
                [r.value for r in launcher.run()]
 
-
-class TestAutoScheduler:
-    """``scheduler="auto"`` resolves to the linear scan below the
-    measured crossover and to the heap at or above it — same schedule
-    either way."""
-
-    def test_resolution_by_size(self):
-        from repro.runtime.launcher import AUTO_HEAP_MIN_RANKS
-
-        def program(ctx):
-            return ctx.rank
-            yield
-
-        small = Launcher(program, size=AUTO_HEAP_MIN_RANKS - 1)
-        large = Launcher(program, size=AUTO_HEAP_MIN_RANKS)
-        assert small.scheduler == "auto"  # the default
-        assert small.effective_scheduler == "linear"
-        assert large.effective_scheduler == "heap"
-
-    def test_explicit_choice_not_overridden(self):
-        def program(ctx):
-            return ctx.rank
-            yield
-
-        assert Launcher(program, size=2,
-                        scheduler="heap").effective_scheduler == "heap"
-        assert Launcher(program, size=4096,
-                        scheduler="linear").effective_scheduler == "linear"
-
-    def test_auto_matches_both_references(self):
-        def program(ctx):
-            peer = ctx.rank ^ 1
-            yield Send(dest=peer, payload=ctx.rank, tag=0, nbytes=64)
-            got = yield Recv(source=peer, tag=0)
-            yield Barrier()
-            return got
-
-        outcomes = [
-            [(r.value, r.finish_time) for r in
-             Launcher(program, size=8, scheduler=scheduler).run()]
-            for scheduler in ("auto", "heap", "linear")
-        ]
-        assert outcomes[0] == outcomes[1] == outcomes[2]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.instruments import (
+    STORE_BATCH_RECORDS,
     STORE_BATCHES,
     STORE_DROPPED,
     STORE_QUERIES,
@@ -141,3 +142,34 @@ class TestMetrics:
         assert STORE_QUERY_ROWS.value() == 3.0
         store.latest("bpm")
         assert STORE_QUERIES.value("latest") == 1.0
+
+    def test_batch_is_one_observation_and_one_increment_per_shard(self):
+        """A batch's size is one histogram observation and each shard's
+        accepted records one counter increment; direct ingest counts its
+        record alone."""
+        store = ShardedStore(TABLES, n_shards=2)
+        hot, cold = "R00-M0-N00", "R04-M0-N00"
+        assert store.shard_map.shard_of(hot) != store.shard_map.shard_of(cold)
+        items = [("bpm", _reading(float(i), hot)) for i in range(4)]
+        items.append(("fan", _reading(0.0, cold)))
+        report = store.ingest_batch(items, interval_s=60.0)
+        assert report.offered == report.accepted == 5
+        assert store.records_ingested == 5
+        assert STORE_BATCHES.value() == 1.0
+        sizes = STORE_BATCH_RECORDS.child()
+        assert (sizes.count, sizes.sum) == (1, 5.0)
+        by_shard = {shard: STORE_RECORDS.value(str(shard))
+                    for shard in range(2)}
+        assert by_shard[store.shard_map.shard_of(hot)] == 4.0
+        assert by_shard[store.shard_map.shard_of(cold)] == 1.0
+        store.ingest("bpm", _reading(9.0, cold))
+        assert STORE_RECORDS.value(str(store.shard_map.shard_of(cold))) == 2.0
+
+    def test_batch_with_unknown_table_ingests_nothing(self):
+        store = ShardedStore(TABLES)
+        items = [("bpm", _reading(0.0, "R00-M0-N00")),
+                 ("gpu", _reading(1.0, "R00-M0-N00"))]
+        with pytest.raises(ConfigError, match="no table 'gpu'"):
+            store.ingest_batch(items, interval_s=1.0)
+        assert store.records_ingested == 0
+        assert STORE_RECORDS.value("0") == 0.0

@@ -27,8 +27,8 @@ class TestEnvdbOnTheStore:
         plain.advance_to(horizon)
         sharded.advance_to(horizon)
         assert sharded.envdb.store.n_shards == 4
-        assert sharded.envdb.query("bpm", 0.0, horizon) == \
-            plain.envdb.query("bpm", 0.0, horizon)
+        assert sharded.envdb.range_readings("bpm", 0.0, horizon) == \
+            plain.envdb.range_readings("bpm", 0.0, horizon)
         assert sharded.envdb.range_readings("bpm", 0.0, horizon, "R01") == \
             plain.envdb.range_readings("bpm", 0.0, horizon, "R01")
 
@@ -82,6 +82,14 @@ class TestClusterStore:
         cluster.attach_store()
         with pytest.raises(ConfigError, match="already has a store"):
             cluster.attach_store()
+
+    def test_empty_sweep_is_an_error(self):
+        """A collector that swept nothing is a bug, not an empty batch."""
+        cluster = Cluster("c", rng=RngRegistry(1))
+        store = cluster.attach_store()
+        with pytest.raises(ConfigError, match="empty write batch"):
+            cluster.record_readings("readings", [], interval_s=1.0)
+        assert store.batches_flushed == 0
 
 
 class _FakeBackend(Backend):

@@ -1,4 +1,4 @@
-"""Tier-1 contract tests of the versioned ``repro.api`` v7 surface.
+"""Tier-1 contract tests of the versioned ``repro.api`` v8 surface.
 
 The contract cuts both ways: every supported name resolves from its
 namespace, and no legacy v1 flat name resolves from ``repro.api``
@@ -24,8 +24,8 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_7():
-    assert api.API_VERSION == "7"
+def test_api_version_is_8():
+    assert api.API_VERSION == "8"
     assert api.__version__.count(".") == 2
 
 
@@ -88,15 +88,17 @@ def test_no_name_exported_by_two_namespaces():
 
 @pytest.mark.tier1
 def test_every_v1_flat_name_is_gone():
-    """The v1 surface, name for name: removed flat, still namespaced."""
+    """The v1 surface, name for name: removed flat, still namespaced —
+    except ``EnvRecord`` and ``WriteBatcher``, which v8 removed from
+    every namespace."""
     v1_names = [
         "initialize", "finalize", "profile_run", "backends_for_node",
         "Backend", "MoneqConfig", "MoneqSession", "MoneqResult",
         "Mechanism", "MechanismSpec", "AccessChannel", "FreshnessModel",
         "CapabilityDecl", "SensorSource", "mechanisms",
-        "EnvironmentalDatabase", "EnvRecord", "ShardedStore", "ShardMap",
-        "WriteBatcher", "Reading", "Aggregate", "QueryPlan", "FlushReport",
-        "series_from_readings", "store_series",
+        "EnvironmentalDatabase", "ShardedStore", "ShardMap", "Reading",
+        "Aggregate", "QueryPlan", "FlushReport", "series_from_readings",
+        "store_series",
         "FaultPlan", "FaultRule", "RetryPolicy", "CircuitBreaker",
         "DARK_READING", "SCENARIOS", "run_scenario",
         "Engine", "EngineStats", "ExperimentSpec", "ExperimentReport",
@@ -112,6 +114,9 @@ def test_every_v1_flat_name_is_gone():
             getattr(api, name)
         assert name not in dir(api)
         assert name in homes, f"v1 name {name} has no namespace home"
+    for name in ("EnvRecord", "WriteBatcher"):
+        assert name not in homes, f"{name} was removed in v8"
+        assert not hasattr(api, name)
 
 
 @pytest.mark.tier1
