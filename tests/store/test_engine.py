@@ -103,6 +103,19 @@ class TestCapacity:
         assert store.records_by_shard == {0: 6}
         assert store.dropped_by_shard == {0: 4}
 
+    def test_budget_applies_per_batch_call(self):
+        store = ShardedStore(TABLES, capacity_records_per_s=1.0)
+        for sweep in range(2):
+            items = [("bpm", _reading(10.0 * sweep + i, "R00-M0-N00"))
+                     for i in range(5)]
+            report = store.ingest_batch(items, interval_s=2.0)
+            assert (report.accepted, report.dropped) == (2, 3)
+        # Each call gets a fresh budget; the dropped records are each
+        # batch's tail in offered order.
+        kept = [r.timestamp for r in store.range("bpm", 0.0, 100.0)]
+        assert kept == [0.0, 1.0, 10.0, 11.0]
+        assert store.dropped_records == 6
+
     def test_uncapped_store_accepts_everything(self):
         store = ShardedStore(TABLES)
         items = [("bpm", _reading(float(i), "R00-M0-N00")) for i in range(10)]
