@@ -303,9 +303,8 @@ def _service_smoke(args: list[str]) -> int:
 
 
 def _mech_list(args: list[str]) -> int:
-    import repro.core.moneq.backends  # noqa: F401  (registers the fleet)
     from repro.analysis.tables import format_table
-    from repro.mech import mechanisms
+    from repro.core.moneq.backends import mechanisms
 
     rows = []
     for spec in mechanisms().values():
@@ -331,10 +330,10 @@ def _mech_list(args: list[str]) -> int:
 
 def _chaos_list(args: list[str]) -> int:
     from repro.analysis.tables import format_table
-    from repro.chaos import SCENARIOS
+    from repro.packs import chaos_packs
 
-    rows = [(s.name, f"{s.default_rate:g}", s.summary)
-            for s in SCENARIOS.values()]
+    rows = [(spec.name, f"{spec.faults.default_rate:g}", spec.summary)
+            for spec in chaos_packs().values()]
     print(format_table(("scenario", "rate", "summary"), rows,
                        title=f"[repro chaos list] {len(rows)} scenarios"))
     return 0
@@ -343,21 +342,19 @@ def _chaos_list(args: list[str]) -> int:
 def _chaos_run(args: list[str], seed: int | None, duration: float | None,
                rate: float | None) -> int:
     from repro.analysis.tables import format_table
-    from repro.chaos.scenarios import (
-        DEFAULT_DURATION_S,
-        DEFAULT_SEED,
-        SCENARIOS,
-        run_scenario,
-    )
     from repro.obs import dump
+    from repro.packs import chaos_packs, execute_scenario
 
+    catalog = chaos_packs()
     if len(args) != 1:
         raise UsageError(f"name exactly one scenario "
-                         f"(have {sorted(SCENARIOS)})")
-    run = run_scenario(
-        args[0], seed=DEFAULT_SEED if seed is None else seed,
-        duration_s=DEFAULT_DURATION_S if duration is None else duration,
-        rate=rate)
+                         f"(have {sorted(catalog)})")
+    spec = catalog.get(args[0])
+    if spec is None:
+        raise ChaosError(f"unknown chaos scenario {args[0]!r}; "
+                         f"have {sorted(catalog)}")
+    # Unset overrides fall back to the manifest's own seed and duration.
+    run = execute_scenario(spec, seed=seed, duration_s=duration, rate=rate)
     if run.error_deltas:
         rows = [(mechanism, kind, str(count)) for (mechanism, kind), count
                 in sorted(run.error_deltas.items())]

@@ -1,4 +1,4 @@
-"""``repro.api`` — the versioned, supported public surface (v7).
+"""``repro.api`` — the versioned, supported public surface.
 
 Since API v2 the surface is **namespaced**: each sub-surface groups
 one concern, and new code imports from the namespace it needs.
@@ -9,12 +9,12 @@ Namespace              Concern
 ``repro.api.session``  MonEQ session lifecycle (the two-line API)
 ``repro.api.mech``     vendor mechanisms, channels, POSIX credentials
 ``repro.api.data``     sharded store, envdb, readings, aggregates, tail
-``repro.api.chaos``    fault plans, retry policies, scenarios
+``repro.api.chaos``    fault plans, retry policies, the dark reading
 ``repro.api.exec``     experiment engine and result cache
 ``repro.api.errors``   the supported exception hierarchy
 ``repro.api.service``  the live monitoring query service
 ``repro.api.fleet``    federated multi-cluster fleets and sweeps
-``repro.api.packs``    declarative scenario packs over the engine
+``repro.api.packs``    declarative scenario packs, chaos scenarios included
 =====================  ====================================================
 
 Compatibility policy
@@ -33,7 +33,7 @@ Compatibility policy
   supported name changes incompatibly.
 
 See ``docs/api.md`` for the name-by-name reference, the table of
-removed v1 flat names and what changed in v4 through v8.
+removed v1 flat names and what changed in each version since v4.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.api import (
 )
 
 #: Version of the supported surface (not the package release).
-API_VERSION = "8"
+API_VERSION = "9"
 
 #: The nine namespaced sub-surfaces.
 NAMESPACES = {

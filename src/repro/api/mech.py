@@ -1,8 +1,9 @@
 """``repro.api.mech`` — vendor mechanisms as declared compositions.
 
 The mechanism layer's supported types (spec, channel, freshness,
-capability, source) plus the registry, and — new in v2 — the POSIX
-identities a channel crossing is checked against:
+capability, source) plus :func:`mechanisms`, the catalog of all nine
+declared vendor paths, and — new in v2 — the POSIX identities a channel
+crossing is checked against:
 :class:`~repro.host.permissions.Credentials` with the stock ``ROOT``
 and ``USER`` pair, so callers can exercise the permission gate without
 reaching into implementation modules.  The freshness-aware channel
@@ -15,10 +16,7 @@ declarations a source publishes.
 
 from __future__ import annotations
 
-# The mechanism module's Backend base lives in the session layer; load
-# it first so the moneq <-> mech import cycle resolves from the side
-# that works regardless of what the consumer imported before us.
-import repro.core.moneq  # noqa: F401
+from repro.core.moneq.backends import mechanisms
 from repro.host.permissions import ROOT, USER, Credentials
 from repro.mech import (
     AccessChannel,
@@ -28,13 +26,12 @@ from repro.mech import (
     ChannelCacheStats,
     FieldPlan,
     FreshnessModel,
+    Mechanism,
     MechanismSpec,
     SensorSource,
     channel_cache_disabled,
     device_cache,
-    mechanisms,
 )
-from repro.mech.mechanism import Mechanism
 
 __all__ = [
     "ROOT",

@@ -2,8 +2,9 @@
 
 Manifest loading and validation (:func:`load_scenario`,
 :func:`parse_scenario`), the pack catalog (:func:`all_packs`,
-:func:`load_pack`), and the runner that compiles a pack onto the
-experiment engine (:func:`run_pack`, :func:`compile_spec`).
+:func:`load_pack`, and :func:`chaos_packs`, the chaos scenarios that
+:func:`execute_scenario` runs live), and the runner that compiles a
+pack onto the experiment engine (:func:`run_pack`, :func:`compile_spec`).
 Validation failures raise :class:`repro.api.errors.PackError`, always
 naming the offending manifest field.
 """
@@ -17,6 +18,7 @@ from repro.packs import (
     ScenarioSpec,
     all_packs,
     canonical_manifest,
+    chaos_packs,
     compile_spec,
     execute_scenario,
     load_manifest,
@@ -35,6 +37,7 @@ __all__ = [
     "ScenarioSpec",
     "all_packs",
     "canonical_manifest",
+    "chaos_packs",
     "compile_spec",
     "execute_scenario",
     "load_manifest",

@@ -13,9 +13,9 @@ from repro.core.moneq.api import (
     initialize,
     profile_run,
 )
-from repro.core.moneq.backend import Backend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqResult, MoneqSession
+from repro.mech.mechanism import Backend
 
 __all__ = [
     "Backend",

@@ -17,13 +17,14 @@ already goes through:
 * :class:`~repro.chaos.retry.CircuitBreaker` — consecutive failures
   open the breaker and the device reads sensor-dark
   (:data:`~repro.chaos.injector.DARK_READING`) until a half-open probe
-  succeeds;
-* :mod:`~repro.chaos.scenarios` — the named catalog (``bmc_dark``,
-  ``daemon_wedge``, ``bus_noise``) behind ``repro chaos run``.
+  succeeds.
 
-``scenarios`` members are exported lazily (PEP 562): the scenario
-runner stands up testbeds, whose backends import the mechanism layer,
-whose read path imports this package — eager import would cycle.
+The named scenarios behind ``repro chaos run`` (``bmc_dark``,
+``daemon_wedge``, ``bus_noise``, ...) are the ``kind = "chaos"``
+scenario packs: :func:`repro.packs.chaos_packs` reads them and
+:func:`repro.packs.execute_scenario` runs one.  This package sits below
+the mechanism layer, whose read path imports it; it imports nothing
+from the mechanism or pack layers.
 
 A plan is an input of the run that owns it — ``MoneqConfig(fault_plan=
 ...)``, ``ServiceApp.fault_plan`` or ``read_block(times, plan=...)`` —
@@ -61,19 +62,4 @@ __all__ = [
     "ChannelInjector",
     "DARK_READING",
     "BREAKER_OPEN_KIND",
-    "ChaosScenario",
-    "ScenarioResult",
-    "SCENARIOS",
-    "run_scenario",
 ]
-
-_SCENARIO_NAMES = {"ChaosScenario", "ScenarioResult", "SCENARIOS",
-                   "run_scenario"}
-
-
-def __getattr__(name: str):
-    if name in _SCENARIO_NAMES:
-        from repro.chaos import scenarios
-
-        return getattr(scenarios, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,43 +5,22 @@ Table I compares what each platform can report, across five categories
 power limits.  The matrix is **derived**, not hand-maintained: each
 platform's column is declared once as a
 :class:`~repro.mech.capability_decl.CapabilityDecl` in the mechanism
-layer, and this module turns those declarations into the
-:class:`PlatformCapabilities` the table renderer lays out exactly as
-the paper does.  The benchmark then checks the paper's headline claims
-against the derived matrix ("just about the only data point which is
-collectible on all of these platforms is total power consumption").
+layer, which also derives its :class:`PlatformCapabilities`; this
+module lays those columns out exactly as the paper does.  The
+benchmark then checks the paper's headline claims against the derived
+matrix ("just about the only data point which is collectible on all of
+these platforms is total power consumption").
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
-from repro.mech.capability_decl import PLATFORM_DECLS, CapabilityDecl
-
-
-class Availability(enum.Enum):
-    """One cell of Table I."""
-
-    AVAILABLE = "yes"
-    UNAVAILABLE = "no"
-    NOT_APPLICABLE = "n/a"
-
-    @property
-    def mark(self) -> str:
-        return {"yes": "+", "no": "-", "n/a": "N/A"}[self.value]
-
-
-@dataclass(frozen=True)
-class CapabilityRow:
-    """(category, item) identifying one Table I row."""
-
-    category: str
-    item: str
-
-    @property
-    def key(self) -> str:
-        return f"{self.category}/{self.item}"
+from repro.mech.capability_decl import (
+    PLATFORM_DECLS,
+    Availability,
+    CapabilityRow,
+    PlatformCapabilities,
+    derive_capabilities,
+)
 
 
 #: Table I's row structure, in the paper's order.
@@ -73,47 +52,12 @@ TABLE1_ROWS: list[CapabilityRow] = [
 PLATFORM_ORDER = ("Xeon Phi", "NVML", "Blue Gene/Q", "RAPL")
 
 
-@dataclass(frozen=True)
-class PlatformCapabilities:
-    """One platform's column: row key -> availability.
-
-    Rows not mentioned default to UNAVAILABLE, so adapters only list
-    what they *can* do (plus explicit N/A rows for data that makes no
-    sense on the platform, e.g. fans on a water-cooled BG/Q).
-    """
-
-    platform: str
-    available: frozenset[str]
-    not_applicable: frozenset[str] = frozenset()
-
-    def cell(self, row: CapabilityRow) -> Availability:
-        if row.key in self.not_applicable:
-            return Availability.NOT_APPLICABLE
-        if row.key in self.available:
-            return Availability.AVAILABLE
-        return Availability.UNAVAILABLE
-
-
-def _keys(*pairs: tuple[str, str]) -> frozenset[str]:
-    return frozenset(CapabilityRow(c, i).key for c, i in pairs)
-
-
 # ---------------------------------------------------------------------------
 # Platform columns, derived from the mechanism layer's declarations.
 # Each declaration mirrors what its simulator actually exposes; the
 # unit tests cross-check notable cells against the simulator APIs
 # (e.g. NVML has no voltage query; EMON has V and I).
 # ---------------------------------------------------------------------------
-
-
-def derive_capabilities(decl: CapabilityDecl) -> PlatformCapabilities:
-    """One Table I column from its mechanism-layer declaration."""
-    return PlatformCapabilities(
-        platform=decl.platform,
-        available=_keys(*decl.available),
-        not_applicable=_keys(*decl.not_applicable),
-    )
-
 
 _PLATFORMS = {
     name: derive_capabilities(decl) for name, decl in PLATFORM_DECLS.items()

@@ -17,7 +17,6 @@ periodic collection call.
 """
 
 from repro.core.moneq.config import MoneqConfig
-from repro.core.moneq.backend import Backend
 from repro.core.moneq.backends import (
     BgqEmonBackend,
     NvmlBackend,
@@ -31,6 +30,7 @@ from repro.core.moneq.backends import (
 from repro.core.moneq.overhead import OverheadReport
 from repro.core.moneq.session import MoneqResult, MoneqSession
 from repro.core.moneq.api import finalize, initialize, profile_run
+from repro.mech.mechanism import Backend
 
 __all__ = [
     "MoneqConfig",

@@ -9,12 +9,12 @@ the overhead report.
 
 from __future__ import annotations
 
-from repro.core.moneq.backend import Backend
 from repro.core.moneq.backends import NvmlBackend, PhiMicrasBackend, RaplMsrBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqResult, MoneqSession
 from repro.errors import ConfigError
 from repro.host.node import Node
+from repro.mech.mechanism import Backend
 
 
 def backends_for_node(node: Node) -> list[Backend]:

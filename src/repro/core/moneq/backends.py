@@ -1,7 +1,7 @@
-"""The concrete MonEQ backends: eight declared vendor paths.
+"""The concrete MonEQ backends: nine declared vendor paths.
 
 Each backend is a thin :class:`~repro.mech.mechanism.Mechanism`
-composition — a registered :class:`~repro.mech.registry.MechanismSpec`
+composition — a declared :class:`~repro.mech.registry.MechanismSpec`
 (access channel + freshness model + capability declaration + field
 list) bound to a :class:`~repro.mech.source.SensorSource` wrapping the
 live device.  The scalar ``read_at`` and vectorized ``read_block`` are
@@ -41,7 +41,7 @@ from repro.mech.capability_decl import (
 from repro.mech.channel import MILLI_UNITS, AccessChannel
 from repro.mech.freshness import FreshnessModel
 from repro.mech.mechanism import Mechanism
-from repro.mech.registry import MechanismSpec, register
+from repro.mech.registry import MechanismSpec
 from repro.nvml.device import NVML_POWER_UPDATE_S, GpuDevice
 from repro.nvml.source import NVML_FIELDS, NvmlSource
 from repro.rapl.domains import RaplDomain
@@ -87,7 +87,7 @@ _RAPL_FRESHNESS = FreshnessModel.floor(
     0.060, note="documented update jitter below 60 ms; ~60 s wraps the counter"
 )
 
-EMON_SPEC = register(MechanismSpec(
+EMON_SPEC = MechanismSpec(
     name="emon",
     platform="Blue Gene/Q",
     channel=AccessChannel(
@@ -101,9 +101,9 @@ EMON_SPEC = register(MechanismSpec(
     capability=BGQ_DECL,
     fields=EMON_FIELDS,
     summary="7-domain node-card V*I via the EMON API",
-))
+)
 
-RAPL_MSR_SPEC = register(MechanismSpec(
+RAPL_MSR_SPEC = MechanismSpec(
     name="rapl_msr",
     platform="RAPL",
     channel=AccessChannel(
@@ -117,9 +117,9 @@ RAPL_MSR_SPEC = register(MechanismSpec(
     fields=RAPL_FIELDS,
     queries_per_read=len(RaplDomain),
     summary="socket energy counters via direct MSR reads",
-))
+)
 
-RAPL_POWERCAP_SPEC = register(MechanismSpec(
+RAPL_POWERCAP_SPEC = MechanismSpec(
     name="rapl_powercap",
     platform="RAPL",
     channel=AccessChannel(
@@ -132,9 +132,9 @@ RAPL_POWERCAP_SPEC = register(MechanismSpec(
     fields=RAPL_FIELDS,
     queries_per_read=len(RaplDomain),
     summary="the same counters through the powercap sysfs tree",
-))
+)
 
-RAPL_PERF_SPEC = register(MechanismSpec(
+RAPL_PERF_SPEC = MechanismSpec(
     name="rapl_perf",
     platform="RAPL",
     channel=AccessChannel(
@@ -147,9 +147,9 @@ RAPL_PERF_SPEC = register(MechanismSpec(
     fields=tuple(f"{d.value}_w" for d in PERF_RAPL_EVENTS.values()),
     queries_per_read=len(PERF_RAPL_EVENTS),
     summary="the same counters normalized to 2^-32 J by perf",
-))
+)
 
-NVML_SPEC = register(MechanismSpec(
+NVML_SPEC = MechanismSpec(
     name="nvml",
     platform="NVML",
     channel=AccessChannel(
@@ -162,9 +162,9 @@ NVML_SPEC = register(MechanismSpec(
     capability=NVML_DECL,
     fields=NVML_FIELDS,
     summary="Kepler board power and die temperature via NVML",
-))
+)
 
-SYSMGMT_SPEC = register(MechanismSpec(
+SYSMGMT_SPEC = MechanismSpec(
     name="sysmgmt",
     platform="Xeon Phi",
     channel=AccessChannel(
@@ -177,9 +177,9 @@ SYSMGMT_SPEC = register(MechanismSpec(
     capability=XEON_PHI_DECL,
     fields=tuple(name for name, _ in SYSMGMT_SENSORS),
     summary="in-band SysMgmt API; expensive and power-perturbing",
-))
+)
 
-MICRAS_SPEC = register(MechanismSpec(
+MICRAS_SPEC = MechanismSpec(
     name="micras",
     platform="Xeon Phi",
     channel=AccessChannel(
@@ -193,9 +193,9 @@ MICRAS_SPEC = register(MechanismSpec(
     fields=tuple(name for name, _ in MICRAS_SENSORS),
     queries_per_read=len(MICRAS_SENSORS),
     summary="MICRAS daemon pseudo-files; cheap but contends on-card",
-))
+)
 
-IPMB_SPEC = register(MechanismSpec(
+IPMB_SPEC = MechanismSpec(
     name="ipmb",
     platform="Xeon Phi",
     channel=AccessChannel(
@@ -211,9 +211,9 @@ IPMB_SPEC = register(MechanismSpec(
     fields=tuple(name for name, _ in IPMB_SENSORS),
     queries_per_read=len(IPMB_SENSORS),
     summary="out-of-band BMC polling over IPMB",
-))
+)
 
-MICSMC_SPEC = register(MechanismSpec(
+MICSMC_SPEC = MechanismSpec(
     name="micsmc",
     platform="Xeon Phi",
     channel=AccessChannel(
@@ -228,7 +228,22 @@ MICSMC_SPEC = register(MechanismSpec(
     fields=tuple(name for name, _ in MICSMC_SENSORS),
     queries_per_read=len(MICSMC_SENSORS),
     summary="the micsmc control-panel utility polling card status",
-))
+)
+
+#: Every declared vendor path, name -> spec, in declaration order.
+_MECHANISMS: dict[str, MechanismSpec] = {
+    spec.name: spec for spec in (
+        EMON_SPEC, RAPL_MSR_SPEC, RAPL_POWERCAP_SPEC, RAPL_PERF_SPEC,
+        NVML_SPEC, SYSMGMT_SPEC, MICRAS_SPEC, IPMB_SPEC, MICSMC_SPEC,
+    )
+}
+
+
+def mechanisms() -> dict[str, MechanismSpec]:
+    """Name -> spec for every declared vendor path, in declaration order
+    (a copy, so no caller can edit the catalog)."""
+    return dict(_MECHANISMS)
+
 
 # ---------------------------------------------------------------------------
 # The compositions: historical constructor signatures, no read bodies.

@@ -12,7 +12,7 @@ collection time is identical at 32, 512 and 1024 nodes.
 Block sampling
 --------------
 Every tick collects a *block*: a grid of tick times sampled once per
-backend with :meth:`~repro.core.moneq.backend.Backend.read_block` and
+backend with :meth:`~repro.mech.mechanism.Backend.read_block` and
 slab-assigned into agent buffers.  Because every tick costs the same
 constant clock advance, the whole grid between two intervening events
 is known the moment the first tick fires.  When the driving
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.moneq.backend import Backend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.output import render_agent_file, sanitize_label, write_outputs
 from repro.core.moneq.overhead import (
@@ -46,6 +45,7 @@ from repro.core.moneq.tags import TagSet
 from repro.errors import ConfigError, MoneqBufferFullError, MoneqStateError
 from repro.host.process import Process
 from repro.host.vfs import VirtualFileSystem
+from repro.mech.mechanism import Backend
 from repro.obs.instruments import (
     MONEQ_BUFFER_FILL,
     MONEQ_BUFFER_FULL,

@@ -82,17 +82,16 @@ class Fleet:
                 FLEET_RECORDS.labels(name).inc(records - site._records_seen)
                 site._records_seen = records
 
-    def rebalance_saturated(self, headroom: float = 0.9,
-                            max_shards: int = 64) -> dict[str, int]:
-        """Reshard every site whose sweep would exceed ``headroom`` of
-        its hottest shard's ingest budget; returns site → new shard
-        count for the sites that actually resharded."""
+    def rebalance_saturated(self) -> dict[str, int]:
+        """Reshard every site whose sweep would exceed
+        :data:`~repro.store.federation.RESHARD_HEADROOM` of its hottest
+        shard's ingest budget; returns site → new shard count for the
+        sites that actually resharded."""
         resharded: dict[str, int] = {}
         for name, site in self.sites.items():
             n = self.federation.rebalance(
                 name, site.envdb.sweep_locations(),
-                site.envdb.poll_interval_s,
-                headroom=headroom, max_shards=max_shards)
+                site.envdb.poll_interval_s)
             if n:
                 resharded[name] = n
         return resharded

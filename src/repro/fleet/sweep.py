@@ -60,15 +60,14 @@ def fleet_sweep(fleet: Fleet | None = None, n_sites: int = 10,
                 racks: int = MIRA_RACKS, duration_s: float = 60.0,
                 poll_interval_s: float = 60.0,
                 seed: int = DEFAULT_FLEET_SEED,
-                rebalance: bool = True,
                 window_s: float = ROLLUP_WINDOW_S) -> FleetSweepReport:
     """Run one timed fleet-wide sweep horizon.
 
     Builds the fleet if none is passed (``n_sites`` × ``racks``-rack
-    Mira-class sites).  With ``rebalance`` on, sites whose sweep would
-    saturate their ingest ceiling are resharded *before* the sweep —
-    the 10×-Mira default at the 60 s minimum interval needs it, exactly
-    as the paper's capacity arithmetic predicts.  The wall clock times
+    Mira-class sites).  Sites whose sweep would saturate their ingest
+    ceiling are resharded *before* the sweep — the 10×-Mira default at
+    the 60 s minimum interval needs it, exactly as the paper's capacity
+    arithmetic predicts.  The wall clock times
     the advance plus the federated rollup aggregate.
     """
     if fleet is None:
@@ -77,7 +76,7 @@ def fleet_sweep(fleet: Fleet | None = None, n_sites: int = 10,
     dropped_before = fleet.dropped_records
     records_before = fleet.records_ingested
     sweeps_before = fleet.sweeps_completed
-    reshards = fleet.rebalance_saturated() if rebalance else {}
+    reshards = fleet.rebalance_saturated()
 
     poll = max(site.envdb.poll_interval_s for site in fleet.sites.values())
     horizon = duration_s + poll / 2.0

@@ -12,14 +12,17 @@ model and a capability set.  This package expresses that shape once:
   of the minimum polling interval;
 * :class:`~repro.mech.capability_decl.CapabilityDecl` — Table I columns,
   from which :mod:`repro.core.capability` derives its matrices;
-* :class:`~repro.mech.mechanism.Mechanism` — the generic composition
-  with the single scalar ``read_at`` / vectorized ``read_block``;
-* :mod:`~repro.mech.registry` — every declared path, inspectable via
-  ``repro mech list``.
+* :class:`~repro.mech.registry.MechanismSpec` — one declared vendor
+  path, everything but the live device;
+* :class:`~repro.mech.mechanism.Backend` — the MonEQ backend protocol,
+  and :class:`~repro.mech.mechanism.Mechanism`, the generic composition
+  that implements it with the single scalar ``read_at`` / vectorized
+  ``read_block``.
 
-``Mechanism`` is exported lazily (PEP 562): it subclasses the MonEQ
-``Backend``, whose module derives capabilities from this package, and
-eager import would cycle.
+The nine declared vendor paths live with their compositions in
+:mod:`repro.core.moneq.backends` (``mechanisms()``, ``repro mech
+list``).  Imports run one way: MonEQ imports this package, never the
+reverse.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from repro.mech.cache import (
 from repro.mech.capability_decl import PLATFORM_DECLS, CapabilityDecl
 from repro.mech.channel import MILLI_UNITS, AccessChannel, Quantization
 from repro.mech.freshness import FreshnessKind, FreshnessModel
-from repro.mech.registry import MechanismSpec, get, mechanisms, register
+from repro.mech.mechanism import Backend, Mechanism
+from repro.mech.registry import MechanismSpec
 from repro.mech.source import (
     CounterSource,
     SensorSource,
@@ -56,9 +60,7 @@ __all__ = [
     "empty_block",
     "consecutive_deltas",
     "MechanismSpec",
-    "register",
-    "get",
-    "mechanisms",
+    "Backend",
     "Mechanism",
     "ChannelCache",
     "ChannelCacheStats",
@@ -67,11 +69,3 @@ __all__ = [
     "channel_cache_disabled",
     "device_cache",
 ]
-
-
-def __getattr__(name: str):
-    if name == "Mechanism":
-        from repro.mech.mechanism import Mechanism
-
-        return Mechanism
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

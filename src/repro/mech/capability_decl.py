@@ -1,14 +1,17 @@
 """Capability declarations: what each platform can report (Table I).
 
-This module is **pure data** (no repro imports beyond errors) so the
-capability matrix in :mod:`repro.core.capability` can be *derived* from
-it without import cycles: mechanisms declare, the table renders.  Rows
-are ``(category, item)`` pairs in the paper's vocabulary; anything not
-declared available or N/A renders as unavailable.
+This module is **pure data** (no repro imports beyond errors): the
+declarations, the column type :class:`PlatformCapabilities` and its
+derivation, so a mechanism reports its own column and the capability
+matrix in :mod:`repro.core.capability` renders it without the mechanism
+layer importing the table layer back.  Rows are ``(category, item)``
+pairs in the paper's vocabulary; anything not declared available or
+N/A renders as unavailable.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -34,6 +37,64 @@ class CapabilityDecl:
     def capability_count(self) -> int:
         """Number of Table I data points the platform can report."""
         return len(self.available)
+
+
+class Availability(enum.Enum):
+    """One cell of Table I."""
+
+    AVAILABLE = "yes"
+    UNAVAILABLE = "no"
+    NOT_APPLICABLE = "n/a"
+
+    @property
+    def mark(self) -> str:
+        return {"yes": "+", "no": "-", "n/a": "N/A"}[self.value]
+
+
+@dataclass(frozen=True)
+class CapabilityRow:
+    """(category, item) identifying one Table I row."""
+
+    category: str
+    item: str
+
+    @property
+    def key(self) -> str:
+        return f"{self.category}/{self.item}"
+
+
+@dataclass(frozen=True)
+class PlatformCapabilities:
+    """One platform's column: row key -> availability.
+
+    Rows not mentioned default to UNAVAILABLE, so adapters only list
+    what they *can* do (plus explicit N/A rows for data that makes no
+    sense on the platform, e.g. fans on a water-cooled BG/Q).
+    """
+
+    platform: str
+    available: frozenset[str]
+    not_applicable: frozenset[str] = frozenset()
+
+    def cell(self, row: CapabilityRow) -> Availability:
+        if row.key in self.not_applicable:
+            return Availability.NOT_APPLICABLE
+        if row.key in self.available:
+            return Availability.AVAILABLE
+        return Availability.UNAVAILABLE
+
+
+def _keys(*pairs: tuple[str, str]) -> frozenset[str]:
+    return frozenset(CapabilityRow(c, i).key for c, i in pairs)
+
+
+def derive_capabilities(decl: CapabilityDecl) -> PlatformCapabilities:
+    """One Table I column from its declaration."""
+    return PlatformCapabilities(
+        platform=decl.platform,
+        available=_keys(*decl.available),
+        not_applicable=_keys(*decl.not_applicable),
+    )
 
 
 XEON_PHI_DECL = CapabilityDecl(

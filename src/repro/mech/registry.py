@@ -1,11 +1,12 @@
-"""The mechanism registry: every vendor collection path, declared.
+"""Mechanism declarations: one vendor collection path, as data.
 
 A :class:`MechanismSpec` is the static quarter-composition the paper's
 comparison runs on — channel + freshness + capability + field list —
-with no device attached.  Registration happens where the compositions
-live (``repro.core.moneq.backends``); consumers iterate
-:func:`mechanisms` to inspect the fleet (``repro mech list``, the
-capability property tests, future fault-injection harnesses).
+with no device attached.  The nine vendor paths are declared where
+their compositions live, as one constant mapping in
+:mod:`repro.core.moneq.backends`; consumers read it through
+``mechanisms()`` (``repro mech list``, the service's ``/v2/mech``, the
+capability property tests).
 """
 
 from __future__ import annotations
@@ -60,34 +61,3 @@ class MechanismSpec:
     def read_latency_s(self) -> float:
         """Charged cost of one full collection tick."""
         return self.channel.latency_for(self.queries_per_read)
-
-
-_REGISTRY: dict[str, MechanismSpec] = {}
-
-
-def register(spec: MechanismSpec) -> MechanismSpec:
-    """Add ``spec`` to the registry (idempotent for identical re-adds)."""
-    existing = _REGISTRY.get(spec.name)
-    if existing is not None:
-        if existing == spec:
-            return spec
-        raise ConfigError(
-            f"mechanism {spec.name!r} already registered with a "
-            "different declaration"
-        )
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def get(name: str) -> MechanismSpec:
-    spec = _REGISTRY.get(name)
-    if spec is None:
-        raise ConfigError(
-            f"unknown mechanism {name!r}; registered: {sorted(_REGISTRY)}"
-        )
-    return spec
-
-
-def mechanisms() -> dict[str, MechanismSpec]:
-    """Name -> spec, in registration order."""
-    return dict(_REGISTRY)

@@ -12,7 +12,7 @@ Layering (each layer imports only downward):
 
 ``schema``    manifest shape: dataclasses + the strict validator
 ``manifest``  TOML/JSON decoding into validated scenarios
-``catalog``   the ``packs/`` directory; chaos-catalog derivation
+``catalog``   the ``packs/`` directory; the chaos catalog
 ``runtime``   live execution + the engine's run_part/render_block
 ``run``       compile onto the engine; the one-call runner
 """
@@ -20,6 +20,7 @@ Layering (each layer imports only downward):
 from repro.packs.catalog import (
     PACKS_DIR_ENV,
     all_packs,
+    chaos_packs,
     load_pack,
     pack_path,
     pack_paths,
@@ -70,6 +71,7 @@ __all__ = [
     "WorkloadSpec",
     "all_packs",
     "canonical_manifest",
+    "chaos_packs",
     "compile_spec",
     "execute_scenario",
     "load_manifest",

@@ -6,13 +6,9 @@ points the catalog somewhere else (tests use it; deployments can ship
 their own pack sets) — the override *replaces* the built-in directory,
 keeping resolution unambiguous.
 
-The chaos scenario catalog (``repro.chaos.SCENARIOS``) is **derived**
-from the chaos-kind packs here: each ``kind = "chaos"`` manifest
-becomes one :class:`~repro.chaos.scenarios.ChaosScenario` whose rule
-factory resolves the manifest's fractional fault windows against the
-requested duration — producing the exact
-:class:`~repro.chaos.faults.FaultRule` tuples the legacy hand-written
-catalog built.
+The chaos scenario catalog is the chaos-kind packs, read from the
+active directory on each call (:func:`chaos_packs`): ``repro chaos
+list`` and ``repro chaos run`` see a pack the moment it lands there.
 """
 
 from __future__ import annotations
@@ -91,24 +87,3 @@ def chaos_packs() -> dict[str, ScenarioSpec]:
     ordered = [name for name in _CHAOS_ORDER if name in packs]
     ordered += [name for name in packs if name not in _CHAOS_ORDER]
     return {name: packs[name] for name in ordered}
-
-
-def chaos_scenarios() -> dict:
-    """``repro.chaos.SCENARIOS``, derived from the chaos-kind packs."""
-    from repro.chaos.scenarios import ChaosScenario
-    from repro.packs.runtime import fault_rules
-
-    catalog = {}
-    for name, spec in chaos_packs().items():
-        faults = spec.faults
-
-        def rules(duration_s: float, rate: float, _faults=faults):
-            return fault_rules(_faults, duration_s, rate)
-
-        catalog[name] = ChaosScenario(
-            name=name,
-            summary=spec.summary,
-            rules=rules,
-            default_rate=faults.default_rate,
-        )
-    return catalog

@@ -6,9 +6,9 @@ This module is two faces of one implementation:
   testbed, schedule the workload, run one MonEQ session (optionally
   under the pack's fault plan) and hand back live objects — the
   :class:`~repro.chaos.faults.FaultPlan` with its timeline, the output
-  files, the collector-error deltas.  ``repro.chaos.run_scenario`` is a
-  thin wrapper over this, and ``repro chaos run`` prints the
-  :meth:`ScenarioRun.summary_line` it returns.
+  files, the collector-error deltas.  ``repro chaos run`` calls it
+  with a pack from :func:`~repro.packs.catalog.chaos_packs` and prints
+  the :meth:`ScenarioRun.summary_line` it returns.
 * ``run_part`` / ``render_block`` implement the exec engine's module
   contract, so a compiled pack (`repro.packs.run.compile_spec`)
   runs through the same engine and content-addressed cache as the

@@ -349,18 +349,13 @@ def _parse_fleet(ctx: str, raw: object) -> FleetSpec:
                                 default=True))
 
 
-def _registered_mechanisms() -> dict:
-    # Importing the backends module registers the whole fleet; lazy so
-    # schema validation of experiment/fleet packs stays device-free.
-    import repro.core.moneq.backends  # noqa: F401
-    from repro.mech import mechanisms
-
-    return mechanisms()
-
-
 def _check_mechanisms(ctx: str, spec_kind: str, testbed: TestbedSpec,
                       names: tuple[str, ...]) -> None:
-    registry = _registered_mechanisms()
+    # Lazy so schema validation of experiment/fleet packs stays
+    # device-free.
+    from repro.core.moneq.backends import mechanisms
+
+    registry = mechanisms()
     offered = (tuple(registry) if testbed.kind == "fleet"
                else TESTBED_MECHANISMS[testbed.kind])
     seen: set[str] = set()

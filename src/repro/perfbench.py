@@ -417,6 +417,10 @@ class Bench:
     detail_floors: dict[str, float] = field(default_factory=dict)
 
     def measure(self, profile: str) -> dict:
+        # Collect the cyclic garbage earlier rows left (the service
+        # row's rig leaves ~40k objects, ~20 ms to free), so no row's
+        # wall includes a full collection of another row's cycles.
+        gc.collect()
         return self.run(**getattr(self, profile))
 
 

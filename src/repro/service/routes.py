@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import repro.obs as obs
-from repro.mech.registry import mechanisms
+from repro.core.moneq.backends import mechanisms
 from repro.service.auth import Tenant
 from repro.service.errors import (
     BadRequest,
@@ -166,22 +166,10 @@ def query(svc, req: Request, kind: str):
                 f"are dark under the active fault plan",
                 origin="repro.chaos",
             )
-        rows = [
-            {
-                "location": a.location,
-                "field": a.field,
-                "window_start": a.window_start,
-                "window_s": a.window_s,
-                "count": a.count,
-                "min": a.minimum,
-                "mean": a.mean,
-                "max": a.maximum,
-            }
-            for a in svc.store.aggregate(
-                table, req.param("field"), req.float_param("t0"),
-                req.float_param("t1"), req.float_param("window"), prefix,
-            )
-        ]
+        rows = [_aggregate_row(a) for a in svc.store.aggregate(
+            table, req.param("field"), req.float_param("t0"),
+            req.float_param("t1"), req.float_param("window"), prefix,
+        )]
     elif kind == "range":
         rows = [reading_json(r) for r in svc.store.range(
             table, req.float_param("t0"), req.float_param("t1"), prefix)]
@@ -205,6 +193,21 @@ def query(svc, req: Request, kind: str):
     }
 
 
+def _aggregate_row(a) -> dict:
+    """One aggregate window as its response row (the fleet-live
+    consumer parses these keys from the rollup)."""
+    return {
+        "location": a.location,
+        "field": a.field,
+        "window_start": a.window_start,
+        "window_s": a.window_s,
+        "count": a.count,
+        "min": a.minimum,
+        "mean": a.mean,
+        "max": a.maximum,
+    }
+
+
 def _federated_aggregate(svc, req: Request, table: str, prefix: str):
     """Fleet-scale aggregate: scatter to every routed site's cached
     partials, merge centrally.  ``prefix`` follows the federation's
@@ -223,23 +226,11 @@ def _federated_aggregate(svc, req: Request, table: str, prefix: str):
                 f"shards {hit} which are dark under the active fault plan",
                 origin="repro.chaos",
             )
-    rows = [
-        {
-            "location": a.location,
-            "field": a.field,
-            "window_start": a.window_start,
-            "window_s": a.window_s,
-            "count": a.count,
-            "min": a.minimum,
-            "mean": a.mean,
-            "max": a.maximum,
-        }
-        for a in svc.fleet.aggregate(
-            table, req.param("field"), req.float_param("t0"),
-            req.float_param("t1"), req.float_param("window"), prefix,
-            rollup=rollup,
-        )
-    ]
+    rows = [_aggregate_row(a) for a in svc.fleet.aggregate(
+        table, req.param("field"), req.float_param("t0"),
+        req.float_param("t1"), req.float_param("window"), prefix,
+        rollup=rollup,
+    )]
     return {
         "kind": "aggregate",
         "table": table,
@@ -296,7 +287,7 @@ def stream_tail(svc, req: Request):
 
 
 def mech_list(svc, req: Request):
-    """The mechanism registry, with live-attachment state."""
+    """The declared mechanisms, with live-attachment state."""
     rows = []
     for name, spec in mechanisms().items():
         rows.append({
@@ -343,10 +334,10 @@ _ROUTES = []
 
 
 def _route(label):
-    def register(matcher):
+    def add(matcher):
         _ROUTES.append((matcher, label))
         return matcher
-    return register
+    return add
 
 
 @_route("/")

@@ -40,6 +40,13 @@ SITE_SEPARATOR = "/"
 #: The location all partials merge into for a fleet-wide rollup.
 FLEET_LOCATION = "fleet"
 
+#: A rebalanced site's hottest shard takes at most this share of its
+#: per-sweep ingest budget.
+RESHARD_HEADROOM = 0.9
+
+#: The most shards :meth:`FederatedStore.rebalance` spreads a site over.
+MAX_RESHARD_SHARDS = 64
+
 
 @dataclass(frozen=True)
 class FederatedQueryPlan:
@@ -187,25 +194,25 @@ class FederatedStore:
 
     # -- rebalancing -----------------------------------------------------------
 
-    def rebalance(self, site: str, locations: list[str], interval_s: float,
-                  headroom: float = 0.9, max_shards: int = 64) -> int:
-        """Reshard one site until its hottest shard clears the sweep
-        budget with ``headroom`` to spare.
+    def rebalance(self, site: str, locations: list[str],
+                  interval_s: float) -> int:
+        """Reshard one site until its hottest shard takes at most
+        :data:`RESHARD_HEADROOM` of the sweep budget.
 
         Shard counts double from the current count; returns the new
         count, or 0 when the current layout already fits (or the site
         has no capacity ceiling to saturate).  Raises
-        :class:`~repro.errors.ConfigError` if even ``max_shards`` can't
-        absorb the sweep — the keyspace itself is too hot (one rack
-        exceeding a whole server's budget needs a finer shard key, not
-        more shards).
+        :class:`~repro.errors.ConfigError` if even
+        :data:`MAX_RESHARD_SHARDS` can't absorb the sweep — the keyspace
+        itself is too hot (one rack exceeding a whole server's budget
+        needs a finer shard key, not more shards).
         """
         store = self.sites.get(site)
         if store is None:
             raise ConfigError(f"no site {site!r}; have {sorted(self.sites)}")
         if store.capacity_records_per_s is None:
             return 0
-        if store.capacity_fraction(locations, interval_s) <= headroom:
+        if store.capacity_fraction(locations, interval_s) <= RESHARD_HEADROOM:
             return 0
         from repro.store.shards import ShardMap
 
@@ -213,16 +220,17 @@ class FederatedStore:
         n = store.n_shards
         while True:
             n *= 2
-            if n > max_shards:
+            if n > MAX_RESHARD_SHARDS:
                 raise ConfigError(
-                    f"site {site!r} sweep saturates even {max_shards} "
-                    f"shards — shard key too coarse for this keyspace")
+                    f"site {site!r} sweep saturates even "
+                    f"{MAX_RESHARD_SHARDS} shards — shard key too coarse "
+                    f"for this keyspace")
             candidate = ShardMap(n, depth=store.shard_map.depth)
             counts: dict[int, int] = {}
             for location in locations:
                 index = candidate.shard_of(location)
                 counts[index] = counts.get(index, 0) + 1
-            if max(counts.values(), default=0) <= headroom * budget:
+            if max(counts.values(), default=0) <= RESHARD_HEADROOM * budget:
                 break
         store.reshard(n)
         FLEET_RESHARDS.labels(site).inc()

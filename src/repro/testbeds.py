@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
 from repro.host.cluster import Cluster
 from repro.host.kernel import Kernel
 from repro.host.node import Node
@@ -194,14 +195,14 @@ def fleet_node(seed: int = 0x5EED,
 
 
 def mechanism_backend(name: str, seed: int = 0x5EED):
-    """A live backend for one registered mechanism, on its own testbed
-    — the factory the registry-parametrized failure tests build from,
+    """A live backend for one declared mechanism, on its own testbed
+    — the factory the catalog-parametrized failure tests build from,
     so a newly declared :class:`~repro.mech.registry.MechanismSpec` is
     exercised without touching any hand-maintained list."""
-    _, backends = fleet_node(seed=seed)  # imports register the fleet
-    from repro.mech.registry import get
-
-    get(name)  # unknown mechanisms fail loudly, naming the registry
+    _, backends = fleet_node(seed=seed)
+    if name not in backends:
+        raise ConfigError(
+            f"unknown mechanism {name!r}; the rig has {sorted(backends)}")
     return backends[name]
 
 

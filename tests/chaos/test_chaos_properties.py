@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import testbeds
-from repro.chaos import FaultPlan, FaultRule, run_scenario
+from repro.chaos import FaultPlan, FaultRule
 from repro.core.moneq.backends import RaplMsrBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
 from repro.obs.instruments import RAPL_WRAP_CORRECTIONS
+from repro.packs import execute_scenario, load_pack
 from repro.rapl.package import CpuModel
 from repro.workloads.gaussian import GaussianEliminationWorkload
 
@@ -52,16 +53,20 @@ class TestSameSeedSameTimeline:
     @pytest.mark.parametrize("scenario", ["bmc_dark", "bus_noise",
                                           "daemon_wedge"])
     def test_scenario_replays_bit_for_bit(self, scenario):
-        first = run_scenario(scenario, seed=23, duration_s=DURATION_S)
-        second = run_scenario(scenario, seed=23, duration_s=DURATION_S)
+        first = execute_scenario(load_pack(scenario), seed=23,
+                                 duration_s=DURATION_S)
+        second = execute_scenario(load_pack(scenario), seed=23,
+                                  duration_s=DURATION_S)
         assert first.summary_line() == second.summary_line()
         assert first.timeline_lines() == second.timeline_lines()
         assert first.outputs == second.outputs
         assert first.error_deltas == second.error_deltas
 
     def test_different_seed_different_timeline(self):
-        a = run_scenario("bus_noise", seed=7, duration_s=DURATION_S)
-        b = run_scenario("bus_noise", seed=8, duration_s=DURATION_S)
+        a = execute_scenario(load_pack("bus_noise"), seed=7,
+                             duration_s=DURATION_S)
+        b = execute_scenario(load_pack("bus_noise"), seed=8,
+                             duration_s=DURATION_S)
         # The fault pattern and jittered backoffs both derive from the
         # seed; two seeds agreeing on every one would be astronomical.
         assert (a.summary_line() != b.summary_line()

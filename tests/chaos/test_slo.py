@@ -9,8 +9,8 @@
 """
 
 from repro import testbeds
-from repro.chaos import run_scenario
 from repro.core.moneq.session import MoneqSession
+from repro.packs import execute_scenario, load_pack
 
 DURATION_S = 6.0
 
@@ -30,7 +30,8 @@ def _baseline_outputs(seed: int) -> dict[str, str]:
 
 class TestBmcGoesDark:
     def test_errors_carry_the_right_labels(self):
-        result = run_scenario("bmc_dark", seed=11, duration_s=DURATION_S)
+        result = execute_scenario(load_pack("bmc_dark"), seed=11,
+                                  duration_s=DURATION_S)
         # Every counted error belongs to the faulted mechanism …
         assert result.error_deltas, "a dark BMC must leave error counts"
         assert {mech for mech, _ in result.error_deltas} == {"ipmb"}
@@ -42,14 +43,16 @@ class TestBmcGoesDark:
         assert result.plan.stats.recovered == 0  # rate 1.0 never heals
 
     def test_non_faulted_mechanisms_are_unharmed(self):
-        result = run_scenario("bmc_dark", seed=11, duration_s=DURATION_S)
+        result = execute_scenario(load_pack("bmc_dark"), seed=11,
+                                  duration_s=DURATION_S)
         baseline = _baseline_outputs(seed=11)
         assert set(result.outputs) == set(baseline)
         differing = {p for p in baseline if result.outputs[p] != baseline[p]}
         assert differing == {IPMB_PATH}
 
     def test_session_completes_despite_the_outage(self):
-        result = run_scenario("bmc_dark", seed=11, duration_s=DURATION_S)
+        result = execute_scenario(load_pack("bmc_dark"), seed=11,
+                                  duration_s=DURATION_S)
         assert result.ticks > 0
         assert len(result.outputs) == 9  # every fleet agent wrote a file
         # The ipmb agent kept its cadence: dark ticks are rows reading
@@ -59,7 +62,8 @@ class TestBmcGoesDark:
         assert "nan" in result.outputs[IPMB_PATH]
 
     def test_breaker_opened_and_fast_failed(self):
-        result = run_scenario("bmc_dark", seed=11, duration_s=DURATION_S)
+        result = execute_scenario(load_pack("bmc_dark"), seed=11,
+                                  duration_s=DURATION_S)
         assert result.plan.stats.breaker_opens >= 1
         outcomes = [event.outcome for event in result.timeline]
         assert "breaker_open" in outcomes  # fast-fail crossings happened
@@ -72,7 +76,8 @@ class TestBmcGoesDark:
 
 class TestDaemonWedge:
     def test_only_the_daemon_path_degrades(self):
-        result = run_scenario("daemon_wedge", seed=19, duration_s=DURATION_S)
+        result = execute_scenario(load_pack("daemon_wedge"), seed=19,
+                                  duration_s=DURATION_S)
         assert {mech for mech, _ in result.error_deltas} == {"micras"}
         baseline = _baseline_outputs(seed=19)
         differing = {p for p in baseline if result.outputs[p] != baseline[p]}
@@ -81,7 +86,8 @@ class TestDaemonWedge:
 
 class TestBusNoise:
     def test_transient_noise_mostly_recovers(self):
-        result = run_scenario("bus_noise", seed=7, duration_s=DURATION_S)
+        result = execute_scenario(load_pack("bus_noise"), seed=7,
+                                  duration_s=DURATION_S)
         s = result.plan.stats
         assert s.faults > 0
         assert s.recovered > 0

@@ -134,10 +134,11 @@ class TestMoneqFailures:
 
 
 class TestEveryMechanismDegrades:
-    """Fault injection over the *registry*, not a hand-kept list: a
+    """Fault injection over the *catalog*, not a hand-kept list: a
     newly declared MechanismSpec is pulled into these tests by
-    ``repro.api.mech.mechanisms()`` the moment it registers — forgetting to
-    extend the failure suite is impossible by construction."""
+    ``repro.api.mech.mechanisms()`` the moment it is declared —
+    forgetting to extend the failure suite is impossible by
+    construction."""
 
     @pytest.mark.parametrize("name", sorted(mechanisms()))
     def test_total_fault_degrades_to_sensor_dark(self, name):

@@ -12,11 +12,11 @@ from repro.core.capability import (
     PLATFORM_ORDER,
     TABLE1_ROWS,
     PlatformCapabilities,
-    _keys,
     capability_matrix,
     platform_capabilities,
     render_capability_table,
 )
+from repro.mech.capability_decl import _keys
 
 EXPECTED_XEON_PHI = PlatformCapabilities(
     platform="Xeon Phi",

@@ -1,10 +1,11 @@
 """Unit tests for the ``repro.mech`` layer's four quarter-parts:
 freshness models, access channels (latency + quantization), mechanism
-specs, and the registry."""
+specs, and the catalog of declared vendor paths."""
 
 import numpy as np
 import pytest
 
+from repro.api.mech import mechanisms
 from repro.errors import ConfigError
 from repro.mech import (
     AccessChannel,
@@ -14,7 +15,6 @@ from repro.mech import (
     Quantization,
 )
 from repro.mech.capability_decl import RAPL_DECL, XEON_PHI_DECL
-from repro.mech.registry import get, mechanisms, register
 
 
 class TestFreshnessModel:
@@ -115,33 +115,17 @@ class TestMechanismSpec:
 
 
 class TestRegistry:
-    def test_identical_reregistration_is_idempotent(self):
-        spec = _spec(name="idempotent-mech")
-        try:
-            register(spec)
-            register(_spec(name="idempotent-mech"))  # equal -> fine
-            assert get("idempotent-mech") == spec
-        finally:
-            from repro.mech import registry
-            registry._REGISTRY.pop("idempotent-mech", None)
-
-    def test_conflicting_reregistration_raises(self):
-        try:
-            register(_spec(name="conflict-mech"))
-            with pytest.raises(ConfigError):
-                register(_spec(name="conflict-mech", queries_per_read=2))
-        finally:
-            from repro.mech import registry
-            registry._REGISTRY.pop("conflict-mech", None)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError):
-            get("no-such-mechanism")
-
     def test_all_eight_vendor_paths_registered(self):
-        import repro.core.moneq.backends  # noqa: F401  (registers them)
-
         assert set(mechanisms()) >= {
             "emon", "rapl_msr", "rapl_powercap", "rapl_perf",
             "nvml", "sysmgmt", "micras", "ipmb",
         }
+
+    def test_catalog_is_nine_paths_in_declaration_order_and_a_copy(self):
+        catalog = mechanisms()
+        assert list(catalog) == [
+            "emon", "rapl_msr", "rapl_powercap", "rapl_perf", "nvml",
+            "sysmgmt", "micras", "ipmb", "micsmc",
+        ]
+        catalog.clear()
+        assert len(mechanisms()) == 9

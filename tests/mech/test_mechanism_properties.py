@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import testbeds
+from repro.api.mech import mechanisms
 from repro.bgq.emon import EmonInterface
 from repro.bgq.topology import NodeBoard
 from repro.core.capability import platform_capabilities
@@ -22,7 +23,6 @@ from repro.core.moneq.backends import (
     RaplPowercapBackend,
 )
 from repro.errors import ConfigError
-from repro.mech import mechanisms
 from repro.mech.mechanism import Mechanism
 from repro.mech.source import SensorSource
 from repro.rapl.perf_event import PerfEventRapl

@@ -1,5 +1,5 @@
-"""The pack catalog: discovery, the env override, and the derived
-chaos catalog's bit-identical rule tuples."""
+"""The pack catalog: discovery, the env override, and the chaos packs'
+bit-identical rule tuples."""
 
 import json
 import math
@@ -46,23 +46,24 @@ def test_chaos_catalog_keeps_the_story_order():
 
 
 def test_chaos_scenarios_build_the_legacy_rule_tuples():
-    """The derived catalog's rule factories must produce the exact
+    """The chaos packs' fault sections must resolve to the exact
     FaultRule tuples the hand-written chaos catalog used to build —
     same kinds, same absolute windows, bit for bit (rule seeds derive
     from these fields, so any drift changes every chaos golden)."""
-    from repro.chaos import SCENARIOS
+    from repro.packs.runtime import fault_rules
 
     duration = 12.0
-    assert SCENARIOS["bmc_dark"].rules(duration, 1.0) == (
+    packs = chaos_packs()
+    assert fault_rules(packs["bmc_dark"].faults, duration, 1.0) == (
         FaultRule("ipmb", rate=1.0, kind="bmc_dark",
                   t_start=0.4 * duration),)
-    assert SCENARIOS["daemon_wedge"].rules(duration, 1.0) == (
+    assert fault_rules(packs["daemon_wedge"].faults, duration, 1.0) == (
         FaultRule("micras", rate=1.0, kind="daemon_wedged",
                   t_start=0.4 * duration),)
-    assert SCENARIOS["bus_noise"].rules(duration, 0.3) == (
+    assert fault_rules(packs["bus_noise"].faults, duration, 0.3) == (
         FaultRule("ipmb", rate=0.3, kind="ipmb_drop",
                   t_start=0.0, t_end=math.inf),)
-    assert SCENARIOS["bus_noise"].default_rate == 0.10
+    assert packs["bus_noise"].faults.default_rate == 0.10
 
 
 def test_unknown_pack_lists_the_catalog():

@@ -60,16 +60,15 @@ def test_paper_core_reproduces_experiments_md_blocks(tmp_path):
 
 def test_pack_run_matches_the_live_chaos_path():
     """The engine-dispatched payload must agree with the live
-    ``run_scenario`` path byte for byte — same timeline, same stats,
+    ``execute_scenario`` path byte for byte — same timeline, same stats,
     same outputs (both execute ``repro.packs.runtime.execute_scenario``)."""
     import json
 
-    from repro.chaos import run_scenario
-    from repro.packs.runtime import scenario_payload
+    from repro.packs.runtime import execute_scenario, scenario_payload
 
     result = run_pack("bmc_dark", cache=False)
     payload = result.payloads[result.exp_id]
-    live = run_scenario("bmc_dark")
+    live = execute_scenario(load_pack("bmc_dark"))
     assert payload["timeline"] == live.timeline_lines()
     assert json.dumps(payload, sort_keys=True) == json.dumps(
         scenario_payload(load_pack("bmc_dark"), live), sort_keys=True)

@@ -102,7 +102,7 @@ def test_missing_required_key_is_named(key):
 @given(name=_IDENT)
 @settings(max_examples=25, deadline=None)
 def test_unknown_mechanism_is_named_with_its_index(name):
-    from repro.mech import mechanisms
+    from repro.api.mech import mechanisms
 
     if name in mechanisms():
         return  # a real mechanism would validate; property is about typos

@@ -1,7 +1,7 @@
 """``repro chaos run`` stdout and the ``repro bench fleet`` gate.
 
-``chaos run`` calls its public runner (``repro.chaos.run_scenario``)
-straight from the command table, and its stdout is a compatibility
+``chaos run`` looks its scenario up in ``repro.packs.chaos_packs()`` and
+runs it with ``repro.packs.execute_scenario``, and its stdout is a compatibility
 contract — the summary lines below are the exact bytes the pre-pack
 command printed (recorded from the legacy implementation), so these
 are regression pins, not round-trips through the new code's own
@@ -23,7 +23,7 @@ from repro.perfbench import Bench
 REPO_ROOT = __file__.rsplit("/tests/", 1)[0]
 
 #: (argv tail, expected summary line) — recorded from the legacy
-#: ``run_scenario`` path; any byte of drift is a broken contract.
+#: chaos runner; any byte of drift is a broken contract.
 CHAOS_GOLDENS = [
     (["bus_noise", "--seed", "7"],
      "[repro chaos run] scenario=bus_noise seed=7 interval_s=0.560 "

@@ -14,17 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.moneq.backends  # noqa: F401  (registers the fleet)
+from repro.api.mech import mechanisms
 from repro.chaos.faults import FaultPlan, FaultRule
 from repro.mech.cache import channel_cache_disabled
-from repro.mech.registry import mechanisms
 
 from tests.properties.test_read_block_parity import PAIRS, _block_rows, _grid
 
 
 def test_pairs_cover_every_registered_mechanism():
     """The oracle below runs over PAIRS; this pins PAIRS to the full
-    ``api.mechanisms()`` registry so a new vendor path cannot dodge
+    ``api.mechanisms()`` catalog so a new vendor path cannot dodge
     the byte-identity property."""
     assert set(PAIRS) == set(mechanisms())
 

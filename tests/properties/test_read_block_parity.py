@@ -234,7 +234,7 @@ def test_emon_parity_at_generation_edges():
 def test_base_class_fallback_matches_native():
     """A backend without a native override still satisfies the block
     contract via the scalar-loop fallback in the base class."""
-    from repro.core.moneq.backend import Backend
+    from repro.mech.mechanism import Backend
 
     _, native, _ = _pair_nvml(3)
     times = np.linspace(0.0, 12.0, 50)

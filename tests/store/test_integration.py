@@ -5,10 +5,10 @@ import pytest
 from repro.bgq.envdb import SERVER_CAPACITY_RECORDS_PER_S
 from repro.bgq.machine import BgqMachine
 from repro.core.capability import PlatformCapabilities
-from repro.core.moneq.backend import Backend
 from repro.core.moneq.config import MoneqConfig
 from repro.errors import ConfigError
 from repro.host.cluster import Cluster
+from repro.mech.mechanism import Backend
 from repro.sim.rng import RngRegistry
 from repro.store import Reading
 

@@ -1,4 +1,4 @@
-"""Tier-1 contract tests of the versioned ``repro.api`` v8 surface.
+"""Tier-1 contract tests of the versioned ``repro.api`` v9 surface.
 
 The contract cuts both ways: every supported name resolves from its
 namespace, and no legacy v1 flat name resolves from ``repro.api``
@@ -24,8 +24,8 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_8():
-    assert api.API_VERSION == "8"
+def test_api_version_is_9():
+    assert api.API_VERSION == "9"
     assert api.__version__.count(".") == 2
 
 
@@ -33,7 +33,8 @@ def test_api_version_is_8():
 def test_import_loads_no_experiment_module_and_no_networkx():
     """The experiment registry resolves ids on lookup, so importing the
     surface in a fresh interpreter loads no ``repro.experiments.<id>``
-    module, and nothing in the package pulls in networkx."""
+    module, and nothing in the package pulls in networkx or scipy (the
+    runtime depends on numpy only)."""
     from repro.exec.registry import EXPERIMENT_IDS
 
     proc = subprocess.run(
@@ -45,6 +46,7 @@ def test_import_loads_no_experiment_module_and_no_networkx():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "networkx" not in loaded
+    assert "scipy" not in loaded
     experiments = {f"repro.experiments.{exp_id}" for exp_id in EXPERIMENT_IDS}
     assert not loaded & experiments, sorted(loaded & experiments)
 
@@ -90,7 +92,8 @@ def test_no_name_exported_by_two_namespaces():
 def test_every_v1_flat_name_is_gone():
     """The v1 surface, name for name: removed flat, still namespaced —
     except ``EnvRecord`` and ``WriteBatcher``, which v8 removed from
-    every namespace."""
+    every namespace, and ``SCENARIOS`` and ``run_scenario``, which v9
+    removed (the chaos scenarios are ``repro.api.packs.chaos_packs``)."""
     v1_names = [
         "initialize", "finalize", "profile_run", "backends_for_node",
         "Backend", "MoneqConfig", "MoneqSession", "MoneqResult",
@@ -100,7 +103,7 @@ def test_every_v1_flat_name_is_gone():
         "Aggregate", "QueryPlan", "FlushReport", "series_from_readings",
         "store_series",
         "FaultPlan", "FaultRule", "RetryPolicy", "CircuitBreaker",
-        "DARK_READING", "SCENARIOS", "run_scenario",
+        "DARK_READING",
         "Engine", "EngineStats", "ExperimentSpec", "ExperimentReport",
         "ResultCache", "CacheStats",
         "ReproError", "ConfigError", "DeviceError", "SensorError",
@@ -114,8 +117,8 @@ def test_every_v1_flat_name_is_gone():
             getattr(api, name)
         assert name not in dir(api)
         assert name in homes, f"v1 name {name} has no namespace home"
-    for name in ("EnvRecord", "WriteBatcher"):
-        assert name not in homes, f"{name} was removed in v8"
+    for name in ("EnvRecord", "WriteBatcher", "SCENARIOS", "run_scenario"):
+        assert name not in homes, f"{name} was removed from every namespace"
         assert not hasattr(api, name)
 
 

@@ -4,6 +4,7 @@ trade-offs (the substance of the paper's §II-D)."""
 import numpy as np
 import pytest
 
+from repro.analysis import welch_ttest
 from repro.errors import ChecksumError, IpmbError, ScifError, SensorError
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import RngRegistry
@@ -192,8 +193,6 @@ class TestPathComparison:
 
     def test_api_vs_daemon_power_gap_is_significant(self, rig):
         """Figure 7: a statistically significant boxplot separation."""
-        from scipy import stats
-
         clock, card, smc, api, daemon, _ = rig
         card.board.schedule(PhiNoopWorkload(duration=400.0))
         # Daemon arm: sample the gauge over [20, 140] with no API session.
@@ -204,5 +203,5 @@ class TestPathComparison:
         t_api = np.arange(200.0, 320.0, 1.0)
         api_samples = np.array([smc.read_sensor("power_w", t) for t in t_api])
         assert api_samples.mean() > daemon_samples.mean()
-        result = stats.ttest_ind(api_samples, daemon_samples, equal_var=False)
+        result = welch_ttest(api_samples, daemon_samples)
         assert result.pvalue < 0.01
