@@ -1,13 +1,13 @@
-"""Benchmark of the serial report pass — the pre-engine baseline cost.
+"""Benchmark of the report pass: every experiment, computed in process.
 
-The engine's warm-cache speedup floor and byte-identity are the
-``exec`` row of the bench registry (``bench_registry.py``).
+There is no result cache, so this is the wall of every
+``python -m repro report``.
 """
 
 from repro.experiments import report
 
 
 def test_report_generation_wall(benchmark):
-    """The serial no-cache report pass — the pre-engine baseline cost."""
+    """The full report pass: 13 experiments, 15 tasks."""
     md = benchmark.pedantic(report.generate_markdown, rounds=1, iterations=1)
     assert md.startswith("# EXPERIMENTS")

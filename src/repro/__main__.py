@@ -112,13 +112,6 @@ def parse_flags(args: list[str], flags: dict[str, Flag]
 
 # -- shared flag sets ---------------------------------------------------------
 
-#: The exec engine's knobs, shared by ``report``, ``exec run`` and
-#: ``pack run``.
-_ENGINE_FLAGS = {
-    "no-cache": Flag(bool, False),
-    "cache-root": Flag(str, None, "DIR"),
-}
-
 #: Run-time overrides of a scenario's manifest (``None``: keep it).
 _OVERRIDE_FLAGS = {
     "seed": Flag(int),
@@ -144,47 +137,24 @@ def _all(args: list[str]) -> int:
     return 0
 
 
-def _report(args: list[str], no_cache: bool, cache_root: str | None) -> int:
-    report_module.main(cache=not no_cache, cache_root=cache_root)
+def _report(args: list[str]) -> int:
+    report_module.main()
     return 0
 
 
-def _exec_run(args: list[str], no_cache: bool,
-              cache_root: str | None) -> int:
+def _exec_run(args: list[str]) -> int:
     from repro.exec import Engine
     from repro.exec.registry import specs_for
 
     if not args:
         raise UsageError("name at least one experiment "
                          f"(see '{_PROG} list')")
-    engine = Engine(cache=not no_cache, cache_root=cache_root)
+    engine = Engine()
     blocks = engine.run(specs_for(args))
     for block in blocks.values():
         report_module.print_block(block)
     stats = engine.stats
-    print(f"# {stats.executed} executed, {stats.cache_hits} cached, "
-          f"{stats.wall_s * 1e3:.1f} ms")
-    return 0
-
-
-def _exec_cache(args: list[str]) -> int:
-    from repro.analysis.tables import format_table
-    from repro.exec import ResultCache
-
-    if args not in (["stats"], ["clear"]):
-        raise UsageError("name one action: stats or clear")
-    cache = ResultCache()
-    if args == ["clear"]:
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {cache.root}")
-        return 0
-    stats = cache.stats()
-    rows = [(exp_id, str(n)) for exp_id, n
-            in sorted(stats.experiments.items())]
-    rows.append(("total entries", str(stats.entries)))
-    rows.append(("total bytes", str(stats.total_bytes)))
-    print(format_table(("experiment", "entries"), rows,
-                       title=f"[repro exec cache] {stats.root}"))
+    print(f"# {stats.executed} executed, {stats.wall_s * 1e3:.1f} ms")
     return 0
 
 
@@ -436,8 +406,7 @@ def _pack_show(args: list[str], json: bool) -> int:
     return 0
 
 
-def _pack_run(args: list[str], smoke: bool, json: bool,
-              no_cache: bool, cache_root: str | None, seed: int | None,
+def _pack_run(args: list[str], smoke: bool, json: bool, seed: int | None,
               duration: float | None, rate: float | None) -> int:
     import json as json_module
 
@@ -454,9 +423,8 @@ def _pack_run(args: list[str], smoke: bool, json: bool,
         raise UsageError(f"name at least one pack (see '{_PROG} pack list')")
     documents = []
     for name in names:
-        result = packs.run_pack(
-            name, cache=not no_cache, cache_root=cache_root,
-            seed=seed, duration_s=duration, rate=rate)
+        result = packs.run_pack(name, seed=seed, duration_s=duration,
+                                rate=rate)
         if json:
             documents.append({
                 "pack": result.spec.name,
@@ -471,7 +439,7 @@ def _pack_run(args: list[str], smoke: bool, json: bool,
             report_module.print_block(block)
         stats = result.stats
         print(f"# pack {result.spec.name}: {stats.executed} executed, "
-              f"{stats.cache_hits} cached, {stats.wall_s * 1e3:.1f} ms")
+              f"{stats.wall_s * 1e3:.1f} ms")
     if json:
         print(json_module.dumps(documents, indent=2, sort_keys=True))
     return 0
@@ -499,14 +467,9 @@ COMMANDS: tuple[Command, ...] = (
     Command(("list",), "", "available experiments", _list),
     _EXPERIMENT,
     Command(("all",), "", "regenerate every table/figure", _all),
-    Command(("report",), "",
-            "print EXPERIMENTS.md content (cached by default)", _report,
-            _ENGINE_FLAGS),
+    Command(("report",), "", "print EXPERIMENTS.md content", _report),
     Command(("exec", "run"), "<id...>",
-            "run experiments through the engine", _exec_run, _ENGINE_FLAGS),
-    Command(("exec", "cache"), "stats|clear",
-            "result-cache size and contents, or drop every cached result",
-            _exec_cache),
+            "run experiments through the engine", _exec_run),
     Command(("obs", "dump"), "[target...]",
             "run the exercises (default: all), dump metrics + spans",
             _obs_dump),
@@ -542,7 +505,7 @@ COMMANDS: tuple[Command, ...] = (
             "(--smoke: the fixed CI pair; --json: payloads as JSON)",
             _pack_run,
             {"smoke": Flag(bool, False), "json": Flag(bool, False),
-             **_ENGINE_FLAGS, **_OVERRIDE_FLAGS}),
+             **_OVERRIDE_FLAGS}),
 )
 
 

@@ -10,7 +10,7 @@ Namespace              Concern
 ``repro.api.mech``     vendor mechanisms, channels, POSIX credentials
 ``repro.api.data``     sharded store, envdb, readings, aggregates, tail
 ``repro.api.chaos``    fault plans, retry policies, the dark reading
-``repro.api.exec``     experiment engine and result cache
+``repro.api.exec``     experiment engine
 ``repro.api.errors``   the supported exception hierarchy
 ``repro.api.service``  the live monitoring query service
 ``repro.api.fleet``    federated multi-cluster fleets and sweeps
@@ -52,7 +52,7 @@ from repro.api import (
 )
 
 #: Version of the supported surface (not the package release).
-API_VERSION = "9"
+API_VERSION = "10"
 
 #: The nine namespaced sub-surfaces.
 NAMESPACES = {

@@ -1,13 +1,10 @@
 """Experiment specs and the rendered report block they produce.
 
-An :class:`ExperimentSpec` is the declarative unit the engine schedules:
-which module runs, with which (frozen dataclass) config, under which
-deterministic seed, and which source modules its results depend on.
-Execution is content-addressed — ``(exp_id, canonical config, source
-fingerprint)`` names a result — so the spec deliberately carries no
-callables: the engine imports ``spec.module`` and uses the module-level
-contract instead, which keeps a spec plain data that the cache key can
-digest.
+An :class:`ExperimentSpec` is the declarative unit the engine runs:
+which module runs, with which (frozen dataclass) config, split into
+which parts.  The spec deliberately carries no callables: the engine
+imports ``spec.module`` and uses the module-level contract instead,
+which keeps a spec plain data.
 
 Module contract (duck-typed, checked by the engine):
 
@@ -16,11 +13,11 @@ Module contract (duck-typed, checked by the engine):
   block as a JSON payload.
 * ``run_part(part, config) -> dict`` + ``render_block(parts) ->
   ExperimentReport`` — multi-part experiments (``spec.parts``) whose
-  independent shards are cached individually and merged into one
+  independent shards run as separate tasks and are merged into one
   block after the fact (Table III runs its three node scales this way).
 
-Payloads must be JSON-serializable: that is what makes results
-cacheable, diffable, and byte-stable across cache states.
+Payloads must be JSON-serializable, so a result can be diffed and
+exported as it is.
 """
 
 from __future__ import annotations
@@ -30,17 +27,6 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-
-#: Source modules every experiment depends on regardless of platform:
-#: the simulation substrate, the device models, the analysis helpers,
-#: and this rendering contract itself.
-BASE_SOURCES = (
-    "repro.sim",
-    "repro.devices",
-    "repro.analysis",
-    "repro.exec.spec",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -83,25 +69,17 @@ class ExperimentSpec:
     module:
         Import path of the experiment module implementing the contract.
     config:
-        Frozen dataclass of ``run()`` keyword arguments.  Canonicalized
-        into the cache key, so any field change invalidates results.
-    seed:
-        Deterministic per-experiment seed; the engine folds it with the
-        part name so results never depend on what ran before.
-    sources:
-        Modules/packages whose source text fingerprints the result.
-        Editing any of them invalidates the cache entry.
+        Frozen dataclass of ``run()`` keyword arguments (``None``: the
+        module's ``run()`` takes none).
     parts:
-        Independent shards of the experiment.  Each part is one work
-        unit (one task, one cache entry); most experiments have one.
+        Independent shards of the experiment.  Each part is one task;
+        most experiments have one.
     """
 
     exp_id: str
     title: str
     module: str
     config: object
-    seed: int
-    sources: tuple[str, ...]
     parts: tuple[str, ...] = ("all",)
 
     def __post_init__(self):
@@ -113,22 +91,15 @@ class ExperimentSpec:
                 f"got {type(self.config).__name__}"
             )
 
-    def all_sources(self) -> tuple[str, ...]:
-        """Declared sources plus the experiment module itself."""
-        names = dict.fromkeys((self.module, *BASE_SOURCES, *self.sources))
-        return tuple(names)
-
 
 @dataclass
 class TaskOutcome:
-    """What came back for one task — from the cache or a fresh run."""
+    """What came back for one task: its payload, or why it failed."""
 
     task_id: str
     payload: dict | None = None
-    cached: bool = False
     wall_s: float = 0.0
     error: str = ""
-    digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -139,7 +110,7 @@ def canonical_config(config: object) -> str:
     """Stable JSON text of a config dataclass (``{}`` for ``None``).
 
     Key order is sorted and separators are fixed, so the same logical
-    config always digests identically.
+    config always gives the same text.
     """
     if config is None:
         return "{}"
@@ -161,7 +132,6 @@ def config_kwargs(config: object) -> dict:
 
 # Re-exported for dataclass definitions in experiment modules.
 __all__ = [
-    "BASE_SOURCES",
     "ExperimentReport",
     "ExperimentSpec",
     "TaskOutcome",

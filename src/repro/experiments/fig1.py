@@ -91,6 +91,5 @@ def render(result: Fig1Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig1", title="Figure 1 — MMPS power at the bulk power modules",
-    module="repro.experiments.fig1", config=Fig1Config(), seed=0xF161,
-    sources=("repro.bgq", "repro.workloads", "repro.store", "repro.host"),
+    module="repro.experiments.fig1", config=Fig1Config(),
 )

@@ -121,7 +121,5 @@ def render(result: Fig2Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig2", title="Figure 2 — MMPS via MonEQ, 7 domains at 560 ms",
-    module="repro.experiments.fig2", config=Fig2Config(), seed=0xF162,
-    sources=("repro.bgq", "repro.core", "repro.workloads", "repro.store",
-             "repro.host"),
+    module="repro.experiments.fig2", config=Fig2Config(),
 )

@@ -110,7 +110,5 @@ def render(result: Fig3Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig3", title="Figure 3 — RAPL package power, Gaussian elimination",
-    module="repro.experiments.fig3", config=Fig3Config(), seed=0xF163,
-    sources=("repro.core", "repro.rapl", "repro.testbeds",
-             "repro.workloads", "repro.host"),
+    module="repro.experiments.fig3", config=Fig3Config(),
 )

@@ -89,7 +89,5 @@ def render(result: Fig4Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig4", title="Figure 4 — K20 NOOP power ramp",
-    module="repro.experiments.fig4", config=Fig4Config(), seed=0xF164,
-    sources=("repro.core", "repro.nvml", "repro.testbeds",
-             "repro.workloads", "repro.host"),
+    module="repro.experiments.fig4", config=Fig4Config(),
 )

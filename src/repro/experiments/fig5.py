@@ -107,7 +107,5 @@ def render(result: Fig5Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig5", title="Figure 5 — K20 vector-add power + temperature",
-    module="repro.experiments.fig5", config=Fig5Config(), seed=0xF165,
-    sources=("repro.core", "repro.nvml", "repro.testbeds",
-             "repro.workloads", "repro.host"),
+    module="repro.experiments.fig5", config=Fig5Config(),
 )

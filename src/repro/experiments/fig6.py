@@ -124,6 +124,5 @@ def render(result: Fig6Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig6", title="Figure 6 — Phi control-panel architecture",
-    module="repro.experiments.fig6", config=None, seed=0,
-    sources=("repro.xeonphi",),
+    module="repro.experiments.fig6", config=None,
 )

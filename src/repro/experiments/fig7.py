@@ -103,7 +103,5 @@ def render(result: Fig7Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig7", title="Figure 7 — Phi power boxplot, API vs daemon",
-    module="repro.experiments.fig7", config=Fig7Config(), seed=0xF167,
-    sources=("repro.core", "repro.xeonphi", "repro.testbeds",
-             "repro.workloads", "repro.host"),
+    module="repro.experiments.fig7", config=Fig7Config(),
 )

@@ -96,7 +96,5 @@ def render(result: Fig8Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="fig8", title="Figure 8 — sum power on 128 Stampede Phis",
-    module="repro.experiments.fig8", config=Fig8Config(), seed=0xF168,
-    sources=("repro.xeonphi", "repro.testbeds", "repro.workloads",
-             "repro.host"),
+    module="repro.experiments.fig8", config=Fig8Config(),
 )

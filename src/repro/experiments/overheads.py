@@ -127,7 +127,5 @@ def render(result: OverheadsResult) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="overheads", title="§II — per-query collection overheads",
-    module="repro.experiments.overheads", config=OverheadsConfig(), seed=0x0EAD,
-    sources=("repro.bgq", "repro.rapl", "repro.nvml", "repro.xeonphi",
-             "repro.testbeds", "repro.host", "repro.store"),
+    module="repro.experiments.overheads", config=OverheadsConfig(),
 )

@@ -104,6 +104,5 @@ def render(result: OverflowResult) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="rapl_overflow", title="§II-B — RAPL counter overflow",
-    module="repro.experiments.rapl_overflow", config=OverflowConfig(), seed=0,
-    sources=("repro.rapl", "repro.units"),
+    module="repro.experiments.rapl_overflow", config=OverflowConfig(),
 )

@@ -3,13 +3,10 @@
 Every experiment is declared as an :class:`repro.exec.ExperimentSpec`
 in its own module, whose ``render`` (Table III: ``render_block``) is
 the one place that experiment's paper-vs-measured text lives.  The
-engine runs the registry through its content-addressed cache and this
-module renders the blocks — in registry order, from JSON payloads — so
-the output is byte-identical whatever the cache state.  Regenerate
-with::
+engine runs the registry and this module renders the blocks, in
+registry order, from JSON payloads.  Regenerate with::
 
-    python -m repro report > EXPERIMENTS.md          # warm cache
-    python -m repro report --no-cache                # cold
+    python -m repro report > EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -63,15 +60,9 @@ def print_block(report: ExperimentReport) -> None:
     print("\n".join(render_block(report)))
 
 
-def generate_markdown(cache: bool = False,
-                      cache_root: str | None = None) -> str:
-    """Run everything; render the EXPERIMENTS.md body.
-
-    The default is the pure path (no cache) so library callers get
-    self-contained behaviour; the CLI enables the cache.
-    """
-    engine = Engine(cache=cache, cache_root=cache_root)
-    blocks = engine.run()
+def generate_markdown() -> str:
+    """Run everything; render the EXPERIMENTS.md body."""
+    blocks = Engine().run()
     lines = list(HEADER)
     for report in blocks.values():
         lines.extend(render_block(report))
@@ -79,6 +70,5 @@ def generate_markdown(cache: bool = False,
     return "\n".join(lines)
 
 
-def main(cache: bool = False,
-         cache_root: str | None = None) -> None:  # pragma: no cover - CLI
-    print(generate_markdown(cache=cache, cache_root=cache_root))
+def main() -> None:  # pragma: no cover - CLI
+    print(generate_markdown())

@@ -76,7 +76,5 @@ def render(result: Table1Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="table1", title="Table I — environmental data per platform",
-    module="repro.experiments.table1", config=None, seed=0,
-    sources=("repro.core", "repro.bgq", "repro.rapl", "repro.nvml",
-             "repro.xeonphi"),
+    module="repro.experiments.table1", config=None,
 )

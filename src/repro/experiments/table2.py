@@ -64,6 +64,5 @@ def render(result: Table2Result) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="table2", title="Table II — available RAPL sensors",
-    module="repro.experiments.table2", config=None, seed=0,
-    sources=("repro.rapl", "repro.host"),
+    module="repro.experiments.table2", config=None,
 )

@@ -90,7 +90,7 @@ def _part_payload(report: OverheadReport) -> dict:
 
 
 def run_part(part: str, config: Table3Config) -> dict:
-    """One scale's overhead report, as a cacheable payload."""
+    """One scale's overhead report, as a JSON payload."""
     return _part_payload(run_scale(int(part), seed=config.seed))
 
 
@@ -119,8 +119,6 @@ def render_block(parts: dict[str, dict]) -> ExperimentReport:
 
 SPEC = ExperimentSpec(
     exp_id="table3", title="Table III — MonEQ time overhead on Mira",
-    module="repro.experiments.table3", config=Table3Config(), seed=0x7AB1E3,
-    sources=("repro.bgq", "repro.core", "repro.workloads", "repro.store",
-             "repro.host"),
+    module="repro.experiments.table3", config=Table3Config(),
     parts=("1024", "512", "32"),
 )

@@ -11,9 +11,7 @@ zero-dependency (standard library only) and splits into:
 * :mod:`repro.obs.tracing` — span tracing driven by the simulation
   clock, so traces are deterministic;
 * :mod:`repro.obs.instruments` — the shared families every collector
-  reports through, plus per-mechanism handles;
-* :mod:`repro.obs.selfprofile` — Table III-style per-collector overhead
-  reports over any window of simulated work.
+  reports through, plus per-mechanism handles.
 
 ``python -m repro obs dump`` exercises every mechanism and prints the
 exposition; see ``docs/observability.md`` for the metric reference.
@@ -28,11 +26,6 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.selfprofile import (
-    CollectorOverhead,
-    SelfProfileReport,
-    SelfProfiler,
-)
 from repro.obs.tracing import SpanRecord, Tracer, get_tracer
 
 __all__ = [
@@ -42,9 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "SpanRecord",
     "Tracer",
-    "CollectorOverhead",
-    "SelfProfileReport",
-    "SelfProfiler",
     "get_registry",
     "get_tracer",
     "render_prometheus",

@@ -338,11 +338,6 @@ EXEC_TASK_SECONDS = _REGISTRY.histogram(
     buckets=(1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0, 3.0, 10.0),
     labels=("experiment",),
 )
-EXEC_CACHE = _REGISTRY.counter(
-    "repro_exec_cache_total",
-    "Result-cache events (hit, miss, store, evict_corrupt)",
-    labels=("event",),
-)
 
 # -- Scenario packs ----------------------------------------------------------
 

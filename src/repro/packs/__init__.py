@@ -2,11 +2,11 @@
 
 One manifest (TOML or JSON) declares a whole run — testbed,
 mechanisms, phased workload, fault plan, duration, seeds — and the
-pack runner compiles it onto the experiment engine: content-addressed
-caching and byte-stable report blocks.  The
-chaos catalog is a pack consumer too: chaos scenarios *are*
-``kind = "chaos"`` manifests, and ``repro chaos run`` executes one
-through :func:`~repro.packs.runtime.execute_scenario`.
+pack runner compiles it onto the experiment engine, which renders
+byte-stable report blocks.  The chaos catalog is a pack consumer too:
+chaos scenarios *are* ``kind = "chaos"`` manifests, and ``repro chaos
+run`` executes one through
+:func:`~repro.packs.runtime.execute_scenario`.
 
 Layering (each layer imports only downward):
 
@@ -33,7 +33,6 @@ from repro.packs.manifest import (
     scenario_from_mapping,
 )
 from repro.packs.run import (
-    PACK_SOURCES,
     SMOKE_PACKS,
     PackRunResult,
     compile_spec,
@@ -57,7 +56,6 @@ from repro.packs.schema import (
 
 __all__ = [
     "PACKS_DIR_ENV",
-    "PACK_SOURCES",
     "SMOKE_PACKS",
     "FaultPlanSpec",
     "FaultRuleSpec",

@@ -23,6 +23,9 @@ from repro.packs.schema import ScenarioSpec
 #: Environment override for the pack directory.
 PACKS_DIR_ENV = "REPRO_PACKS_DIR"
 
+#: The repository's built-in pack directory.
+_BUILTIN_DIR = Path(__file__).resolve().parents[3] / "packs"
+
 #: The ROADMAP's reliability stories lead the chaos catalog in their
 #: narrative order; packs added later follow alphabetically.
 _CHAOS_ORDER = ("bmc_dark", "daemon_wedge", "bus_noise")
@@ -33,7 +36,7 @@ def packs_dir() -> Path:
     override = os.environ.get(PACKS_DIR_ENV)
     if override:
         return Path(override)
-    return Path(__file__).resolve().parents[3] / "packs"
+    return _BUILTIN_DIR
 
 
 def pack_paths() -> dict[str, Path]:
@@ -54,14 +57,21 @@ def pack_paths() -> dict[str, Path]:
 
 
 def pack_path(name: str) -> Path:
-    """The manifest path for one named pack; unknown names fail loudly."""
-    paths = pack_paths()
-    path = paths.get(name)
-    if path is None:
-        raise PackError(
-            f"pack {name!r}: not in the catalog at {packs_dir()} "
-            f"(have: {', '.join(paths) or 'none'})")
-    return path
+    """The manifest path for one named pack; unknown names fail loudly.
+
+    Only the named pack's candidate files are looked at; the whole
+    directory is listed only to report a miss or a duplicate stem."""
+    root = packs_dir()
+    found = [path for path in (root / f"{name}{suffix}"
+                               for suffix in SUFFIXES)
+             if path.stem == name and path.parent == root
+             and path.is_file()]
+    if len(found) == 1:
+        return found[0]
+    paths = pack_paths()  # raises on a duplicate stem
+    raise PackError(
+        f"pack {name!r}: not in the catalog at {root} "
+        f"(have: {', '.join(paths) or 'none'})")
 
 
 def load_pack(name: str) -> ScenarioSpec:
@@ -70,7 +80,7 @@ def load_pack(name: str) -> ScenarioSpec:
 
 
 def raw_pack(name: str) -> dict:
-    """One catalog pack's raw manifest mapping (cache identity)."""
+    """One catalog pack's raw manifest mapping."""
     return load_manifest(pack_path(name))
 
 

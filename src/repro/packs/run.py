@@ -2,22 +2,19 @@
 
 ``compile_spec`` turns a raw manifest mapping into an
 :class:`~repro.exec.spec.ExperimentSpec` whose module is
-:mod:`repro.packs.runtime` — from there the engine's machinery applies
-unchanged: content-addressed caching over (manifest text, overrides,
-source fingerprint) and byte-stable report blocks.  The experiment id
+:mod:`repro.packs.runtime` — from there the engine runs it like any
+other spec and renders a byte-stable report block.  The experiment id
 is ``pack:<name>@<digest>`` with a short digest of the effective
-config, so the same pack run twice with different seeds gets two
-distinct cache lines, and no pack can shadow a paper experiment's.
+config, so the same pack run with different seeds gets two distinct
+ids, and no pack can shadow a paper experiment's.
 
 ``run_pack`` is the front door of ``repro pack run``.  Kind
 dispatch:
 
 * ``experiments`` packs run the *named paper experiments directly* —
   no wrapper spec, so ``paper-core`` reproduces ``EXPERIMENTS.md``
-  blocks byte-identically and shares their cache lines.
-* ``fleet`` packs force the cache off: the sweep is wall-clock timed
-  and a cached timing would be a lie.
-* ``session``/``chaos`` packs dispatch their compiled spec.
+  blocks byte-identically.
+* ``session``/``chaos``/``fleet`` packs dispatch their compiled spec.
 """
 
 from __future__ import annotations
@@ -32,25 +29,6 @@ from repro.exec.spec import ExperimentReport, ExperimentSpec, canonical_config
 from repro.packs.manifest import SUFFIXES, load_manifest, scenario_from_mapping
 from repro.packs.runtime import PackRunConfig
 from repro.packs.schema import ScenarioSpec, check_overrides
-
-#: Source modules whose text fingerprints every pack result — broad on
-#: purpose: a pack run crosses the session core, the mechanism layer,
-#: chaos, the testbeds, and every device family, so editing any of
-#: them must invalidate cached pack results.
-PACK_SOURCES = (
-    "repro.packs",
-    "repro.core",
-    "repro.mech",
-    "repro.chaos",
-    "repro.testbeds",
-    "repro.workloads",
-    "repro.bgq",
-    "repro.rapl",
-    "repro.nvml",
-    "repro.xeonphi",
-    "repro.host",
-    "repro.fleet",
-)
 
 #: The packs ``repro pack run --smoke`` (the CI step) exercises: one
 #: live session on the newest mechanism, one chaos story.
@@ -89,6 +67,13 @@ def compile_spec(raw: dict, seed: int | None = None,
         raise PackError(
             f"pack {scenario.name!r}: 'experiments' packs run the "
             f"registered paper specs directly and do not compile")
+    return _compile(raw, scenario, seed, duration_s, rate), scenario
+
+
+def _compile(raw: dict, scenario: ScenarioSpec, seed: int | None,
+             duration_s: float | None,
+             rate: float | None) -> ExperimentSpec:
+    """The engine spec of an already validated manifest."""
     check_overrides(scenario.name, seed=seed, duration_s=duration_s,
                     rate=rate)
     config = PackRunConfig(
@@ -100,15 +85,12 @@ def compile_spec(raw: dict, seed: int | None = None,
     )
     digest = hashlib.sha256(
         canonical_config(config).encode()).hexdigest()[:8]
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         exp_id=f"pack:{scenario.name}@{digest}",
         title=scenario.summary,
         module="repro.packs.runtime",
         config=config,
-        seed=config.seed,
-        sources=PACK_SOURCES,
     )
-    return spec, scenario
 
 
 def _resolve(name: str) -> dict:
@@ -120,8 +102,7 @@ def _resolve(name: str) -> dict:
     return catalog.raw_pack(name)
 
 
-def run_pack(name: str | dict, cache: bool = True,
-             cache_root: str | None = None, seed: int | None = None,
+def run_pack(name: str | dict, seed: int | None = None,
              duration_s: float | None = None,
              rate: float | None = None) -> PackRunResult:
     """Run one pack through the engine.
@@ -139,17 +120,13 @@ def run_pack(name: str | dict, cache: bool = True,
     PACK_RUNS.labels(scenario.name, scenario.kind).inc()
     t0 = time.perf_counter()
 
+    engine = Engine()
     if scenario.kind == "experiments":
-        engine = Engine(cache=cache, cache_root=cache_root)
         blocks = engine.run(specs_for(list(scenario.experiments)))
         result = PackRunResult(spec=scenario, exp_id="", blocks=blocks,
                                stats=engine.stats)
     else:
-        if scenario.kind == "fleet":
-            cache = False  # wall-clock timings must never be cached
-        spec, scenario = compile_spec(raw, seed=seed,
-                                      duration_s=duration_s, rate=rate)
-        engine = Engine(cache=cache, cache_root=cache_root)
+        spec = _compile(raw, scenario, seed, duration_s, rate)
         blocks = engine.run([spec])
         payload = engine.stats.outcomes[f"{spec.exp_id}:all"].payload
         result = PackRunResult(spec=scenario, exp_id=spec.exp_id,

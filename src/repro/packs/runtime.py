@@ -11,9 +11,9 @@ This module is two faces of one implementation:
   the :meth:`ScenarioRun.summary_line` it returns.
 * ``run_part`` / ``render_block`` implement the exec engine's module
   contract, so a compiled pack (`repro.packs.run.compile_spec`)
-  runs through the same engine and content-addressed cache as the
-  paper experiments.  The payload is the JSON-serializable
-  projection of a :class:`ScenarioRun`.
+  runs through the same engine as the paper experiments.  The
+  payload is the JSON-serializable projection of a
+  :class:`ScenarioRun`.
 
 Fault windows in a manifest are *fractions* of the run
 (``t_start_frac``), resolved against the effective duration here —
@@ -42,8 +42,7 @@ from repro.packs.schema import (
 @dataclass(frozen=True)
 class PackRunConfig:
     """The engine-facing config of a compiled pack: the canonical
-    manifest text plus the run-time overrides.  All fields enter the
-    cache key, so a different seed or duration is a different result."""
+    manifest text plus the run-time overrides."""
 
     manifest: str
     seed: int
@@ -282,7 +281,7 @@ def execute_scenario(spec: ScenarioSpec, seed: int | None = None,
 
 
 def scenario_payload(spec: ScenarioSpec, run: ScenarioRun) -> dict:
-    """JSON projection of a live run — what the engine caches."""
+    """JSON projection of a live run — the task's engine payload."""
     payload: dict = {
         "kind": spec.kind,
         "pack": spec.name,
@@ -361,5 +360,5 @@ def render_block(parts: dict[str, dict]) -> ExperimentReport:
         title=payload["summary"],
         rows=rows,
         notes=f"seed {payload['seed']}, kind {payload['kind']}"
-              if payload["kind"] != "fleet" else "wall-clock timed, uncached",
+              if payload["kind"] != "fleet" else "wall-clock timed",
     )

@@ -21,11 +21,11 @@ The four scenario kinds:
     A ``session`` whose fault plan is the point — the chaos catalog's
     scenarios are these packs, and ``repro chaos run`` executes them.
 ``experiments``
-    Regenerate the named paper experiments through the exec engine
-    (content-addressed cache and all); ``paper-core`` lists them all.
+    Regenerate the named paper experiments through the exec engine;
+    ``paper-core`` lists them all.
 ``fleet``
     The federated multi-cluster sweep plus the channel-cache ablation
-    (wall-clock timed, therefore never cached).
+    (wall-clock timed).
 """
 
 from __future__ import annotations

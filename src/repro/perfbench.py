@@ -279,9 +279,8 @@ def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 5) -> dict:
     the same compiled spec run straight through the engine.
 
     ``speedup_vs_scalar`` is ``wall(engine only) / wall(run_pack)`` —
-    ~1.0 when the pack layer is thin.  Both sides run with the cache
-    off so the measured work is the live session itself; the
-    floor catches the pack layer growing per-run work (re-validation
+    ~1.0 when the pack layer is thin.  The measured work on both
+    sides is the live session itself; the floor catches the pack layer growing per-run work (re-validation
     in a loop, manifest re-reads, O(catalog) scans)."""
     from repro.exec.engine import Engine
     from repro.packs import catalog
@@ -291,10 +290,10 @@ def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 5) -> dict:
     spec, _ = pack_run.compile_spec(raw)
 
     def engine_only():
-        Engine(cache=False).run([spec])
+        Engine().run([spec])
 
     def through_packs():
-        pack_run.run_pack(pack, cache=False)
+        pack_run.run_pack(pack)
 
     engine_only()  # warm imports and testbed caches out of the timing
     through_packs()
@@ -337,46 +336,6 @@ def bench_fleet(sites: int = 10, racks: int = MIRA_RACKS,
         "crossings_cached": ablation["crossings_cached"],
         "cache_reduction": ablation["crossings_reduction"],
         "byte_identical": ablation["byte_identical"],
-    }
-
-
-def bench_exec() -> dict:
-    """The experiment engine on the full report, into a throwaway cache:
-    cold with the cache off (the pre-engine baseline), cold filling the
-    cache, and warm (every task a cache hit).
-
-    ``speedup_vs_scalar`` is the warm run against the cache-off run.
-    The rendered markdown must be byte-identical across all three."""
-    import shutil
-    import tempfile
-
-    from repro.exec.engine import Engine
-    from repro.experiments import report
-
-    cache_root = tempfile.mkdtemp(prefix="repro-exec-bench-")
-    try:
-        def timed(cache: bool) -> tuple[float, str]:
-            return _wall(lambda: report.generate_markdown(
-                cache=cache, cache_root=cache_root))
-
-        wall_serial, md_serial = timed(cache=False)
-        _, md_cold = timed(cache=True)
-        wall_warm, md_warm = timed(cache=True)
-
-        engine = Engine(cache=True, cache_root=cache_root)
-        engine.run()
-        if engine.stats.cache_misses:
-            raise AssertionError(
-                f"warm engine still missed {engine.stats.cache_misses} "
-                f"task(s)")
-    finally:
-        shutil.rmtree(cache_root, ignore_errors=True)
-    return {
-        "wall_s": wall_warm,
-        "speedup_vs_scalar": wall_serial / wall_warm,
-        "cold_serial_wall_s": wall_serial,
-        "tasks": engine.stats.cache_hits,
-        "byte_identical": md_serial == md_cold == md_warm,
     }
 
 
@@ -469,9 +428,6 @@ BENCHES: dict[str, Bench] = {
         smoke={"sites": 2, "racks": 4, "ticks": 200},
         floors={"full": 2.0, "smoke": 2.0},
         detail_floors={"cache_reduction": 5.0}),
-    "exec": Bench(
-        bench_exec, full={}, smoke={},
-        floors={"full": 10.0, "smoke": 10.0}),
 }
 
 

@@ -98,7 +98,7 @@ def index(svc, req: Request):
     return {
         "service": "repro.service",
         "api_version": API_VERSION,
-        "endpoints": sorted(label for _, label in _ROUTES),
+        "endpoints": sorted(label for label, _ in ROUTES),
         "tables": list(svc.store.table_names),
         "tenant": req.tenant.name,
     }
@@ -328,83 +328,51 @@ def mech_read(svc, req: Request, name: str):
 
 # -- resolution ---------------------------------------------------------------
 
-#: (matcher, endpoint label).  Matchers take the split path and return
-#: a zero-arg-ready (handler, extra args) pair or None.
-_ROUTES = []
+#: (endpoint label, handler), in match order.  A ``<…>`` segment of a
+#: label matches exactly one path segment, which reaches the handler
+#: as a positional argument after ``(service, request)``.
+ROUTES = (
+    ("/", index),
+    ("/ready", ready),
+    ("/health", health),
+    ("/metrics", metrics),
+    ("/v2/tables", tables),
+    ("/v2/query/<kind>", query),
+    ("/v2/tail", tail),
+    ("/v2/stream/tail", stream_tail),
+    ("/v2/mech", mech_list),
+    ("/v2/mech/<name>/read", mech_read),
+)
 
 
-def _route(label):
-    def add(matcher):
-        _ROUTES.append((matcher, label))
-        return matcher
-    return add
+def _by_length() -> dict[int, list]:
+    """:data:`ROUTES` as ``(label, segments, handler)`` rows, grouped
+    by segment count in table order."""
+    groups: dict[int, list] = {}
+    for label, handler in ROUTES:
+        segments = tuple(s for s in label.split("/") if s)
+        groups.setdefault(len(segments), []).append(
+            (label, segments, handler))
+    return groups
 
 
-@_route("/")
-def _m_index(parts):
-    return (index, ()) if parts == [] else None
-
-
-@_route("/ready")
-def _m_ready(parts):
-    return (ready, ()) if parts == ["ready"] else None
-
-
-@_route("/health")
-def _m_health(parts):
-    return (health, ()) if parts == ["health"] else None
-
-
-@_route("/metrics")
-def _m_metrics(parts):
-    return (metrics, ()) if parts == ["metrics"] else None
-
-
-@_route("/v2/tables")
-def _m_tables(parts):
-    return (tables, ()) if parts == ["v2", "tables"] else None
-
-
-@_route("/v2/query/<kind>")
-def _m_query(parts):
-    if len(parts) == 3 and parts[:2] == ["v2", "query"]:
-        return (query, (parts[2],))
-    return None
-
-
-@_route("/v2/tail")
-def _m_tail(parts):
-    return (tail, ()) if parts == ["v2", "tail"] else None
-
-
-@_route("/v2/stream/tail")
-def _m_stream(parts):
-    return (stream_tail, ()) if parts == ["v2", "stream", "tail"] else None
-
-
-@_route("/v2/mech")
-def _m_mech(parts):
-    return (mech_list, ()) if parts == ["v2", "mech"] else None
-
-
-@_route("/v2/mech/<name>/read")
-def _m_mech_read(parts):
-    if len(parts) == 4 and parts[0] == "v2" and parts[1] == "mech" \
-            and parts[3] == "read":
-        return (mech_read, (parts[2],))
-    return None
+_BY_LENGTH = _by_length()
 
 
 def resolve(req: Request):
     """(endpoint label, bound handler) for one request; 404/405 here."""
     parts = [p for p in req.path.split("/") if p]
-    for matcher, label in _ROUTES:
-        hit = matcher(parts)
-        if hit is not None:
+    for label, segments, handler in _BY_LENGTH.get(len(parts), ()):
+        args = []
+        for segment, part in zip(segments, parts):
+            if segment[0] == "<":
+                args.append(part)
+            elif segment != part:
+                break
+        else:
             if req.method != "GET":
                 raise MethodNotAllowed(
                     f"{req.method} not supported on {label} (GET only)"
                 )
-            handler, args = hit
             return label, lambda svc: handler(svc, req, *args)
     raise NotFound(f"no endpoint {req.path!r}")

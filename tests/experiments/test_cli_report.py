@@ -14,7 +14,7 @@ EXPERIMENTS_MD = pathlib.Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 @pytest.fixture(scope="module")
 def blocks():
-    return Engine(cache=False).run(specs_for(["table1", "table2", "fig6"]))
+    return Engine().run(specs_for(["table1", "table2", "fig6"]))
 
 
 class TestCli:
@@ -48,10 +48,10 @@ class TestCli:
         assert "python -m repro" in capsys.readouterr().out
 
     def test_exec_run_repeated_id_prints_one_block(self, capsys):
-        assert cli_main(["exec", "run", "table1", "table1", "--no-cache"]) == 0
+        assert cli_main(["exec", "run", "table1", "table1"]) == 0
         out = capsys.readouterr().out
         assert out.count("## Table I — ") == 1
-        assert "# 1 executed, 0 cached" in out
+        assert "# 1 executed, " in out
 
 
 class TestReportBlocks:

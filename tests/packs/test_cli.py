@@ -29,17 +29,15 @@ def test_pack_show_json_round_trips_the_manifest(capsys):
     assert "table1" in raw["experiments"]
 
 
-def test_pack_run_prints_block_and_stats(tmp_path, capsys):
-    assert cli_main(["pack", "run", "phi-micsmc", "--no-cache",
-                     "--cache-root", str(tmp_path)]) == 0
+def test_pack_run_prints_block_and_stats(capsys):
+    assert cli_main(["pack", "run", "phi-micsmc"]) == 0
     out = capsys.readouterr().out
     assert "## pack:phi-micsmc" in out
     assert "# pack phi-micsmc: 1 executed" in out
 
 
-def test_pack_run_json_emits_the_payload(tmp_path, capsys):
-    assert cli_main(["pack", "run", "phi-micsmc", "--json", "--no-cache",
-                     "--cache-root", str(tmp_path)]) == 0
+def test_pack_run_json_emits_the_payload(capsys):
+    assert cli_main(["pack", "run", "phi-micsmc", "--json"]) == 0
     documents = json.loads(capsys.readouterr().out)
     assert len(documents) == 1
     doc = documents[0]
@@ -48,20 +46,18 @@ def test_pack_run_json_emits_the_payload(tmp_path, capsys):
     assert doc["exp_id"].startswith("pack:phi-micsmc@")
 
 
-def test_pack_run_overrides_reach_the_session(tmp_path, capsys):
-    assert cli_main(["pack", "run", "phi-micsmc", "--json", "--no-cache",
-                     "--cache-root", str(tmp_path),
+def test_pack_run_overrides_reach_the_session(capsys):
+    assert cli_main(["pack", "run", "phi-micsmc", "--json",
                      "--seed", "42", "--duration", "2.0"]) == 0
     doc = json.loads(capsys.readouterr().out)[0]
     assert doc["payload"]["seed"] == 42
     assert doc["payload"]["duration_s"] == 2.0
 
 
-def test_pack_run_smoke_runs_the_ci_pair(tmp_path, capsys):
+def test_pack_run_smoke_runs_the_ci_pair(capsys):
     from repro.packs import SMOKE_PACKS
 
-    assert cli_main(["pack", "run", "--smoke", "--no-cache",
-                     "--cache-root", str(tmp_path)]) == 0
+    assert cli_main(["pack", "run", "--smoke"]) == 0
     out = capsys.readouterr().out
     for name in SMOKE_PACKS:
         assert f"## pack:{name}" in out
@@ -74,8 +70,7 @@ def test_pack_run_accepts_a_manifest_path(tmp_path, capsys):
         "duration_s": 1.0, "testbed": {"kind": "phi"},
         "mechanisms": ["micsmc"],
     }), encoding="utf-8")
-    assert cli_main(["pack", "run", str(manifest), "--no-cache",
-                     "--cache-root", str(tmp_path / "cache")]) == 0
+    assert cli_main(["pack", "run", str(manifest)]) == 0
     assert "## pack:adhoc" in capsys.readouterr().out
 
 

@@ -1,5 +1,5 @@
-"""Compiling packs onto the engine: cache behavior, byte-identity
-across cold/warm/uncached runs, and the paper-core reproduction."""
+"""Compiling packs onto the engine: byte-identity across repeat runs,
+and the paper-core reproduction."""
 
 import pathlib
 
@@ -35,22 +35,19 @@ def test_experiments_packs_do_not_compile():
 
 
 @pytest.mark.tier1
-def test_cold_warm_and_fanned_runs_render_identical_blocks(tmp_path):
-    cold = run_pack("phi-micsmc", cache_root=str(tmp_path))
-    assert (cold.stats.executed, cold.stats.cache_hits) == (1, 0)
-    warm = run_pack("phi-micsmc", cache_root=str(tmp_path))
-    assert (warm.stats.executed, warm.stats.cache_hits) == (0, 1)
-    uncached = run_pack("phi-micsmc", cache=False, cache_root=str(tmp_path))
-    assert uncached.stats.executed == 1
-    assert block_texts(cold) == block_texts(warm) == block_texts(uncached)
-    payload = cold.payloads[cold.exp_id]
+def test_repeat_runs_render_identical_blocks():
+    first = run_pack("phi-micsmc")
+    second = run_pack("phi-micsmc")
+    assert first.stats.executed == second.stats.executed == 1
+    assert block_texts(first) == block_texts(second)
+    payload = first.payloads[first.exp_id]
     assert payload["kind"] == "session" and payload["ticks"] > 0
 
 
 @pytest.mark.tier1
-def test_paper_core_reproduces_experiments_md_blocks(tmp_path):
+def test_paper_core_reproduces_experiments_md_blocks():
     committed = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
-    result = run_pack("paper-core", cache_root=str(tmp_path))
+    result = run_pack("paper-core")
     spec = load_pack("paper-core")
     assert list(result.blocks) == list(spec.experiments)
     for exp_id in spec.experiments:
@@ -66,7 +63,7 @@ def test_pack_run_matches_the_live_chaos_path():
 
     from repro.packs.runtime import execute_scenario, scenario_payload
 
-    result = run_pack("bmc_dark", cache=False)
+    result = run_pack("bmc_dark")
     payload = result.payloads[result.exp_id]
     live = execute_scenario(load_pack("bmc_dark"))
     assert payload["timeline"] == live.timeline_lines()
@@ -88,21 +85,11 @@ def _canned_fleet_row(monkeypatch, calls):
         floors={"full": 2.0, "smoke": 2.0}))
 
 
-def test_fleet_packs_never_cache(tmp_path, monkeypatch):
-    calls = []
-    _canned_fleet_row(monkeypatch, calls)
-    for _ in range(2):
-        result = run_pack("fleet-sweep", cache=True,
-                          cache_root=str(tmp_path))
-        assert result.stats.cache_hits == 0  # wall-clock: forced cold
-    assert calls == [2, 2]  # the manifest's smoke profile
-
-
-def test_run_pack_accepts_a_raw_manifest_mapping(tmp_path, monkeypatch):
+def test_run_pack_accepts_a_raw_manifest_mapping(monkeypatch):
     _canned_fleet_row(monkeypatch, [])
     raw = raw_pack("fleet-sweep")
     raw = {**raw, "fleet": {"smoke": False}}
-    result = run_pack(raw, cache_root=str(tmp_path))
+    result = run_pack(raw)
     assert result.payloads[result.exp_id]["fleet"]["sites"] == 10
 
 
@@ -111,5 +98,5 @@ def test_pack_runs_metric_counts_dispatches():
 
     key = ("phi-micsmc", "session")
     before = PACK_RUNS.samples().get(key, 0.0)
-    run_pack("phi-micsmc", cache=False)
+    run_pack("phi-micsmc")
     assert PACK_RUNS.samples().get(key, 0.0) == before + 1

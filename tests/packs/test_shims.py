@@ -186,6 +186,9 @@ def test_fleet_bad_usage_exits_two(argv, capsys):
     ["store", "bench"],
     ["bench", "launcher_mmps"],
     ["bench", "fleet", "no_such_bench", "--smoke"],
+    ["report", "--no-cache"],
+    ["pack", "run", "phi-micsmc", "--no-cache"],
+    ["exec", "cache", "stats"],
 ])
 def test_retired_bench_verbs_and_unknown_benches_exit_two(argv, capsys):
     assert cli_main(argv) == 2

@@ -24,8 +24,8 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_9():
-    assert api.API_VERSION == "9"
+def test_api_version_is_10():
+    assert api.API_VERSION == "10"
     assert api.__version__.count(".") == 2
 
 
@@ -93,7 +93,8 @@ def test_every_v1_flat_name_is_gone():
     """The v1 surface, name for name: removed flat, still namespaced —
     except ``EnvRecord`` and ``WriteBatcher``, which v8 removed from
     every namespace, and ``SCENARIOS`` and ``run_scenario``, which v9
-    removed (the chaos scenarios are ``repro.api.packs.chaos_packs``)."""
+    removed (the chaos scenarios are ``repro.api.packs.chaos_packs``).
+    The v1 result-cache classes left with the cache in v10."""
     v1_names = [
         "initialize", "finalize", "profile_run", "backends_for_node",
         "Backend", "MoneqConfig", "MoneqSession", "MoneqResult",
@@ -105,7 +106,6 @@ def test_every_v1_flat_name_is_gone():
         "FaultPlan", "FaultRule", "RetryPolicy", "CircuitBreaker",
         "DARK_READING",
         "Engine", "EngineStats", "ExperimentSpec", "ExperimentReport",
-        "ResultCache", "CacheStats",
         "ReproError", "ConfigError", "DeviceError", "SensorError",
         "MoneqError", "MoneqStateError", "MoneqBufferFullError",
         "ExperimentExecutionError", "ChaosError",

@@ -201,7 +201,6 @@ def test_committed_trajectory_meets_every_floor():
         for name, entry in entries.items():
             assert perfbench.floor_failures(name, entry, profile) == []
             assert entry["spread"] >= 0.0
-    assert committed["full"]["exec"]["tasks"] == 15
 
 
 def test_only_the_trajectory_file_is_committed():
