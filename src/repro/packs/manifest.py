@@ -10,8 +10,6 @@ shape error carries the manifest path and the offending dotted field.
 
 from __future__ import annotations
 
-import copy
-import functools
 import json
 import tomllib
 from pathlib import Path
@@ -21,15 +19,6 @@ from repro.packs.schema import ScenarioSpec, parse_scenario
 
 #: Manifest suffixes the loader understands.
 SUFFIXES = (".toml", ".json")
-
-
-@functools.lru_cache(maxsize=64)
-def _decode(raw: bytes, suffix: str) -> object:
-    """Decode manifest bytes.  Keyed by the bytes themselves, so an
-    edited file always decodes afresh; the TOML parse is most of what
-    the pack layer adds to a run (``pack_overhead`` bench row)."""
-    text = raw.decode("utf-8")
-    return tomllib.loads(text) if suffix == ".toml" else json.loads(text)
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -44,7 +33,10 @@ def load_manifest(path: str | Path) -> dict:
     except OSError as exc:
         raise PackError(f"pack manifest {str(path)!r}: {exc}") from exc
     try:
-        data = copy.deepcopy(_decode(raw, path.suffix))
+        if path.suffix == ".toml":
+            data = tomllib.loads(raw.decode("utf-8"))
+        else:
+            data = json.loads(raw.decode("utf-8"))
     except (tomllib.TOMLDecodeError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         raise PackError(f"pack manifest {str(path)!r}: {exc}") from exc

@@ -345,24 +345,13 @@ ROUTES = (
 )
 
 
-def _by_length() -> dict[int, list]:
-    """:data:`ROUTES` as ``(label, segments, handler)`` rows, grouped
-    by segment count in table order."""
-    groups: dict[int, list] = {}
-    for label, handler in ROUTES:
-        segments = tuple(s for s in label.split("/") if s)
-        groups.setdefault(len(segments), []).append(
-            (label, segments, handler))
-    return groups
-
-
-_BY_LENGTH = _by_length()
-
-
 def resolve(req: Request):
     """(endpoint label, bound handler) for one request; 404/405 here."""
     parts = [p for p in req.path.split("/") if p]
-    for label, segments, handler in _BY_LENGTH.get(len(parts), ()):
+    for label, handler in ROUTES:
+        segments = label.split("/")[1:] if label != "/" else []
+        if len(segments) != len(parts):
+            continue
         args = []
         for segment, part in zip(segments, parts):
             if segment[0] == "<":

@@ -85,6 +85,14 @@ def _canned_fleet_row(monkeypatch, calls):
         floors={"full": 2.0, "smoke": 2.0}))
 
 
+def test_fleet_packs_use_the_rows_smoke_sizes_on_every_run(monkeypatch):
+    calls = []
+    _canned_fleet_row(monkeypatch, calls)
+    run_pack("fleet-sweep")
+    run_pack("fleet-sweep")
+    assert calls == [2, 2]
+
+
 def test_run_pack_accepts_a_raw_manifest_mapping(monkeypatch):
     _canned_fleet_row(monkeypatch, [])
     raw = raw_pack("fleet-sweep")

@@ -117,7 +117,8 @@ def test_every_v1_flat_name_is_gone():
             getattr(api, name)
         assert name not in dir(api)
         assert name in homes, f"v1 name {name} has no namespace home"
-    for name in ("EnvRecord", "WriteBatcher", "SCENARIOS", "run_scenario"):
+    for name in ("EnvRecord", "WriteBatcher", "SCENARIOS", "run_scenario",
+                 "ResultCache", "CacheStats"):
         assert name not in homes, f"{name} was removed from every namespace"
         assert not hasattr(api, name)
 
