@@ -52,7 +52,7 @@ from repro.api import (
 )
 
 #: Version of the supported surface (not the package release).
-API_VERSION = "10"
+API_VERSION = "11"
 
 #: The nine namespaced sub-surfaces.
 NAMESPACES = {

@@ -11,6 +11,8 @@ from repro.analysis.compare import series_from_readings, store_series
 from repro.bgq.envdb import EnvironmentalDatabase
 from repro.store import (
     Aggregate,
+    Batch,
+    BatchBlock,
     FlushReport,
     QueryPlan,
     Reading,
@@ -21,6 +23,8 @@ from repro.store import (
 
 __all__ = [
     "Aggregate",
+    "Batch",
+    "BatchBlock",
     "EnvironmentalDatabase",
     "FlushReport",
     "QueryPlan",

@@ -22,8 +22,10 @@ the 60 s minimum interval.  Queries return the store's normalized
 A sweep meters every registered BPM as one
 :class:`~repro.bgq.bpm.BpmBlock`: meter noise and coolant jitter are
 seed-array hashes over the BPMs, board power is evaluated once per
-distinct board schedule, and the four tables' rows are cut from the
-block's columns — bit-identical to metering each BPM on its own.
+distinct board schedule, and the four tables' columns go to the store
+as one :class:`~repro.store.Batch` — no per-row dict or
+:class:`~repro.store.Reading` is built on the write path.  Stored rows
+are bit-identical to metering each BPM on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.errors import ConfigError
 from repro.obs.instruments import ENVDB_POLLS, ENVDB_QUERY_ROWS, ENVDB_RECORDS, collector
 from repro.sim.events import EventQueue
 from repro.sim.hashrand import hash_normal
-from repro.store import Aggregate, Reading, ShardedStore
+from repro.store import Aggregate, Batch, BatchBlock, Reading, ShardedStore
 
 _OBS = collector("envdb")
 _RECORD_COUNTERS = {}
@@ -54,13 +56,6 @@ DEFAULT_POLL_INTERVAL_S = 240.0
 #: the paper's capacity rationale.  With sharding this is a *per-shard*
 #: ceiling; one shard reproduces the paper's single server.
 SERVER_CAPACITY_RECORDS_PER_S = 60.0
-
-
-def _rows(columns: dict[str, np.ndarray]) -> list[dict[str, float]]:
-    """Equal-length value columns as one ``{name: float}`` row per element."""
-    names = tuple(columns)
-    return [dict(zip(names, values))
-            for values in zip(*(column.tolist() for column in columns.values()))]
 
 
 class EnvironmentalDatabase:
@@ -168,25 +163,36 @@ class EnvironmentalDatabase:
         # Ambient rows derived from the board's electrical state.
         out_w = metered["output_power_w"]
         jitter = hash_normal(block.seeds ^ _COOLANT_JITTER_SALT, int(round(t)))
-        coolant = {"flow_lpm": 18.0 + 0.2 * jitter,
-                   "pressure_kpa": 310.0 + 1.5 * jitter,
-                   "inlet_c": 16.5 + 0.1 * jitter,
-                   "outlet_c": 16.5 + out_w / 900.0}
-        temperature = {"board_c": 24.0 + out_w / 250.0}
-        fan = {"speed_rpm": 3600.0 + out_w / 4.0}
-        items: list[tuple[str, Reading]] = []
-        add = items.append
-        for bpm, bpm_row, coolant_row, temperature_row, fan_row in zip(
-                self._bpms, _rows(metered), _rows(coolant),
-                _rows(temperature), _rows(fan)):
-            board = bpm.node_board.location
-            add(("bpm", Reading(t, bpm.location, "envdb", bpm_row)))
-            add(("coolant", Reading(t, board, "envdb", coolant_row)))
-            add(("temperature", Reading(t, board, "envdb", temperature_row)))
-            add(("fan", Reading(t, bpm.location, "envdb", fan_row)))
-        if items:
-            self.store.ingest_batch(items, self.poll_interval_s)
+        columns = {
+            "bpm": metered,
+            "coolant": {"flow_lpm": 18.0 + 0.2 * jitter,
+                        "pressure_kpa": 310.0 + 1.5 * jitter,
+                        "inlet_c": 16.5 + 0.1 * jitter,
+                        "outlet_c": 16.5 + out_w / 900.0},
+            "temperature": {"board_c": 24.0 + out_w / 250.0},
+            "fan": {"speed_rpm": 3600.0 + out_w / 4.0},
+        }
+        if self._bpms:
+            self.store.ingest_batch(self._batch(t, columns),
+                                    self.poll_interval_s)
         self.queue.schedule_in(self.poll_interval_s, self._sweep)
+
+    def _batch(self, t: float,
+               columns: dict[str, dict[str, np.ndarray]]) -> Batch:
+        """One sweep's tables as column blocks, offered BPM by BPM: its
+        bpm, coolant, temperature and fan rows in turn."""
+        n = len(self._bpms)
+        at = {"bpm": [bpm.location for bpm in self._bpms]}
+        at["fan"] = at["bpm"]
+        at["coolant"] = at["temperature"] = [bpm.node_board.location
+                                             for bpm in self._bpms]
+        return Batch(tuple(
+            BatchBlock(table=table, mechanism="envdb",
+                       fields=tuple(columns[table]),
+                       timestamps=np.full(n, t), locations=at[table],
+                       values=np.column_stack(tuple(columns[table].values())),
+                       positions=np.arange(k, 4 * n, 4))
+            for k, table in enumerate(self.TABLES)))
 
     @property
     def polls_completed(self) -> int:

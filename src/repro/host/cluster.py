@@ -18,7 +18,7 @@ from repro.errors import ConfigError
 from repro.host.node import Node
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import RngRegistry
-from repro.store import FlushReport, Reading, ShardedStore
+from repro.store import Batch, FlushReport, Reading, ShardedStore
 
 
 class Cluster:
@@ -110,7 +110,8 @@ class Cluster:
                 f"cluster {self.name!r}: empty write batch for table {table!r}"
             )
         return self.store.ingest_batch(
-            [(table, reading) for reading in readings], interval_s)
+            Batch.of_readings((table, reading) for reading in readings),
+            interval_s)
 
     def devices(self, kind: str) -> list[object]:
         """All devices of a kind across the cluster, node order."""

@@ -273,6 +273,8 @@ def stream_tail(svc, req: Request):
     table = svc.store._check_table(req.param("table"))
     cursor = (None if req.param("cursor", "now") == "now"
               else req.int_param("cursor", minimum=0))
+    if cursor is not None:
+        svc.store._check_cursor(cursor)
     return tail_stream(
         svc.store, table,
         cursor=cursor,

@@ -13,7 +13,9 @@ repeated range queries O(windows) instead of O(records).
 * :mod:`repro.store.shards` — deterministic location-prefix sharding;
 * :mod:`repro.store.aggregate` — the per-shard min/mean/max window cache;
 * :mod:`repro.store.planner` — shard routing + cache-use planning;
-* :mod:`repro.store.engine` — :class:`ShardedStore` with the
+* :mod:`repro.store.engine` — :class:`Batch`, the one write unit (a
+  sweep's rows as per-table column blocks), and :class:`ShardedStore`,
+  whose shard tables hold columns, with the
   ``range`` / ``prefix`` / ``aggregate`` / ``latest`` / ``tail``
   query API (``tail`` resumes from a :class:`TailBatch` cursor);
 * :mod:`repro.store.federation` — :class:`FederatedStore` routing N
@@ -33,7 +35,13 @@ from repro.store.aggregate import (
     merge_partials,
     window_index,
 )
-from repro.store.engine import FlushReport, ShardedStore, TailBatch
+from repro.store.engine import (
+    Batch,
+    BatchBlock,
+    FlushReport,
+    ShardedStore,
+    TailBatch,
+)
 from repro.store.federation import FederatedQueryPlan, FederatedStore
 from repro.store.planner import QUERY_KINDS, QueryPlan, plan_query
 from repro.store.reading import Reading
@@ -42,6 +50,8 @@ from repro.store.shards import ShardMap, shard_key
 __all__ = [
     "Aggregate",
     "AggregateCache",
+    "Batch",
+    "BatchBlock",
     "FederatedQueryPlan",
     "FederatedStore",
     "FlushReport",

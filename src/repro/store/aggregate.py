@@ -8,6 +8,12 @@ of re-reducing O(records) per query, each shard keeps min/mean/max per
 kept current by folding only the records ingested since the last read
 — so a cycle's rollup costs O(new records + matching windows), however
 long the history grows.
+
+The fold reads the shard table's columns.  Values are taken out as
+Python floats and added one by one in (timestamp, ingest sequence)
+order — never with ``np.sum``, whose pairwise order would change the
+low bits of a total — and min/max keep the plain ``<``/``>`` folds,
+whose NaN behaviour ``np.minimum`` and ``np.fmin`` would not reproduce.
 """
 
 from __future__ import annotations
@@ -17,12 +23,13 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs.instruments import (
     STORE_CACHE_HITS,
     STORE_CACHE_INVALIDATIONS,
     STORE_CACHE_MISSES,
 )
-from repro.store.reading import Reading
 
 
 @dataclass(frozen=True)
@@ -148,37 +155,30 @@ class AggregateCache:
             OrderedDict()
 
     def windows(self, table: str, field: str, window_s: float,
-                records: list[Reading],
-                source) -> dict[str, dict[int, list]]:
+                records) -> dict[str, dict[int, list]]:
         """The (location → window → accumulator) map for one keying.
 
-        ``records`` is the shard table's (timestamp, sequence)-ordered
-        run, which a miss builds from; ``source`` is that shard table,
-        whose ingest log (``tail_slice``) feeds the fold on a hit.
+        ``records`` is a snapshot of the shard table (its length is
+        the table's row count): a miss folds its (timestamp,
+        sequence)-ordered run, a hit folds its ingest log past the
+        keying's watermark.
         """
         key = (table, field, float(window_s))
         keying = self._entries.get(key)
         if keying is not None:
             self._entries.move_to_end(key)
-            seqs, fresh = source.tail_slice(keying.watermark)
-            if keying.folded + len(seqs) == len(records):
+            fresh = records.rows_since(keying.watermark)
+            if keying.folded + len(fresh) == len(records):
                 STORE_CACHE_HITS.inc()
-                self._fold_tail(keying, field, window_s, records, seqs, fresh)
+                self._fold_tail(keying, field, window_s, records, fresh)
                 return keying.built
             # A record landed behind the watermark (a writer that took
             # its sequence number before the last read but inserted
             # after it): refold from scratch rather than miss it.
         STORE_CACHE_MISSES.inc()
         built: dict[str, dict[int, list]] = {}
-        for reading in records:
-            value = reading.values.get(field)
-            if value is None:
-                continue
-            _fold(built.setdefault(reading.location, {}),
-                  window_index(reading.timestamp, window_s), value,
-                  reading.timestamp)
-        watermark = source.log_seqs[-1] + 1 if source.log_seqs else 0
-        self._entries[key] = _Keying(built, watermark, len(records))
+        _fold_rows(built, records, np.arange(len(records)), field, window_s)
+        self._entries[key] = _Keying(built, records.next_seq, len(records))
         if len(self._entries) > MAX_KEYINGS:
             self._entries.popitem(last=False)
             STORE_CACHE_INVALIDATIONS.inc()
@@ -186,23 +186,22 @@ class AggregateCache:
 
     @staticmethod
     def _fold_tail(keying: _Keying, field: str, window_s: float,
-                   records: list[Reading], seqs: list[int],
-                   fresh: list[Reading]) -> None:
-        """Fold the records ingested since the watermark, in ingest
-        order, and advance the watermark past them."""
-        if not seqs:
+                   records, fresh: np.ndarray) -> None:
+        """Fold the rows ingested since the watermark, in ingest order,
+        and advance the watermark past them."""
+        if not len(fresh):
             return
         built = keying.built
-        rebuilt: set[tuple[str, int]] = set()
-        for reading in fresh:
-            value = reading.values.get(field)
-            if value is None:
-                continue
-            location, timestamp = reading.location, reading.timestamp
+        locations = records.locations
+        rebuilt: set[tuple[int, int]] = set()
+        rows, values = records.field(field, fresh)
+        for loc, timestamp, value in zip(records.loc[rows].tolist(),
+                                         records.t[rows].tolist(),
+                                         values.tolist()):
             idx = window_index(timestamp, window_s)
-            if rebuilt and (location, idx) in rebuilt:
+            if rebuilt and (loc, idx) in rebuilt:
                 continue  # the rebuild already read it from the run
-            by_window = built.setdefault(location, {})
+            by_window = built.setdefault(locations[loc], {})
             acc = by_window.get(idx)
             # Every folded record has a smaller sequence, so a tie on
             # timestamp still sorts this one after them.
@@ -210,12 +209,11 @@ class AggregateCache:
                 _fold(by_window, idx, value, timestamp)
                 continue
             del by_window[idx]
-            _rebuild_window(by_window, records, location, field, idx,
-                            window_s)
-            rebuilt.add((location, idx))
+            _rebuild_window(built, records, loc, field, idx, window_s)
+            rebuilt.add((loc, idx))
             STORE_CACHE_INVALIDATIONS.inc()
-        keying.watermark = seqs[-1] + 1
-        keying.folded += len(seqs)
+        keying.watermark = int(records.seq[fresh[-1]]) + 1
+        keying.folded += len(fresh)
 
     @staticmethod
     def select(built: dict[str, dict[int, list]], field: str,
@@ -253,19 +251,31 @@ class AggregateCache:
         return out
 
 
-def _rebuild_window(by_window: dict[int, list], records: list[Reading],
-                    location: str, field: str, idx: int,
-                    window_s: float) -> None:
+def _fold_rows(built: dict[str, dict[int, list]], records,
+               rows: np.ndarray, field: str, window_s: float) -> None:
+    """Fold the ``rows`` of a table snapshot that carry ``field``, in
+    the given order, as Python floats (so totals add exactly as a fold
+    over the original records)."""
+    rows, values = records.field(field, rows)
+    locations = records.locations
+    for loc, timestamp, value in zip(records.loc[rows].tolist(),
+                                     records.t[rows].tolist(),
+                                     values.tolist()):
+        _fold(built.setdefault(locations[loc], {}),
+              window_index(timestamp, window_s), value, timestamp)
+
+
+def _rebuild_window(built: dict[str, dict[int, list]], records, loc: int,
+                    field: str, idx: int, window_s: float) -> None:
     """Refold one (location, window) from the (timestamp, sequence)-
     ordered run, exactly as a fresh build would."""
-    def index_of(reading: Reading) -> int:
-        return window_index(reading.timestamp, window_s)
+    t = records.t
 
-    lo = bisect_left(records, idx, key=index_of)
-    hi = bisect_right(records, idx, lo=lo, key=index_of)
-    for reading in records[lo:hi]:
-        if reading.location != location:
-            continue
-        value = reading.values.get(field)
-        if value is not None:
-            _fold(by_window, idx, value, reading.timestamp)
+    def index_of(row: int) -> int:
+        return window_index(float(t[row]), window_s)
+
+    lo = bisect_left(range(len(t)), idx, key=index_of)
+    hi = bisect_right(range(len(t)), idx, lo=lo, key=index_of)
+    rows = np.arange(lo, hi)
+    _fold_rows(built, records, rows[records.loc[lo:hi] == loc], field,
+               window_s)

@@ -9,20 +9,32 @@ independent stores, each with the single-server ingest budget, so
 ``n_shards=1`` reproduces the paper's server exactly and N=16 sustains
 a full-Mira sweep at the 60 s minimum interval.
 
+The store holds columns.  Each shard table keeps parallel arrays in
+(timestamp, global ingest sequence) order — timestamp, sequence, an
+interned location id, a mechanism id, a schema id (the interned tuple
+of the row's field names, in order) and a float value block — grown by
+amortized doubling.  A sweep arrives as one :class:`~repro.store.Batch`
+of column blocks and is appended per shard table in one step; a batch
+that lands behind a table's newest row is merged in by
+``searchsorted``.  While appends stay in sequence order the run *is*
+the ingest log that tail cursors resume from.
+
 Reads go through a planned query API — ``range``, ``prefix``,
-``aggregate`` (cache-backed downsampling), ``latest`` — that merges
-per-shard sorted runs deterministically: results are
-ordered by (timestamp, global ingest sequence), byte-identical to the
-seed envdb's flat record list at any shard count.
+``aggregate`` (cache-backed downsampling), ``latest``, ``tail`` — that
+merges per-shard runs deterministically: results are ordered by
+(timestamp, global ingest sequence), byte-identical to the seed
+envdb's flat record list at any shard count.  :class:`Reading` objects
+are built for the returned rows only.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
-from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.instruments import (
@@ -39,6 +51,12 @@ from repro.store.reading import Reading
 from repro.store.shards import ShardMap
 
 _INF = float("inf")
+
+#: Rows of a shard table's first allocation; it doubles as it fills.
+_FIRST_ROWS = 64
+
+#: A shard table's column arrays, in the order pieces carry them.
+_COLUMNS = ("t", "seq", "loc", "mech", "schema", "values")
 
 
 @dataclass(frozen=True)
@@ -74,53 +92,389 @@ class TailBatch:
         return len(self.readings)
 
 
-class _ShardTable:
-    """One table's sorted run on one shard: (timestamp, seq) order.
+@dataclass(frozen=True)
+class BatchBlock:
+    """Rows of one table sharing one mechanism and one field schema.
 
-    Beside the time-ordered run, the table keeps an *ingest-ordered*
-    log (by global sequence number) so tail cursors can resume exactly
-    where they left off regardless of record timestamps — late-arriving
-    backfills still reach a tailing consumer.
+    Parameters
+    ----------
+    table:
+        The table the rows go to.
+    mechanism:
+        The mechanism that produced every row (non-empty).
+    fields:
+        Field names, in the order of ``values``' columns.
+    timestamps:
+        One finite timestamp per row.
+    locations:
+        One non-empty location string per row.
+    values:
+        ``(rows, len(fields))`` float values (NaN allowed: a dark
+        reading under fault injection is one).
+    positions:
+        Each row's position in the batch's offered order.
     """
 
-    __slots__ = ("keys", "records", "latest", "log_seqs", "log_records")
+    table: str
+    mechanism: str
+    fields: tuple[str, ...]
+    timestamps: np.ndarray
+    locations: Sequence[str]
+    values: np.ndarray
+    positions: np.ndarray
+
+    def __post_init__(self):
+        set_ = object.__setattr__
+        set_(self, "fields", tuple(self.fields))
+        set_(self, "timestamps", np.asarray(self.timestamps, np.float64))
+        set_(self, "values", np.asarray(self.values, np.float64))
+        set_(self, "positions", np.asarray(self.positions, np.int64))
+        n = len(self.timestamps)
+        if not self.mechanism:
+            raise ConfigError(f"block for table {self.table!r} needs a "
+                              f"non-empty mechanism")
+        if len(set(self.fields)) != len(self.fields):
+            raise ConfigError(f"block fields repeat a name: {self.fields}")
+        if (self.timestamps.shape != (n,) or len(self.locations) != n
+                or self.values.shape != (n, len(self.fields))
+                or self.positions.shape != (n,)):
+            raise ConfigError(
+                f"block for table {self.table!r}: {n} timestamps, "
+                f"{len(self.locations)} locations, values "
+                f"{self.values.shape} and positions {self.positions.shape} "
+                f"for fields {self.fields}")
+        if not np.isfinite(self.timestamps).all():
+            bad = self.timestamps[~np.isfinite(self.timestamps)][0]
+            raise ConfigError(f"block for table {self.table!r} has "
+                              f"non-finite timestamp {bad}")
+        if not all(self.locations):
+            raise ConfigError(f"block for table {self.table!r} needs a "
+                              f"non-empty location on every row")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+@dataclass(frozen=True)
+class Batch:
+    """The store's one write unit: column blocks whose positions number
+    the offered order ``0 .. len(batch) - 1`` exactly once.
+
+    Capacity drops and ingest sequence numbers follow the offered
+    order, so a producer that interleaves several tables per sensor
+    (the envdb offers bpm, coolant, temperature and fan rows per BPM)
+    keeps its row order without building rows.
+    :meth:`of_readings` is the one bridge from :class:`Reading` objects.
+    """
+
+    blocks: tuple[BatchBlock, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        n = len(self)
+        positions = (np.concatenate([b.positions for b in self.blocks])
+                     if self.blocks else np.empty(0, np.int64))
+        if not np.array_equal(np.sort(positions), np.arange(n)):
+            raise ConfigError(
+                f"batch positions must number 0..{n - 1} once each")
+
+    def __len__(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
+    @classmethod
+    def of_readings(cls, items: Iterable[tuple[str, Reading]]) -> "Batch":
+        """``(table, reading)`` pairs in offered order, as blocks: one
+        per (table, mechanism, field names in order)."""
+        groups: dict[tuple[str, str, tuple[str, ...]], list] = {}
+        for position, (table, reading) in enumerate(items):
+            key = (table, reading.mechanism, tuple(reading.values))
+            groups.setdefault(key, []).append((position, reading))
+        blocks = []
+        for (table, mechanism, fields), rows in groups.items():
+            blocks.append(BatchBlock(
+                table=table, mechanism=mechanism, fields=fields,
+                timestamps=[r.timestamp for _, r in rows],
+                locations=[r.location for _, r in rows],
+                values=np.array([list(r.values.values()) for _, r in rows],
+                                np.float64).reshape(len(rows), len(fields)),
+                positions=[p for p, _ in rows],
+            ))
+        return cls(tuple(blocks))
+
+
+def _intern(ids: dict, names: list, key) -> int:
+    index = ids.get(key)
+    if index is None:
+        index = ids[key] = len(names)
+        names.append(key)
+    return index
+
+
+class _View:
+    """A snapshot of one shard table: its columns up to the row count
+    at the time it was taken, the name lists its ids index, and its
+    ingest log.  Writers only append past that count or swap in new
+    buffers, so a view never changes under its reader."""
+
+    __slots__ = _COLUMNS + ("locations", "mechanisms", "schemas", "log")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def span(self, t0: float, t1: float) -> np.ndarray:
+        """Rows with timestamps in ``[t0, t1]``, in (timestamp, seq) order."""
+        return np.arange(np.searchsorted(self.t, t0, "left"),
+                         np.searchsorted(self.t, t1, "right"))
+
+    def rows_since(self, cursor: int) -> np.ndarray:
+        """Rows with sequence number >= ``cursor``, in ingest order."""
+        if self.log is None:  # the run is in sequence order
+            return np.arange(np.searchsorted(self.seq, cursor), len(self.seq))
+        order, seqs = self.log
+        return order[np.searchsorted(seqs, cursor):]
+
+    @property
+    def next_seq(self) -> int:
+        """One past the newest sequence number in the table."""
+        return int(self.seq.max()) + 1 if len(self.seq) else 0
+
+    def matching(self, rows: np.ndarray, prefix: str) -> np.ndarray:
+        """Which of ``rows`` have a location starting with ``prefix``."""
+        if not prefix:
+            return np.ones(len(rows), bool)
+        ok = np.array([name.startswith(prefix) for name in self.locations],
+                      bool)
+        return ok[self.loc[rows]]
+
+    def field(self, name: str, rows: np.ndarray) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+        """The subset of ``rows`` whose schema has field ``name``, in
+        the given order, and that field's values."""
+        column = np.array([fields.index(name) if name in fields else -1
+                           for fields in self.schemas], np.int64)
+        columns = column[self.schema[rows]]
+        has = columns >= 0
+        rows, columns = rows[has], columns[has]
+        return rows, self.values[rows, columns]
+
+    def readings(self, rows: np.ndarray) -> list[Reading]:
+        """Rows as :class:`Reading` records, in the given order."""
+        locations, mechanisms, schemas = (self.locations, self.mechanisms,
+                                          self.schemas)
+        return [
+            Reading(t, locations[loc], mechanisms[mech],
+                    dict(zip(schemas[schema], values)))
+            for t, loc, mech, schema, values in zip(
+                self.t[rows].tolist(), self.loc[rows].tolist(),
+                self.mech[rows].tolist(), self.schema[rows].tolist(),
+                self.values[rows].tolist())
+        ]
+
+
+class _ShardTable:
+    """One table on one shard: parallel column arrays in (timestamp,
+    seq) order, with interned location, mechanism and schema names.
+
+    While every write appends in sequence order the run doubles as the
+    ingest log; after a write lands out of order the log is a
+    sequence-order permutation of the run, built on the first read that
+    needs it.  Each location's newest row is folded on read, too.
+    """
+
+    __slots__ = _COLUMNS + ("n", "locations", "mechanisms", "schemas",
+                            "_ids", "seq_ordered", "_log", "_latest")
 
     def __init__(self):
-        self.keys: list[tuple[float, int]] = []
-        self.records: list[Reading] = []
-        self.latest: dict[str, Reading] = {}
-        self.log_seqs: list[int] = []
-        self.log_records: list[Reading] = []
+        self.n = 0
+        self.t = np.empty(0, np.float64)
+        self.seq = np.empty(0, np.int64)
+        self.loc = np.empty(0, np.int32)
+        self.mech = np.empty(0, np.int32)
+        self.schema = np.empty(0, np.int32)
+        self.values = np.empty((0, 0), np.float64)
+        self.locations: list[str] = []
+        self.mechanisms: list[str] = []
+        self.schemas: list[tuple[str, ...]] = []
+        self._ids: tuple[dict, dict, dict] = ({}, {}, {})
+        self.seq_ordered = True
+        self._log = None
+        self._latest = None
 
-    def insert(self, reading: Reading, seq: int) -> None:
-        key = (reading.timestamp, seq)
-        idx = bisect_left(self.keys, key)
-        self.keys.insert(idx, key)
-        self.records.insert(idx, reading)
-        newest = self.latest.get(reading.location)
-        if newest is None or reading.timestamp >= newest.timestamp:
-            self.latest[reading.location] = reading
-        # Sequence numbers are allocated under the store's global lock
-        # but inserted under the shard's, so a concurrent writer can
-        # land out of order here; the common case is a pure append.
-        if self.log_seqs and seq < self.log_seqs[-1]:
-            pos = bisect_left(self.log_seqs, seq)
-            self.log_seqs.insert(pos, seq)
-            self.log_records.insert(pos, reading)
+    # -- writes ----------------------------------------------------------------
+
+    def block_piece(self, block: BatchBlock, rows: np.ndarray,
+                    seqs: np.ndarray) -> tuple:
+        """Some rows of a batch block as a piece of this table's columns."""
+        ids, names = self._ids[0], self.locations
+        at = block.locations
+        locations = [at[i] for i in rows.tolist()]
+        try:
+            loc = np.array(list(map(ids.__getitem__, locations)), np.int32)
+        except KeyError:  # a location this table has not seen yet
+            loc = np.array([_intern(ids, names, location)
+                            for location in locations], np.int32)
+        mech = _intern(self._ids[1], self.mechanisms, block.mechanism)
+        schema = _intern(self._ids[2], self.schemas, block.fields)
+        m = len(rows)
+        return (block.timestamps[rows], seqs, loc,
+                np.full(m, mech, np.int32), np.full(m, schema, np.int32),
+                block.values[rows])
+
+    def view_piece(self, view: _View, rows: np.ndarray) -> tuple:
+        """Some rows of another table's view as a piece of this one's."""
+        ids = []
+        for kind, (names_in, table_ids, names) in enumerate((
+                (view.locations, self._ids[0], self.locations),
+                (view.mechanisms, self._ids[1], self.mechanisms),
+                (view.schemas, self._ids[2], self.schemas))):
+            column = getattr(view, _COLUMNS[2 + kind])[rows]
+            remap = np.zeros(len(names_in), np.int32)
+            for old in np.unique(column).tolist():
+                remap[old] = _intern(table_ids, names, names_in[old])
+            ids.append(remap[column])
+        return (view.t[rows], view.seq[rows], *ids, view.values[rows])
+
+    def add(self, pieces: list[tuple]) -> None:
+        """Insert pieces' rows, keeping the run in (timestamp, seq) order."""
+        width = max([self.values.shape[1]]
+                    + [piece[5].shape[1] for piece in pieces])
+        if len(pieces) == 1:
+            new = list(pieces[0][:5]) + [_padded(pieces[0][5], width)]
         else:
-            self.log_seqs.append(seq)
-            self.log_records.append(reading)
+            new = [np.concatenate([piece[i] for piece in pieces])
+                   for i in range(5)]
+            new.append(np.concatenate([_padded(piece[5], width)
+                                       for piece in pieces]))
+        t, seq = new[0], new[1]
+        if not _sorted(t, seq):
+            order = np.lexsort((seq, t))
+            new = [column[order] for column in new]
+            t, seq = new[0], new[1]
+        n, m = self.n, len(t)
+        if width > self.values.shape[1]:
+            grown = np.zeros((len(self.t), width), np.float64)
+            grown[:n, :self.values.shape[1]] = self.values[:n]
+            self.values = grown
+        if n == 0 or (float(t[0]), int(seq[0])) > (float(self.t[n - 1]),
+                                                    int(self.seq[n - 1])):
+            self._reserve(n + m)
+            for name, column in zip(_COLUMNS, new):
+                getattr(self, name)[n:n + m] = column
+            self.seq_ordered = (self.seq_ordered
+                                and (n == 0 or seq[0] > self.seq[n - 1])
+                                and bool((seq[1:] > seq[:-1]).all()))
+        else:
+            at = self._insertion_points(t, seq)
+            moved = np.arange(n) + np.searchsorted(at, np.arange(n), "right")
+            capacity = max(len(self.t), n + m)
+            for name, column in zip(_COLUMNS, new):
+                old = getattr(self, name)
+                merged = np.empty((capacity,) + old.shape[1:], old.dtype)
+                merged[moved] = old[:n]
+                merged[at + np.arange(m)] = column
+                setattr(self, name, merged)
+            self.seq_ordered = bool((self.seq[1:n + m]
+                                     > self.seq[:n + m - 1]).all())
+            self._latest = None
+        self.n = n + m
+        self._log = None
 
-    def slice(self, t0: float, t1: float) -> tuple[list[tuple[float, int]],
-                                                   list[Reading]]:
-        lo = bisect_left(self.keys, (t0,))
-        hi = bisect_left(self.keys, (t1, _INF))
-        return self.keys[lo:hi], self.records[lo:hi]
+    def _insertion_points(self, t: np.ndarray, seq: np.ndarray) -> np.ndarray:
+        """Where each of the (timestamp, seq)-sorted new rows goes in
+        the run: the count of run rows that sort before it."""
+        run_t, run_seq = self.t[:self.n], self.seq[:self.n]
+        at = np.searchsorted(run_t, t, "left")
+        hi = np.searchsorted(run_t, t, "right")
+        for j in np.flatnonzero(hi > at).tolist():  # timestamp ties
+            at[j] += np.searchsorted(run_seq[at[j]:hi[j]], seq[j])
+        return at
 
-    def tail_slice(self, cursor: int) -> tuple[list[int], list[Reading]]:
-        """Log entries with sequence number >= ``cursor``, ingest order."""
-        lo = bisect_left(self.log_seqs, cursor)
-        return self.log_seqs[lo:], self.log_records[lo:]
+    def _reserve(self, rows: int) -> None:
+        capacity = len(self.t)
+        if rows <= capacity:
+            return
+        capacity = max(rows, 2 * capacity, _FIRST_ROWS)
+        for name in _COLUMNS:
+            old = getattr(self, name)
+            grown = np.empty((capacity,) + old.shape[1:], old.dtype)
+            grown[:self.n] = old[:self.n]
+            setattr(self, name, grown)
+
+    # -- reads -----------------------------------------------------------------
+
+    def view(self) -> _View:
+        """A snapshot for readers (take it under the shard lock)."""
+        n = self.n
+        view = _View()
+        for name in _COLUMNS:
+            setattr(view, name, getattr(self, name)[:n])
+        view.locations = self.locations
+        view.mechanisms = self.mechanisms
+        view.schemas = self.schemas
+        if not self.seq_ordered and self._log is None:
+            order = np.argsort(view.seq, kind="stable")
+            self._log = (order, view.seq[order])
+        view.log = None if self.seq_ordered else self._log
+        return view
+
+    def latest_rows(self, prefix: str) -> np.ndarray:
+        """The newest row of each location matching ``prefix``, in the
+        order the locations were first written.
+
+        Kept current on read: rows appended since the last call fold
+        in; a merge (which moves rows) starts the fold over.
+        """
+        folded, latest = self._latest or (0, np.empty(0, np.int64))
+        if len(latest) < len(self.locations):
+            latest = np.concatenate([latest, np.full(
+                len(self.locations) - len(latest), -1, np.int64)])
+        np.maximum.at(latest, self.loc[folded:self.n],
+                      np.arange(folded, self.n))
+        self._latest = (self.n, latest)
+        ids = np.flatnonzero(latest >= 0)
+        if prefix:
+            ids = ids[[self.locations[i].startswith(prefix)
+                       for i in ids.tolist()]]
+        return latest[ids]
+
+
+def _sorted(t: np.ndarray, seq: np.ndarray) -> bool:
+    """Whether rows are in (timestamp, seq) order already."""
+    later, tied = t[1:] > t[:-1], t[1:] == t[:-1]
+    return bool((later | (tied & (seq[1:] > seq[:-1]))).all())
+
+
+def _padded(values: np.ndarray, width: int) -> np.ndarray:
+    if values.shape[1] == width:
+        return values
+    out = np.zeros((len(values), width), np.float64)
+    out[:, :values.shape[1]] = values
+    return out
+
+
+def _merged(parts: list[tuple[_View, np.ndarray]], key) -> list[Reading]:
+    """The rows of each (view, rows) part as readings, interleaved in
+    ``key(view, rows)`` order.  Each part's rows are in that order
+    already, so the merge picks the next reading of whichever part owns
+    each position of the global order."""
+    if len(parts) == 1:
+        view, rows = parts[0]
+        return view.readings(rows)
+    owner = np.concatenate([np.full(len(rows), k)
+                            for k, (_, rows) in enumerate(parts)])
+    keys = [np.concatenate(column) for column in
+            zip(*(key(view, rows) for view, rows in parts))]
+    order = np.lexsort(keys[::-1])
+    runs = [iter(view.readings(rows)) for view, rows in parts]
+    return [next(runs[k]) for k in owner[order].tolist()]
+
+
+def _time_key(view: _View, rows: np.ndarray):
+    return view.t[rows], view.seq[rows]
+
+
+def _seq_key(view: _View, rows: np.ndarray):
+    return (view.seq[rows],)
 
 
 class _Shard:
@@ -169,88 +523,140 @@ class ShardedStore:
                 f"capacity must be positive, got {capacity_records_per_s}"
             )
         self.table_names = tuple(tables)
-        self.shard_map = ShardMap(n_shards, depth=shard_depth)
         self.capacity_records_per_s = capacity_records_per_s
-        self._shards = [_Shard(i, self.table_names) for i in range(n_shards)]
         self._seq = 0
         self._seq_lock = threading.Lock()
         self._batches_flushed = 0
         self._dropped_carryover = 0
+        self._layout(ShardMap(n_shards, depth=shard_depth))
+
+    def _layout(self, shard_map: ShardMap) -> None:
+        """Start empty shards over ``shard_map``."""
+        self.shard_map = shard_map
+        n = shard_map.n_shards
+        self._shards = [_Shard(i, self.table_names) for i in range(n)]
+        self._shard_of: dict[str, int] = {}
         self._record_children = {
-            i: STORE_RECORDS.labels(str(i)) for i in range(n_shards)
+            i: STORE_RECORDS.labels(str(i)) for i in range(n)
         }
         self._dropped_children = {
-            i: STORE_DROPPED.labels(str(i)) for i in range(n_shards)
+            i: STORE_DROPPED.labels(str(i)) for i in range(n)
         }
 
     # -- ingest ----------------------------------------------------------------
 
     def ingest(self, table: str, reading: Reading) -> None:
         """Insert one record, bypassing capacity enforcement."""
-        shard = self._shards[self.shard_map.shard_of(reading.location)]
-        self._insert(shard, self._check_table(table), reading)
-        self._record_children[shard.index].inc()
+        self._check_table(table)
+        self._write(Batch.of_readings([(table, reading)]), None)
 
-    def ingest_batch(self, items: list[tuple[str, Reading]],
-                     interval_s: float) -> FlushReport:
+    def ingest_batch(self, batch: Batch, interval_s: float) -> FlushReport:
         """Insert one sweep's records with per-shard capacity accounting.
 
         Each shard absorbs at most ``capacity_records_per_s *
         interval_s`` records per sweep; the overflow — the tail of that
-        shard's batch, in offered order — is dropped and accounted to
-        the shard that saturated.  The batch's size is one
+        shard's rows in the batch's offered order — is dropped and
+        accounted to the shard that saturated.  The batch's size is one
         ``repro_store_batch_records`` observation, and each shard's
         accepted records one ``repro_store_records_total`` increment.
         """
+        if not isinstance(batch, Batch):
+            raise ConfigError(
+                f"ingest_batch takes a Batch, got {type(batch).__name__}; "
+                f"Batch.of_readings builds one from (table, Reading) pairs")
         if interval_s <= 0.0:
             raise ConfigError(f"sweep interval must be positive, got {interval_s}")
-        for table in {table for table, _ in items}:
+        for table in sorted({block.table for block in batch.blocks}):
             self._check_table(table)
         budget = None
         if self.capacity_records_per_s is not None:
             budget = int(math.floor(self.capacity_records_per_s * interval_s))
-
-        # Insert in offered order (so merged query results stay
-        # byte-identical to an unsharded flat list); each shard accepts
-        # at most its per-sweep budget and drops its overflow tail.
-        offered_by_shard: dict[int, int] = {}
-        dropped_by_shard: dict[int, int] = {}
-        for table, reading in items:
-            index = self.shard_map.shard_of(reading.location)
-            offered_by_shard[index] = offered_by_shard.get(index, 0) + 1
-            if budget is not None and offered_by_shard[index] > budget:
-                dropped_by_shard[index] = dropped_by_shard.get(index, 0) + 1
-                continue
-            self._insert(self._shards[index], table, reading)
-        accepted = len(items) - sum(dropped_by_shard.values())
-        for index, offered in offered_by_shard.items():
-            kept = offered - dropped_by_shard.get(index, 0)
-            if kept:
-                self._record_children[index].inc(kept)
-        for index, dropped in dropped_by_shard.items():
-            shard = self._shards[index]
-            with shard.lock:
-                shard.records_dropped += dropped
-            self._dropped_children[index].inc(dropped)
+        offered, dropped = self._write(batch, budget)
         self._batches_flushed += 1
         STORE_BATCHES.inc()
-        STORE_BATCH_RECORDS.observe(len(items))
+        STORE_BATCH_RECORDS.observe(len(batch))
         return FlushReport(
             interval_s=interval_s,
-            offered=len(items),
-            accepted=accepted,
-            dropped=len(items) - accepted,
-            offered_by_shard=offered_by_shard,
-            dropped_by_shard=dropped_by_shard,
+            offered=len(batch),
+            accepted=len(batch) - int(dropped.sum()),
+            dropped=int(dropped.sum()),
+            offered_by_shard={i: int(c) for i, c in enumerate(offered) if c},
+            dropped_by_shard={i: int(c) for i, c in enumerate(dropped) if c},
         )
 
-    def _insert(self, shard: _Shard, table: str, reading: Reading) -> None:
+    def _write(self, batch: Batch, budget: int | None):
+        """Append a batch shard by shard; returns per-shard offered and
+        dropped counts.
+
+        Sequence numbers are one range, allocated in offered order to
+        the accepted rows; each shard's rows go in under one lock and
+        one counter increment.
+        """
+        n_shards = len(self._shards)
+        where = [self._shards_of(block.locations) for block in batch.blocks]
+        shard_of = np.empty(len(batch), np.int64)
+        for block, shards in zip(batch.blocks, where):
+            shard_of[block.positions] = shards
+        offered = np.bincount(shard_of, minlength=n_shards)
+        accept = None
+        if budget is not None and (offered > budget).any():
+            # Each shard keeps the first `budget` of its rows in offered
+            # order: a row's rank is its place among its shard's rows.
+            order = np.argsort(shard_of, kind="stable")
+            first = np.cumsum(offered) - offered
+            rank = np.empty(len(batch), np.int64)
+            rank[order] = np.arange(len(batch)) - first[shard_of[order]]
+            accept = rank < budget
+        kept = offered if accept is None else np.minimum(offered, budget)
         with self._seq_lock:
-            seq = self._seq
-            self._seq += 1
-        with shard.lock:
-            shard.tables[table].insert(reading, seq)
-            shard.records_ingested += 1
+            base = self._seq
+            self._seq += int(kept.sum())
+        seq_of = (base + np.arange(len(batch)) if accept is None
+                  else base + np.cumsum(accept) - 1)
+
+        pieces: dict[int, dict[str, list]] = {}
+        for block, shards in zip(batch.blocks, where):
+            rows = np.arange(len(block))
+            if accept is not None:
+                rows = rows[accept[block.positions]]
+            order = rows[np.argsort(shards[rows], kind="stable")]
+            cuts = np.cumsum(np.bincount(shards[rows], minlength=n_shards))
+            seqs = seq_of[block.positions]
+            start = 0
+            for index, stop in enumerate(cuts.tolist()):
+                if stop > start:
+                    part = order[start:stop]
+                    pieces.setdefault(index, {}).setdefault(
+                        block.table, []).append((block, part, seqs[part]))
+                start = stop
+        for index, tables in pieces.items():
+            shard = self._shards[index]
+            with shard.lock:
+                for name, parts in tables.items():
+                    table = shard.tables[name]
+                    table.add([table.block_piece(*part) for part in parts])
+                shard.records_ingested += int(kept[index])
+            self._record_children[index].inc(int(kept[index]))
+        dropped = offered - kept
+        for index in np.flatnonzero(dropped).tolist():
+            shard = self._shards[index]
+            with shard.lock:
+                shard.records_dropped += int(dropped[index])
+            self._dropped_children[index].inc(int(dropped[index]))
+        return offered, dropped
+
+    def _shards_of(self, locations) -> np.ndarray:
+        """The shard index of each location."""
+        if len(self._shards) == 1:
+            return np.zeros(len(locations), np.int64)
+        known = self._shard_of
+        try:
+            return np.array(list(map(known.__getitem__, locations)), np.int64)
+        except KeyError:  # a location this layout has not placed yet
+            for location in locations:
+                if location not in known:
+                    known[location] = self.shard_map.shard_of(location)
+            return np.array(list(map(known.__getitem__, locations)), np.int64)
 
     # -- queries ---------------------------------------------------------------
 
@@ -260,19 +666,26 @@ class ShardedStore:
         return plan_query(kind, self._check_table(table), self.shard_map,
                           location_prefix)
 
+    def _views(self, plan: QueryPlan) -> list[_View]:
+        views = []
+        for index in plan.shards:
+            shard = self._shards[index]
+            with shard.lock:
+                views.append(shard.tables[plan.table].view())
+        return views
+
     def range(self, table: str, t0: float, t1: float,
               location_prefix: str = "") -> list[Reading]:
         """Records in ``[t0, t1]`` matching the prefix, in (timestamp,
-        ingest order) — the seed envdb's exact ordering."""
+        ingest order) — the seed envdb's exact ordering.  A NaN bound
+        is a :class:`ConfigError`; infinite bounds are open ends."""
         self._check_window(t0, t1)
         plan = self.plan("range", table, location_prefix)
-        runs = self._scan_shards(plan, t0, t1)
-        if len(runs) == 1:
-            out = [r for _, r in runs[0]]
-        else:
-            out = [r for _, r in heapq.merge(*runs, key=lambda pair: pair[0])]
-        if location_prefix:
-            out = [r for r in out if r.location.startswith(location_prefix)]
+        parts = []
+        for view in self._views(plan):
+            rows = view.span(t0, t1)
+            parts.append((view, rows[view.matching(rows, location_prefix)]))
+        out = _merged(parts, _time_key)
         STORE_QUERIES.labels("range").inc()
         STORE_QUERY_ROWS.inc(len(out))
         return out
@@ -284,15 +697,17 @@ class ShardedStore:
         return out
 
     def latest(self, table: str, location_prefix: str = "") -> dict[str, Reading]:
-        """The most recent record per matching location."""
+        """The most recent record per matching location: the greatest
+        (timestamp, ingest sequence)."""
         plan = self.plan("latest", table, location_prefix)
         out: dict[str, Reading] = {}
         for index in plan.shards:
             shard = self._shards[index]
             with shard.lock:
-                for location, reading in shard.tables[table].latest.items():
-                    if location.startswith(location_prefix):
-                        out[location] = reading
+                source = shard.tables[table]
+                view, rows = source.view(), source.latest_rows(location_prefix)
+            for reading in view.readings(rows):
+                out[reading.location] = reading
         STORE_QUERIES.labels("latest").inc()
         STORE_QUERY_ROWS.inc(len(out))
         return out
@@ -310,9 +725,8 @@ class ShardedStore:
         def one_shard(index: int) -> list[Aggregate]:
             shard = self._shards[index]
             with shard.lock:
-                source = shard.tables[table]
                 built = shard.cache.windows(
-                    table, field_name, window_s, source.records, source
+                    table, field_name, window_s, shard.tables[table].view()
                 )
                 return AggregateCache.select(
                     built, field_name, window_s, t0, t1, location_prefix
@@ -333,35 +747,33 @@ class ShardedStore:
         Returns a :class:`TailBatch` whose ``cursor`` resumes the tail:
         ``tail(table, batch.cursor)`` yields only records ingested
         after ``batch`` was taken.  ``cursor=0`` starts from the first
-        record ever ingested; ``limit`` caps the page size (the
-        streaming endpoint polls in bounded pages).
+        record ever ingested; a cursor past :attr:`ingest_cursor` is a
+        :class:`ConfigError` (no record could ever reach it).  ``limit``
+        caps the page size (the streaming endpoint polls in bounded
+        pages).
         """
-        if cursor < 0:
-            raise ConfigError(f"tail cursor must be >= 0, got {cursor}")
+        self._check_cursor(cursor)
         if limit is not None and limit < 1:
             raise ConfigError(f"tail limit must be >= 1, got {limit}")
         plan = self.plan("tail", table, location_prefix)
-
-        def one_shard(index: int):
-            shard = self._shards[index]
-            with shard.lock:
-                seqs, records = shard.tables[table].tail_slice(cursor)
-            return list(zip(seqs, records))
-
-        runs = [one_shard(index) for index in plan.shards]
-        merged = runs[0] if len(runs) == 1 else heapq.merge(
-            *runs, key=lambda pair: pair[0])
-        out: list[Reading] = []
-        next_cursor = cursor
-        for seq, reading in merged:
-            if location_prefix and not reading.location.startswith(
-                    location_prefix):
-                next_cursor = seq + 1
-                continue
-            if limit is not None and len(out) >= limit:
-                break
-            out.append(reading)
-            next_cursor = seq + 1
+        parts = [(view, view.rows_since(cursor)) for view in self._views(plan)]
+        seqs = np.concatenate([view.seq[rows] for view, rows in parts])
+        matched = np.concatenate([view.matching(rows, location_prefix)
+                                  for view, rows in parts])
+        owner = np.concatenate([np.full(len(rows), k)
+                                for k, (_, rows) in enumerate(parts)])
+        order = np.argsort(seqs, kind="stable")
+        hits = np.flatnonzero(matched[order])
+        # The page consumes every row before the first match it has no
+        # room for; rows it skips for the prefix are consumed too.
+        end = len(order)
+        if limit is not None and len(hits) > limit:
+            end, hits = hits[limit], hits[:limit]
+        next_cursor = int(seqs[order[end - 1]]) + 1 if end else cursor
+        taken = order[hits]
+        rows_all = np.concatenate([rows for _, rows in parts])
+        out = _merged([(view, rows_all[taken[owner[taken] == k]])
+                       for k, (view, _) in enumerate(parts)], _seq_key)
         STORE_QUERIES.labels("tail").inc()
         STORE_QUERY_ROWS.inc(len(out))
         return TailBatch(readings=tuple(out), cursor=next_cursor)
@@ -373,20 +785,11 @@ class ShardedStore:
         with self._seq_lock:
             return self._seq
 
-    def _scan_shards(self, plan: QueryPlan, t0: float, t1: float):
-        def one_shard(index: int):
-            shard = self._shards[index]
-            with shard.lock:
-                keys, records = shard.tables[plan.table].slice(t0, t1)
-            return list(zip(keys, records))
-
-        return [one_shard(index) for index in plan.shards]
-
     # -- rebalancing -----------------------------------------------------------
 
     def reshard(self, n_shards: int) -> None:
-        """Rebuild the store over ``n_shards`` shards, replaying every
-        record in its original ingest order.
+        """Rebuild the store over ``n_shards`` shards, gathering each
+        table's rows by their new shard.
 
         This is the saturation escape hatch: when a site's sweep exceeds
         one shard's ingest budget, the federation re-spreads the same
@@ -398,37 +801,35 @@ class ShardedStore:
             raise ConfigError(f"need at least one shard, got {n_shards}")
         if n_shards == len(self._shards):
             return
-        replay: list[tuple[int, str, Reading]] = []
+        views: dict[str, list[_View]] = {name: [] for name in self.table_names}
         dropped = 0
         for shard in self._shards:
             with shard.lock:
                 for name, table in shard.tables.items():
-                    replay.extend(
-                        (seq, name, reading)
-                        for seq, reading in zip(table.log_seqs,
-                                                table.log_records)
-                    )
+                    views[name].append(table.view())
                 dropped += shard.records_dropped
-        replay.sort(key=lambda item: item[0])
-
-        self.shard_map = ShardMap(n_shards, depth=self.shard_map.depth)
-        self._shards = [_Shard(i, self.table_names) for i in range(n_shards)]
-        self._record_children = {
-            i: STORE_RECORDS.labels(str(i)) for i in range(n_shards)
-        }
-        self._dropped_children = {
-            i: STORE_DROPPED.labels(str(i)) for i in range(n_shards)
-        }
+        self._layout(ShardMap(n_shards, depth=self.shard_map.depth))
         # Drops happened against the *old* layout; keep the total honest
         # without pinning them to a shard that no longer exists.
         self._dropped_carryover += dropped
-        # Replay without touching STORE_RECORDS: these records were
+        # Gather without touching STORE_RECORDS: these records were
         # already counted when they first ingested.
-        for seq, name, reading in replay:
-            shard = self._shards[self.shard_map.shard_of(reading.location)]
-            with shard.lock:
-                shard.tables[name].insert(reading, seq)
-                shard.records_ingested += 1
+        for name, old in views.items():
+            pieces: dict[int, list] = {}
+            for view in old:
+                if not len(view):
+                    continue
+                target = self._shards_of(view.locations)[view.loc]
+                for index in np.unique(target).tolist():
+                    pieces.setdefault(index, []).append(
+                        (view, np.flatnonzero(target == index)))
+            for index, parts in pieces.items():
+                shard = self._shards[index]
+                with shard.lock:
+                    table = shard.tables[name]
+                    table.add([table.view_piece(*part) for part in parts])
+                    shard.records_ingested += sum(len(rows)
+                                                  for _, rows in parts)
 
     # -- capacity accounting ---------------------------------------------------
 
@@ -491,8 +892,19 @@ class ShardedStore:
         return table
 
     def _check_window(self, t0: float, t1: float) -> None:
+        for name, bound in (("t0", t0), ("t1", t1)):
+            if math.isnan(bound):
+                raise ConfigError(f"query bound {name} is NaN")
         if t1 < t0:
             raise ConfigError(f"query window inverted: [{t0}, {t1}]")
+
+    def _check_cursor(self, cursor: int) -> None:
+        if cursor < 0:
+            raise ConfigError(f"tail cursor must be >= 0, got {cursor}")
+        head = self.ingest_cursor
+        if cursor > head:
+            raise ConfigError(
+                f"tail cursor {cursor} is past the ingest head {head}")
 
 
 def _check_aggregate(t0: float, t1: float, window_s: float) -> None:

@@ -151,6 +151,13 @@ class TestEnvDbPollingAndQueries:
         with pytest.raises(ConfigError):
             machine.envdb.range_readings("bpm", 10.0, 0.0)
 
+    def test_nan_bound_rejected(self, machine):
+        machine.advance_to(500.0)
+        with pytest.raises(ConfigError, match="query bound t0 is NaN"):
+            machine.envdb.range_readings("bpm", float("nan"), 500.0)
+        with pytest.raises(ConfigError, match="query bound t1 is NaN"):
+            machine.envdb.bpm_input_power_series("R00", 0.0, float("nan"))
+
 
 class TestCapacityModel:
     def test_faster_polling_costs_proportionally(self, queue):

@@ -52,6 +52,15 @@ def test_routing_prefix_conventions():
         fed._route("zz")
 
 
+def test_nan_range_bound_rejected_naming_it():
+    fed = _fleet().federation
+    with pytest.raises(ConfigError, match="query bound t0 is NaN"):
+        fed.range("bpm", float("nan"), 100.0)
+    with pytest.raises(ConfigError, match="query bound t1 is NaN"):
+        fed.range("bpm", 0.0, float("nan"), "site01/R00")
+    assert fed.range("bpm", float("-inf"), float("inf"), "site01/R00")
+
+
 def test_fleet_rejects_duplicate_or_empty_sites():
     with pytest.raises(ConfigError):
         Fleet([])

@@ -169,6 +169,20 @@ class TestErrors:
         assert client.get("/v2/tail", {
             "table": "bpm", "cursor": -1}).status == 400
 
+    @pytest.mark.parametrize("path", ["/v2/tail", "/v2/stream/tail"])
+    def test_cursor_past_head_400_before_any_row(self, rig, client, path):
+        head = rig[0].envdb.store.ingest_cursor
+        response = client.get(path, {"table": "bpm", "cursor": head + 1,
+                                     "batches": 1})
+        assert response.status == 400
+        assert response.headers["Content-Type"] == "application/json"
+        error = response.json()["error"]
+        assert error["title"] == "Bad Request"
+        assert f"past the ingest head {head}" in error["detail"]
+        at_head = client.get(path, {"table": "bpm", "cursor": head,
+                                    "batches": 1})
+        assert at_head.status == 200
+
     @pytest.mark.parametrize("limit", [0, MAX_STREAM_PAGE + 1, 100_000_000])
     def test_tail_limit_out_of_range_400(self, client, limit):
         response = client.get("/v2/tail", {"table": "bpm", "limit": limit})

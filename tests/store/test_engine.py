@@ -11,7 +11,7 @@ from repro.obs.instruments import (
     STORE_QUERY_ROWS,
     STORE_RECORDS,
 )
-from repro.store import Reading, ShardedStore
+from repro.store import Batch, Reading, ShardedStore
 
 TABLES = ("bpm", "fan")
 
@@ -39,6 +39,26 @@ class TestConstruction:
         store = ShardedStore(TABLES)
         with pytest.raises(ConfigError, match="query window inverted"):
             store.range("bpm", 5.0, 1.0)
+
+    @pytest.mark.parametrize("t0, t1, name", [
+        (float("nan"), 4.0, "t0"), (0.0, float("nan"), "t1"),
+        (float("nan"), float("nan"), "t0"),
+    ])
+    def test_nan_bound_rejected_naming_it(self, t0, t1, name):
+        """A NaN bound compares false both ways, so it would silently
+        return some rows or none; it is an error naming the bound."""
+        store = ShardedStore(TABLES)
+        for t in (1.0, 2.0, 3.0):
+            store.ingest("bpm", _reading(t, "R00-M0-N00"))
+        with pytest.raises(ConfigError, match=f"query bound {name} is NaN"):
+            store.range("bpm", t0, t1)
+
+    def test_infinite_bounds_stay_open_ends(self):
+        store = ShardedStore(TABLES)
+        for t in (-1e300, 2.0, 1e300):
+            store.ingest("bpm", _reading(t, "R00-M0-N00"))
+        assert len(store.range("bpm", float("-inf"), float("inf"))) == 3
+        assert len(store.prefix("bpm", "R00")) == 3
 
 
 class TestRangeOrdering:
@@ -96,7 +116,7 @@ class TestCapacity:
     def test_batch_budget_is_capacity_times_interval(self):
         store = ShardedStore(TABLES, capacity_records_per_s=2.0)
         items = [("bpm", _reading(float(i), "R00-M0-N00")) for i in range(10)]
-        report = store.ingest_batch(items, interval_s=3.0)
+        report = store.ingest_batch(Batch.of_readings(items), interval_s=3.0)
         assert report.accepted == 6  # floor(2.0 * 3.0)
         assert report.dropped == 4
         assert report.drop_fraction == pytest.approx(0.4)
@@ -108,7 +128,7 @@ class TestCapacity:
         for sweep in range(2):
             items = [("bpm", _reading(10.0 * sweep + i, "R00-M0-N00"))
                      for i in range(5)]
-            report = store.ingest_batch(items, interval_s=2.0)
+            report = store.ingest_batch(Batch.of_readings(items), interval_s=2.0)
             assert (report.accepted, report.dropped) == (2, 3)
         # Each call gets a fresh budget; the dropped records are each
         # batch's tail in offered order.
@@ -119,14 +139,14 @@ class TestCapacity:
     def test_uncapped_store_accepts_everything(self):
         store = ShardedStore(TABLES)
         items = [("bpm", _reading(float(i), "R00-M0-N00")) for i in range(10)]
-        report = store.ingest_batch(items, interval_s=1.0)
+        report = store.ingest_batch(Batch.of_readings(items), interval_s=1.0)
         assert report.dropped == 0
         assert store.capacity_fraction(["R00-M0-N00"] * 100, 1.0) == 0.0
 
     def test_nonpositive_interval_rejected(self):
         store = ShardedStore(TABLES)
         with pytest.raises(ConfigError, match="interval must be positive"):
-            store.ingest_batch([], interval_s=0.0)
+            store.ingest_batch(Batch(()), interval_s=0.0)
         with pytest.raises(ConfigError, match="interval must be positive"):
             store.sweep_load(["R00"], 0.0)
 
@@ -145,7 +165,7 @@ class TestMetrics:
     def test_ingest_and_query_families(self):
         store = ShardedStore(TABLES, n_shards=2, capacity_records_per_s=3.0)
         items = [("bpm", _reading(float(i), "R00-M0-N00")) for i in range(5)]
-        store.ingest_batch(items, interval_s=1.0)
+        store.ingest_batch(Batch.of_readings(items), interval_s=1.0)
         shard = str(store.shard_map.shard_of("R00-M0-N00"))
         assert STORE_RECORDS.value(shard) == 3.0
         assert STORE_DROPPED.value(shard) == 2.0
@@ -165,7 +185,7 @@ class TestMetrics:
         assert store.shard_map.shard_of(hot) != store.shard_map.shard_of(cold)
         items = [("bpm", _reading(float(i), hot)) for i in range(4)]
         items.append(("fan", _reading(0.0, cold)))
-        report = store.ingest_batch(items, interval_s=60.0)
+        report = store.ingest_batch(Batch.of_readings(items), interval_s=60.0)
         assert report.offered == report.accepted == 5
         assert store.records_ingested == 5
         assert STORE_BATCHES.value() == 1.0
@@ -183,6 +203,6 @@ class TestMetrics:
         items = [("bpm", _reading(0.0, "R00-M0-N00")),
                  ("gpu", _reading(1.0, "R00-M0-N00"))]
         with pytest.raises(ConfigError, match="no table 'gpu'"):
-            store.ingest_batch(items, interval_s=1.0)
+            store.ingest_batch(Batch.of_readings(items), interval_s=1.0)
         assert store.records_ingested == 0
         assert STORE_RECORDS.value("0") == 0.0

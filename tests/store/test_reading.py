@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigError
-from repro.store import Reading, ShardedStore
+from repro.store import Batch, Reading, ShardedStore
 
 
 class TestReading:
@@ -50,7 +50,7 @@ class TestTimestampValidation:
                        {"input_power_w": float("nan")})
         store.ingest("bpm", Reading(1.0, "R00-M0-N00", "envdb",
                                     {"input_power_w": 1.0}))
-        store.ingest_batch([("bpm", dark)], interval_s=1.0)
+        store.ingest_batch(Batch.of_readings([("bpm", dark)]), interval_s=1.0)
         rows = store.range("bpm", 0.0, 10.0)
         assert [r.timestamp for r in rows] == [1.0, 2.0]
         assert math.isnan(rows[1].value("input_power_w"))

@@ -118,3 +118,24 @@ class TestTail:
         store.ingest("fan", _reading(1.0, "R00-M0-N00-F00"))
         assert store.tail("bpm", cursor).readings == ()  # other table
         assert len(store.tail("fan", cursor)) == 1
+
+
+class TestCursorPastHead:
+    """A cursor beyond the ingest head would page forever with no row
+    ever reaching it; it is an error, and the head itself is legal."""
+
+    def test_cursor_past_head_rejected(self):
+        store = ShardedStore(TABLES, n_shards=2)
+        store.ingest("bpm", _reading(1.0, "R00-M0-N00-BPM"))
+        with pytest.raises(ConfigError, match="past the ingest head 1"):
+            store.tail("bpm", 10**30)
+        with pytest.raises(ConfigError, match="tail cursor 2 is past"):
+            store.tail("bpm", 2)
+
+    def test_cursor_at_head_is_an_empty_page(self):
+        store = ShardedStore(TABLES)
+        store.ingest("bpm", _reading(1.0, "R00-M0-N00-BPM"))
+        batch = store.tail("bpm", store.ingest_cursor)
+        assert batch.readings == ()
+        assert batch.cursor == store.ingest_cursor == 1
+        assert ShardedStore(TABLES).tail("fan", 0).cursor == 0

@@ -1,4 +1,4 @@
-"""Tier-1 contract tests of the versioned ``repro.api`` v9 surface.
+"""Tier-1 contract tests of the versioned ``repro.api`` surface.
 
 The contract cuts both ways: every supported name resolves from its
 namespace, and no legacy v1 flat name resolves from ``repro.api``
@@ -24,8 +24,8 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_10():
-    assert api.API_VERSION == "10"
+def test_api_version_is_11():
+    assert api.API_VERSION == "11"
     assert api.__version__.count(".") == 2
 
 
