@@ -16,6 +16,7 @@ from repro.store import (
     FlushReport,
     QueryPlan,
     Reading,
+    Rows,
     ShardedStore,
     ShardMap,
     TailBatch,
@@ -29,6 +30,7 @@ __all__ = [
     "FlushReport",
     "QueryPlan",
     "Reading",
+    "Rows",
     "ShardMap",
     "ShardedStore",
     "TailBatch",

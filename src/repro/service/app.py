@@ -30,7 +30,7 @@ from repro.obs.instruments import (
 )
 from repro.service.auth import TENANT_HEADER, Tenant, TenantRegistry
 from repro.service.errors import BadRequest, Forbidden, ServiceError
-from repro.service.routes import Request, resolve
+from repro.service.routes import JsonText, Request, resolve
 from repro.store.engine import ShardedStore
 
 _JSON = "application/json"
@@ -143,7 +143,7 @@ class ServiceApp:
         status = 200
         if isinstance(result, tuple):
             result, status = result
-        if isinstance(result, (dict, list)):
+        if isinstance(result, (dict, list, JsonText)):
             return status, result, _JSON
         if isinstance(result, str):
             return status, result, _TEXT

@@ -4,14 +4,21 @@ Every route is resolved to a bounded *endpoint label* (the pattern,
 not the concrete path) so ``repro_service_requests_total`` stays at
 fixed label cardinality no matter what clients ask for.  Handlers
 take ``(service, request)`` and return a JSON-able payload, an
-optional ``(payload, status)`` pair, plain text, or a line iterator
-(streamed as NDJSON).
+optional ``(payload, status)`` pair, :class:`JsonText` already
+written, plain text, or a line iterator (streamed as NDJSON).
+
+Responses that carry rows write them from the store's columns
+(:meth:`~repro.store.engine.Rows.json`) into :class:`JsonText`: the
+same bytes ``json.dumps(payload, sort_keys=True)`` gives, with no
+record or dict built per row.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import repro.obs as obs
 from repro.core.moneq.backends import mechanisms
@@ -22,11 +29,8 @@ from repro.service.errors import (
     NotFound,
     Unavailable,
 )
-from repro.service.streaming import (
-    dark_shards,
-    reading_json,
-    tail_stream,
-)
+from repro.service.streaming import dark_shards, tail_stream
+from repro.store.wire import number_json, object_json
 
 #: Raw query kinds the /v2/query endpoint serves (tail has its own
 #: cursor-shaped endpoints).
@@ -38,7 +42,23 @@ QUERY_ENDPOINT_KINDS = ("range", "prefix", "latest", "aggregate")
 MAX_STREAM_PAGE = 4096
 MAX_STREAM_BATCHES = 1000
 
+#: The latest virtual time a ``/v2/mech/<name>/read`` may read at.  A
+#: read integrates the device's energy counters from t=0 on a 1 ms
+#: grid: 600 s costs ~75 MB and 0.1 s, an hour ~450 MB, so an
+#: unbounded ``t`` would let one request exhaust the host.
+MAX_READ_T_S = 600.0
+
 _MISSING = object()
+
+#: One aggregate window's response row, keys in sorted order (the
+#: fleet-live consumer parses these keys from the rollup).
+_AGGREGATE_JSON = ('{"count": %s, "field": %s, "location": %s, "max": %s, '
+                   '"mean": %s, "min": %s, "window_s": %s, '
+                   '"window_start": %s}')
+
+
+class JsonText(str):
+    """A response body already written as JSON text."""
 
 
 @dataclass
@@ -166,21 +186,20 @@ def query(svc, req: Request, kind: str):
                 f"are dark under the active fault plan",
                 origin="repro.chaos",
             )
-        rows = [_aggregate_row(a) for a in svc.store.aggregate(
+        rows = [_aggregate_json(a) for a in svc.store.aggregate(
             table, req.param("field"), req.float_param("t0"),
             req.float_param("t1"), req.float_param("window"), prefix,
         )]
     elif kind == "range":
-        rows = [reading_json(r) for r in svc.store.range(
-            table, req.float_param("t0"), req.float_param("t1"), prefix)]
+        rows = svc.store.range_rows(table, req.float_param("t0"),
+                                    req.float_param("t1"), prefix).json()
     elif kind == "prefix":
         if not prefix:
             raise BadRequest("prefix queries need a non-empty 'prefix'")
-        rows = [reading_json(r) for r in svc.store.prefix(table, prefix)]
+        rows = svc.store.prefix_rows(table, prefix).json()
     else:  # latest
-        rows = [reading_json(r) for _, r in
-                sorted(svc.store.latest(table, prefix).items())]
-    return {
+        rows = svc.store.latest_rows(table, prefix).json()
+    return _with_rows({
         "kind": kind,
         "table": table,
         "plan": {
@@ -189,23 +208,25 @@ def query(svc, req: Request, kind: str):
             "uses_cache": plan.uses_cache,
         },
         "count": len(rows),
-        "rows": rows,
-    }
+    }, rows)
 
 
-def _aggregate_row(a) -> dict:
-    """One aggregate window as its response row (the fleet-live
-    consumer parses these keys from the rollup)."""
-    return {
-        "location": a.location,
-        "field": a.field,
-        "window_start": a.window_start,
-        "window_s": a.window_s,
-        "count": a.count,
-        "min": a.minimum,
-        "mean": a.mean,
-        "max": a.maximum,
-    }
+def _with_rows(payload: dict, rows: list[str]) -> JsonText:
+    """``payload`` plus its ``rows``, each already JSON text, written as
+    ``json.dumps(..., sort_keys=True)`` writes the whole object."""
+    members = {name: json.dumps(value, sort_keys=True)
+               for name, value in payload.items()}
+    members["rows"] = "[" + ", ".join(rows) + "]"
+    return JsonText(object_json(members))
+
+
+def _aggregate_json(a) -> str:
+    """One aggregate window as its response row's JSON text."""
+    return _AGGREGATE_JSON % (
+        number_json(a.count), encode_basestring_ascii(a.field),
+        encode_basestring_ascii(a.location), number_json(a.maximum),
+        number_json(a.mean), number_json(a.minimum),
+        number_json(a.window_s), number_json(a.window_start))
 
 
 def _federated_aggregate(svc, req: Request, table: str, prefix: str):
@@ -226,12 +247,12 @@ def _federated_aggregate(svc, req: Request, table: str, prefix: str):
                 f"shards {hit} which are dark under the active fault plan",
                 origin="repro.chaos",
             )
-    rows = [_aggregate_row(a) for a in svc.fleet.aggregate(
+    rows = [_aggregate_json(a) for a in svc.fleet.aggregate(
         table, req.param("field"), req.float_param("t0"),
         req.float_param("t1"), req.float_param("window"), prefix,
         rollup=rollup,
     )]
-    return {
+    return _with_rows({
         "kind": "aggregate",
         "table": table,
         "plan": {
@@ -243,8 +264,7 @@ def _federated_aggregate(svc, req: Request, table: str, prefix: str):
                               for p in fplan.per_site.values()),
         },
         "count": len(rows),
-        "rows": rows,
-    }
+    }, rows)
 
 
 def tail(svc, req: Request):
@@ -258,12 +278,9 @@ def tail(svc, req: Request):
         limit=req.int_param("limit", 256, minimum=1,
                             maximum=MAX_STREAM_PAGE),
     )
-    return {
-        "table": table,
-        "cursor": batch.cursor,
-        "count": len(batch.readings),
-        "rows": [reading_json(r) for r in batch.readings],
-    }
+    rows = batch.rows.json()
+    return _with_rows({"table": table, "cursor": batch.cursor,
+                       "count": len(rows)}, rows)
 
 
 def stream_tail(svc, req: Request):
@@ -317,6 +334,9 @@ def mech_read(svc, req: Request, name: str):
             f"service" if known else f"no mechanism {name!r}"
         )
     t = req.float_param("t", svc.now())
+    if not 0.0 <= t <= MAX_READ_T_S:
+        raise BadRequest(
+            f"parameter 't' must be in [0, {MAX_READ_T_S}], got {t}")
     values = backend.read_at(t, creds=req.tenant.credentials,
                              plan=svc.fault_plan)
     return {

@@ -27,7 +27,6 @@ from repro.chaos.faults import FaultPlan
 from repro.mech.channel import AccessChannel
 from repro.obs.instruments import SERVICE_STREAM_GAPS, SERVICE_STREAM_ROWS
 from repro.store.engine import ShardedStore
-from repro.store.reading import Reading
 
 #: The store's query path as a faultable channel: chaos rules target
 #: ``mechanism="store"`` with one device label per shard (``shard3``).
@@ -59,16 +58,6 @@ def dark_shards(store: ShardedStore, now: float,
         if dark[0]:
             out.add(index)
     return out
-
-
-def reading_json(reading: Reading) -> dict:
-    """The wire shape of one reading (dark fields serialize as NaN)."""
-    return {
-        "t": reading.timestamp,
-        "location": reading.location,
-        "mechanism": reading.mechanism,
-        "values": dict(reading.values),
-    }
 
 
 def _line(obj: dict) -> str:
@@ -114,10 +103,10 @@ def tail_stream(store: ShardedStore, table: str, cursor: int | None = None,
         known_dark = dark
         batch = store.tail(table, position, location_prefix, limit=page)
         position = batch.cursor
-        if batch.readings:
-            SERVICE_STREAM_ROWS.inc(len(batch.readings))
-            for reading in batch.readings:
-                yield _line(reading_json(reading))
+        if len(batch):
+            SERVICE_STREAM_ROWS.inc(len(batch))
+            for text in batch.rows.json():
+                yield text + "\n"
         if pump is not None:
             pump(poll)
     yield _line({"marker": "end", "cursor": position, "polls": poll})

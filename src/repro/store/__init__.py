@@ -17,7 +17,9 @@ repeated range queries O(windows) instead of O(records).
   sweep's rows as per-table column blocks), and :class:`ShardedStore`,
   whose shard tables hold columns, with the
   ``range`` / ``prefix`` / ``aggregate`` / ``latest`` / ``tail``
-  query API (``tail`` resumes from a :class:`TailBatch` cursor);
+  query API (``tail`` resumes from a :class:`TailBatch` cursor), whose
+  selected :class:`Rows` read out as records or as JSON text;
+* :mod:`repro.store.wire` — that JSON text, written from the columns;
 * :mod:`repro.store.federation` — :class:`FederatedStore` routing N
   sites' stores behind one ``site/location`` API, merging site-local
   partial aggregates centrally and resharding saturated sites.
@@ -39,6 +41,7 @@ from repro.store.engine import (
     Batch,
     BatchBlock,
     FlushReport,
+    Rows,
     ShardedStore,
     TailBatch,
 )
@@ -58,6 +61,7 @@ __all__ = [
     "QUERY_KINDS",
     "QueryPlan",
     "Reading",
+    "Rows",
     "ShardMap",
     "ShardedStore",
     "TailBatch",

@@ -104,12 +104,12 @@ MAX_KEYINGS = 16
 
 class _Keying:
     """One ``(table, field, window_s)`` entry: the location → window
-    index → ``[count, min, max, total, last_timestamp]`` map, plus the
+    index → ``(count, min, max, total, last_timestamp)`` map, plus the
     ingest watermark it is current up to."""
 
     __slots__ = ("built", "watermark", "folded")
 
-    def __init__(self, built: dict[str, dict[int, list]], watermark: int,
+    def __init__(self, built: dict[str, dict[int, tuple]], watermark: int,
                  folded: int):
         self.built = built
         #: The next global ingest sequence not yet folded.
@@ -118,19 +118,20 @@ class _Keying:
         self.folded = folded
 
 
-def _fold(by_window: dict[int, list], idx: int, value: float,
+def _fold(by_window: dict[int, tuple], idx: int, value: float,
           timestamp: float) -> None:
+    """Fold one value into its window's accumulator.  Accumulators are
+    tuples of atoms, which the garbage collector stops tracking, so a
+    long-lived cache adds no work to every full collection."""
     acc = by_window.get(idx)
     if acc is None:
-        by_window[idx] = [1, value, value, value, timestamp]
+        by_window[idx] = (1, value, value, value, timestamp)
         return
-    acc[0] += 1
-    if value < acc[1]:
-        acc[1] = value
-    if value > acc[2]:
-        acc[2] = value
-    acc[3] += value
-    acc[4] = timestamp
+    count, low, high, total, _ = acc
+    by_window[idx] = (count + 1,
+                      value if value < low else low,
+                      value if value > high else high,
+                      total + value, timestamp)
 
 
 class AggregateCache:
@@ -138,7 +139,7 @@ class AggregateCache:
 
     One cache instance serves one shard.  Entries are keyed by
     ``(table, field, window_s)``; each maps location → window index →
-    ``[count, min, max, total, last_timestamp]``, folded in (timestamp,
+    ``(count, min, max, total, last_timestamp)``, folded in (timestamp,
     ingest sequence) order — the order a fresh build from the shard's
     sorted run uses, so the float ``total`` is the same to the bit.
 
@@ -155,7 +156,7 @@ class AggregateCache:
             OrderedDict()
 
     def windows(self, table: str, field: str, window_s: float,
-                records) -> dict[str, dict[int, list]]:
+                records) -> dict[str, dict[int, tuple]]:
         """The (location → window → accumulator) map for one keying.
 
         ``records`` is a snapshot of the shard table (its length is
@@ -176,7 +177,7 @@ class AggregateCache:
             # its sequence number before the last read but inserted
             # after it): refold from scratch rather than miss it.
         STORE_CACHE_MISSES.inc()
-        built: dict[str, dict[int, list]] = {}
+        built: dict[str, dict[int, tuple]] = {}
         _fold_rows(built, records, np.arange(len(records)), field, window_s)
         self._entries[key] = _Keying(built, records.next_seq, len(records))
         if len(self._entries) > MAX_KEYINGS:
@@ -216,11 +217,11 @@ class AggregateCache:
         keying.folded += len(fresh)
 
     @staticmethod
-    def select(built: dict[str, dict[int, list]], field: str,
-               window_s: float, t0: float, t1: float,
-               location_prefix: str) -> list[Aggregate]:
-        """Materialize the aggregates intersecting ``[t0, t1]`` for
-        locations matching ``location_prefix``.
+    def select(built: dict[str, dict[int, tuple]], window_s: float,
+               t0: float, t1: float, location_prefix: str) -> list[tuple]:
+        """The windows intersecting ``[t0, t1]`` for locations matching
+        ``location_prefix``, as ``(window_start, location, count, min,
+        max, total)`` partials (per location, in window order).
 
         Per location it walks whichever is shorter: the requested span
         of window indexes, or the windows that exist — so a query's
@@ -228,7 +229,7 @@ class AggregateCache:
         """
         lo = window_index(t0, window_s)
         hi = window_index(t1, window_s)
-        out: list[Aggregate] = []
+        out: list[tuple] = []
         for location, by_window in built.items():
             if not location.startswith(location_prefix):
                 continue
@@ -240,18 +241,12 @@ class AggregateCache:
                                   bisect_right(present, hi)]
             for idx in indexes:
                 acc = by_window.get(idx)
-                if acc is None:
-                    continue
-                out.append(Aggregate(
-                    location=location, field=field,
-                    window_start=idx * window_s, window_s=window_s,
-                    count=int(acc[0]), minimum=acc[1], maximum=acc[2],
-                    total=acc[3],
-                ))
+                if acc is not None:
+                    out.append((idx * window_s, location, *acc[:4]))
         return out
 
 
-def _fold_rows(built: dict[str, dict[int, list]], records,
+def _fold_rows(built: dict[str, dict[int, tuple]], records,
                rows: np.ndarray, field: str, window_s: float) -> None:
     """Fold the ``rows`` of a table snapshot that carry ``field``, in
     the given order, as Python floats (so totals add exactly as a fold
@@ -265,7 +260,7 @@ def _fold_rows(built: dict[str, dict[int, list]], records,
               window_index(timestamp, window_s), value, timestamp)
 
 
-def _rebuild_window(built: dict[str, dict[int, list]], records, loc: int,
+def _rebuild_window(built: dict[str, dict[int, tuple]], records, loc: int,
                     field: str, idx: int, window_s: float) -> None:
     """Refold one (location, window) from the (timestamp, sequence)-
     ordered run, exactly as a fresh build would."""

@@ -23,8 +23,10 @@ Reads go through a planned query API — ``range``, ``prefix``,
 ``aggregate`` (cache-backed downsampling), ``latest``, ``tail`` — that
 merges per-shard runs deterministically: results are ordered by
 (timestamp, global ingest sequence), byte-identical to the seed
-envdb's flat record list at any shard count.  :class:`Reading` objects
-are built for the returned rows only.
+envdb's flat record list at any shard count.  A query selects its rows
+once, as :class:`Rows`; the caller reads them out as :class:`Reading`
+records or as each row's JSON text (:mod:`repro.store.wire`), so the
+service writes its responses without building a record per row.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import math
 import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from repro.store.aggregate import Aggregate, AggregateCache
 from repro.store.planner import QueryPlan, plan_query
 from repro.store.reading import Reading
 from repro.store.shards import ShardMap
+from repro.store.wire import floats_json, names_json, row_template, times_json
 
 _INF = float("inf")
 
@@ -79,17 +84,23 @@ class FlushReport:
 class TailBatch:
     """One page of a tail: fresh records plus the resume cursor.
 
+    ``rows`` is the page's :class:`Rows` selection, in ingest order;
+    ``readings`` reads it out as records (built on first access).
     ``cursor`` is a global ingest-sequence watermark: pass it back to
     :meth:`ShardedStore.tail` to receive only records ingested after
     this batch was taken.  Cursors are value objects — they survive
     across queries, streams and (serialized) service clients.
     """
 
-    readings: tuple[Reading, ...]
+    rows: "Rows"
     cursor: int
 
+    @cached_property
+    def readings(self) -> tuple[Reading, ...]:
+        return tuple(self.rows.readings())
+
     def __len__(self) -> int:
-        return len(self.readings)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -270,6 +281,37 @@ class _View:
                 self.values[rows].tolist())
         ]
 
+    def json(self, rows: np.ndarray) -> list[str]:
+        """Rows as the JSON text of their readings' wire objects
+        (``t``, ``location``, ``mechanism``, ``values``), in the given
+        order: one template per schema (see :mod:`repro.store.wire`)."""
+        if not len(rows):
+            return []
+        heads = (names_json(self.loc[rows], self.locations),
+                 names_json(self.mech[rows], self.mechanisms),
+                 times_json(self.t[rows]))
+        schema = self.schema[rows]
+        ids = np.unique(schema).tolist()
+        if len(ids) == 1:
+            return self._schema_json(ids[0], rows, heads)
+        out = [""] * len(rows)
+        for sid in ids:
+            at = np.flatnonzero(schema == sid).tolist()
+            texts = self._schema_json(sid, rows[at], [
+                list(map(head.__getitem__, at)) for head in heads])
+            for i, text in zip(at, texts):
+                out[i] = text
+        return out
+
+    def _schema_json(self, sid: int, rows: np.ndarray, heads) -> list[str]:
+        """``json`` for rows that all have schema ``sid``, given their
+        location, mechanism and timestamp texts."""
+        template, order = row_template(self.schemas[sid])
+        k = len(order)
+        texts = floats_json(self.values[rows][:, order].ravel())
+        return [template % args
+                for args in zip(*heads, *(texts[c::k] for c in range(k)))]
+
 
 class _ShardTable:
     """One table on one shard: parallel column arrays in (timestamp,
@@ -417,7 +459,7 @@ class _ShardTable:
         view.log = None if self.seq_ordered else self._log
         return view
 
-    def latest_rows(self, prefix: str) -> np.ndarray:
+    def newest_rows(self, prefix: str) -> np.ndarray:
         """The newest row of each location matching ``prefix``, in the
         order the locations were first written.
 
@@ -452,29 +494,65 @@ def _padded(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _merged(parts: list[tuple[_View, np.ndarray]], key) -> list[Reading]:
-    """The rows of each (view, rows) part as readings, interleaved in
+class Rows:
+    """The rows one query selected, in result order, over snapshots of
+    one or more shard tables.
+
+    The selection is made once; the caller picks the form the rows
+    come out in: :meth:`readings` for library callers, :meth:`json`
+    for the service's responses (byte-identical to ``json.dumps`` of
+    the readings' wire objects with sorted keys).
+    """
+
+    __slots__ = ("_parts", "_owner")
+
+    def __init__(self, parts: list[tuple[_View, np.ndarray]],
+                 owner: list[int] | None = None):
+        #: (view, rows) per part, each part's rows in result order.
+        self._parts = parts
+        #: The part each result position comes from; ``None`` when the
+        #: parts follow each other.
+        self._owner = owner
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, rows in self._parts)
+
+    def readings(self) -> list[Reading]:
+        """The rows as :class:`Reading` records."""
+        return self._interleaved([view.readings(rows)
+                                  for view, rows in self._parts])
+
+    def json(self) -> list[str]:
+        """Each row's JSON text (``t``, ``location``, ``mechanism``,
+        ``values``, keys sorted)."""
+        return self._interleaved([view.json(rows)
+                                  for view, rows in self._parts])
+
+    def _interleaved(self, runs: list[list]) -> list:
+        if self._owner is None:
+            return [item for run in runs for item in run]
+        heads = [iter(run) for run in runs]
+        return [next(heads[k]) for k in self._owner]
+
+
+def _merged(parts: list[tuple[_View, np.ndarray]], key) -> Rows:
+    """The rows of each (view, rows) part, interleaved in
     ``key(view, rows)`` order.  Each part's rows are in that order
-    already, so the merge picks the next reading of whichever part owns
-    each position of the global order."""
-    if len(parts) == 1:
-        view, rows = parts[0]
-        return view.readings(rows)
+    already, so the merge only records which part owns each position
+    of the global order."""
+    parts = [(view, rows) for view, rows in parts if len(rows)]
+    if len(parts) < 2:
+        return Rows(parts)
     owner = np.concatenate([np.full(len(rows), k)
                             for k, (_, rows) in enumerate(parts)])
     keys = [np.concatenate(column) for column in
             zip(*(key(view, rows) for view, rows in parts))]
     order = np.lexsort(keys[::-1])
-    runs = [iter(view.readings(rows)) for view, rows in parts]
-    return [next(runs[k]) for k in owner[order].tolist()]
+    return Rows(parts, owner[order].tolist())
 
 
 def _time_key(view: _View, rows: np.ndarray):
     return view.t[rows], view.seq[rows]
-
-
-def _seq_key(view: _View, rows: np.ndarray):
-    return (view.seq[rows],)
 
 
 class _Shard:
@@ -674,8 +752,8 @@ class ShardedStore:
                 views.append(shard.tables[plan.table].view())
         return views
 
-    def range(self, table: str, t0: float, t1: float,
-              location_prefix: str = "") -> list[Reading]:
+    def range_rows(self, table: str, t0: float, t1: float,
+                   location_prefix: str = "") -> Rows:
         """Records in ``[t0, t1]`` matching the prefix, in (timestamp,
         ingest order) — the seed envdb's exact ordering.  A NaN bound
         is a :class:`ConfigError`; infinite bounds are open ends."""
@@ -690,54 +768,81 @@ class ShardedStore:
         STORE_QUERY_ROWS.inc(len(out))
         return out
 
-    def prefix(self, table: str, location_prefix: str) -> list[Reading]:
+    def range(self, table: str, t0: float, t1: float,
+              location_prefix: str = "") -> list[Reading]:
+        """:meth:`range_rows` as :class:`Reading` records."""
+        return self.range_rows(table, t0, t1, location_prefix).readings()
+
+    def prefix_rows(self, table: str, location_prefix: str) -> Rows:
         """Every record for a location prefix, across all time."""
-        out = self.range(table, -_INF, _INF, location_prefix)
+        out = self.range_rows(table, -_INF, _INF, location_prefix)
         STORE_QUERIES.labels("prefix").inc()
         return out
 
-    def latest(self, table: str, location_prefix: str = "") -> dict[str, Reading]:
-        """The most recent record per matching location: the greatest
-        (timestamp, ingest sequence)."""
+    def prefix(self, table: str, location_prefix: str) -> list[Reading]:
+        """:meth:`prefix_rows` as :class:`Reading` records."""
+        return self.prefix_rows(table, location_prefix).readings()
+
+    def latest_rows(self, table: str, location_prefix: str = "") -> Rows:
+        """The most recent record per matching location — the greatest
+        (timestamp, ingest sequence) — in location name order."""
         plan = self.plan("latest", table, location_prefix)
-        out: dict[str, Reading] = {}
+        parts, named = [], []
         for index in plan.shards:
             shard = self._shards[index]
             with shard.lock:
                 source = shard.tables[table]
-                view, rows = source.view(), source.latest_rows(location_prefix)
-            for reading in view.readings(rows):
-                out[reading.location] = reading
+                view, rows = source.view(), source.newest_rows(location_prefix)
+            names = [view.locations[i] for i in view.loc[rows].tolist()]
+            order = sorted(range(len(names)), key=names.__getitem__)
+            parts.append((view, rows[order]))
+            named.extend((names[i], len(parts) - 1) for i in order)
+        named.sort(key=itemgetter(0))
+        out = Rows(parts, [part for _, part in named])
         STORE_QUERIES.labels("latest").inc()
         STORE_QUERY_ROWS.inc(len(out))
         return out
 
-    def aggregate(self, table: str, field_name: str, t0: float, t1: float,
-                  window_s: float, location_prefix: str = "") -> list[Aggregate]:
-        """Downsampled min/mean/max per location per ``window_s`` window
-        intersecting ``[t0, t1]`` — served from the per-shard aggregate
-        cache (built on first use, then brought current on each read by
-        folding only the records ingested since the last one)."""
+    def latest(self, table: str, location_prefix: str = "") -> dict[str, Reading]:
+        """:meth:`latest_rows` as location → :class:`Reading`."""
+        return {reading.location: reading for reading in
+                self.latest_rows(table, location_prefix).readings()}
+
+    def partials(self, table: str, field_name: str, t0: float, t1: float,
+                 window_s: float, location_prefix: str = "") -> list[tuple]:
+        """Downsampled windows per location per ``window_s`` window
+        intersecting ``[t0, t1]``, as ``(window_start, location, count,
+        min, max, total)`` tuples in (window_start, location) order —
+        served from the per-shard aggregate cache (built on first use,
+        then brought current on each read by folding only the records
+        ingested since the last one)."""
         _check_aggregate(t0, t1, window_s)
         self._check_window(t0, t1)
         plan = self.plan("aggregate", table, location_prefix)
-
-        def one_shard(index: int) -> list[Aggregate]:
+        out: list[tuple] = []
+        for index in plan.shards:
             shard = self._shards[index]
             with shard.lock:
                 built = shard.cache.windows(
                     table, field_name, window_s, shard.tables[table].view()
                 )
-                return AggregateCache.select(
-                    built, field_name, window_s, t0, t1, location_prefix
-                )
-
-        parts = [one_shard(index) for index in plan.shards]
-        out = [agg for part in parts for agg in part]
-        out.sort(key=lambda a: (a.window_start, a.location))
+                out.extend(AggregateCache.select(
+                    built, window_s, t0, t1, location_prefix))
+        out.sort(key=itemgetter(0, 1))
         STORE_QUERIES.labels("aggregate").inc()
         STORE_QUERY_ROWS.inc(len(out))
         return out
+
+    def aggregate(self, table: str, field_name: str, t0: float, t1: float,
+                  window_s: float, location_prefix: str = "") -> list[Aggregate]:
+        """:meth:`partials` as min/mean/max :class:`Aggregate` windows."""
+        return [
+            Aggregate(location=location, field=field_name,
+                      window_start=start, window_s=window_s, count=count,
+                      minimum=low, maximum=high, total=total)
+            for start, location, count, low, high, total in self.partials(
+                table, field_name, t0, t1, window_s, location_prefix)
+        ]
 
     def tail(self, table: str, cursor: int = 0, location_prefix: str = "",
              limit: int | None = None) -> TailBatch:
@@ -772,11 +877,13 @@ class ShardedStore:
         next_cursor = int(seqs[order[end - 1]]) + 1 if end else cursor
         taken = order[hits]
         rows_all = np.concatenate([rows for _, rows in parts])
-        out = _merged([(view, rows_all[taken[owner[taken] == k]])
-                       for k, (view, _) in enumerate(parts)], _seq_key)
+        # `taken` is in ingest order, so each part's share of it is too.
+        out = Rows([(view, rows_all[taken[owner[taken] == k]])
+                    for k, (view, _) in enumerate(parts)],
+                   owner[taken].tolist())
         STORE_QUERIES.labels("tail").inc()
         STORE_QUERY_ROWS.inc(len(out))
-        return TailBatch(readings=tuple(out), cursor=next_cursor)
+        return TailBatch(rows=out, cursor=next_cursor)
 
     @property
     def ingest_cursor(self) -> int:

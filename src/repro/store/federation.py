@@ -5,8 +5,8 @@ A *site* is one cluster's :class:`~repro.store.engine.ShardedStore`
 queries by a ``site/location`` prefix convention and merges per-site
 results deterministically.  Aggregates follow the scatter-gather plan
 the paper's single-server ceiling forces at fleet scale: every site
-reduces its *own* records with the store's cached ``aggregate`` and
-only the O(windows) partials travel to the center, where
+reduces its *own* records with the store's cached ``partials`` and
+only the O(windows) partials travel to the center, where they fold as
 :func:`~repro.store.aggregate.merge_partials` folds them — counts and
 totals add, minima and maxima fold — into per-location or fleet-wide
 rollup windows.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import ConfigError
 from repro.obs.instruments import (
@@ -28,7 +29,7 @@ from repro.obs.instruments import (
     FLEET_QUERIES,
     FLEET_RESHARDS,
 )
-from repro.store.aggregate import Aggregate, merge_partials
+from repro.store.aggregate import Aggregate
 from repro.store.engine import ShardedStore
 from repro.store.planner import QueryPlan
 from repro.store.reading import Reading
@@ -162,25 +163,47 @@ class FederatedStore:
         Each site computes its own cached partials; the center merges.
         ``rollup=False`` keeps per-location windows (relabeled
         ``site/location``); ``rollup=True`` folds everything into one
-        fleet-wide window series at location ``"fleet"``.
+        fleet-wide window series at location ``"fleet"`` — the fold of
+        :func:`~repro.store.aggregate.merge_partials` over the sites'
+        partials in (site, window_start, location) order, taken
+        straight from their accumulators.
         """
-        partials: list[Aggregate] = []
-        for name, local in self._route(location_prefix):
-            for agg in self.sites[name].aggregate(
-                    table, field_name, t0, t1, window_s, local):
-                partials.append(Aggregate(
-                    location=self._label(name, agg.location),
-                    field=agg.field, window_start=agg.window_start,
-                    window_s=agg.window_s, count=agg.count,
-                    minimum=agg.minimum, maximum=agg.maximum,
-                    total=agg.total,
-                ))
+        routed = [(name, self.sites[name].partials(
+            table, field_name, t0, t1, window_s, local))
+            for name, local in self._route(location_prefix)]
         FLEET_QUERIES.labels("aggregate").inc()
         if rollup:
-            FLEET_PARTIALS_MERGED.inc(len(partials))
-            return merge_partials(partials, location=FLEET_LOCATION)
-        partials.sort(key=lambda a: (a.window_start, a.location))
-        return partials
+            FLEET_PARTIALS_MERGED.inc(sum(len(p) for _, p in routed))
+            merged: dict[float, tuple] = {}
+            for _, partials in routed:
+                for start, _, count, low, high, total in partials:
+                    acc = merged.get(start)
+                    if acc is None:
+                        merged[start] = (count, low, high, total)
+                        continue
+                    n, lo, hi, tot = acc
+                    merged[start] = (n + count,
+                                     low if low < lo else lo,
+                                     high if high > hi else hi,
+                                     tot + total)
+            return [
+                Aggregate(location=FLEET_LOCATION, field=field_name,
+                          window_start=start, window_s=float(window_s),
+                          count=count, minimum=low, maximum=high,
+                          total=total)
+                for start, (count, low, high, total) in sorted(
+                    merged.items(), key=itemgetter(0))
+            ]
+        out = [
+            Aggregate(location=self._label(name, location),
+                      field=field_name, window_start=start,
+                      window_s=window_s, count=count, minimum=low,
+                      maximum=high, total=total)
+            for name, partials in routed
+            for start, location, count, low, high, total in partials
+        ]
+        out.sort(key=lambda a: (a.window_start, a.location))
+        return out
 
     def aggregate_plan(self, table: str, location_prefix: str = "",
                        rollup: bool = False) -> FederatedQueryPlan:

@@ -193,21 +193,19 @@ class _CountingWindows(dict):
 
 class TestSelectCost:
     def test_wide_span_walks_only_existing_windows(self):
-        acc = [1, 2.0, 2.0, 2.0, 0.0]
+        acc = (1, 2.0, 2.0, 2.0, 0.0)
         built = {LOC: _CountingWindows({0: acc, 5: acc, 9: acc})}
         _CountingWindows.lookups = 0
-        out = AggregateCache.select(built, "input_power_w", 60.0,
-                                    -1e12, 1e12, "")
-        assert [a.window_start for a in out] == [0.0, 300.0, 540.0]
+        out = AggregateCache.select(built, 60.0, -1e12, 1e12, "")
+        assert [start for start, *_ in out] == [0.0, 300.0, 540.0]
         assert _CountingWindows.lookups <= 3
 
     def test_narrow_span_walks_only_the_span(self):
-        acc = [1, 2.0, 2.0, 2.0, 0.0]
+        acc = (1, 2.0, 2.0, 2.0, 0.0)
         built = {LOC: _CountingWindows({i: acc for i in range(100)})}
         _CountingWindows.lookups = 0
-        out = AggregateCache.select(built, "input_power_w", 60.0,
-                                    60.0, 120.0, "")
-        assert [a.window_start for a in out] == [60.0, 120.0]
+        out = AggregateCache.select(built, 60.0, 60.0, 120.0, "")
+        assert [start for start, *_ in out] == [60.0, 120.0]
         assert _CountingWindows.lookups == 2
 
 
