@@ -204,15 +204,16 @@ def _bench(args: list[str], smoke: bool, check: bool) -> int:
                  + ("nothing written" if failures else f"wrote {path}"))
     rows = []
     for name, r in results.items():
+        bench = perfbench.BENCHES[name]
         detail = ", ".join(
             f"{k}={v:g}" if isinstance(v, (int, float))
             and not isinstance(v, bool) else f"{k}={v}"
             for k, v in r.items()
-            if k not in ("wall_s", "speedup_vs_scalar")
+            if k not in ("wall_s", bench.metric)
         )
         rows.append((name, f"{r['wall_s'] * 1e3:.1f} ms",
-                     f"{r['speedup_vs_scalar']:.2f}x", detail))
-    print(format_table(("bench", "wall", "vs scalar", "detail"), rows,
+                     f"{r[bench.metric]:.2f}{bench.unit}", detail))
+    print(format_table(("bench", "wall", "figure", "detail"), rows,
                        title=title))
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

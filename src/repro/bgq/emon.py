@@ -25,9 +25,8 @@ from repro.errors import SensorError
 from repro.host.process import Process
 from repro.obs.instruments import collector
 from repro.sim.clock import VirtualClock
-from repro.sim.noise import GaussianNoise
+from repro.sim.hashrand import hash_normal
 from repro.sim.rng import RngRegistry
-from repro.sim.sensor import SampledSensor
 
 _OBS = collector("emon")
 
@@ -37,6 +36,11 @@ EMON_QUERY_LATENCY_S = 1.10e-3
 #: Hardware sampling generation period.  MonEQ's fastest useful polling
 #: interval on BG/Q is 560 ms = two generations of this.
 GENERATION_PERIOD_S = 0.280
+
+#: Gaussian noise (standard deviation) of each domain's voltage (V) and
+#: current (A) sensor, per hardware sample.
+VOLTAGE_SIGMA_V = 0.002
+CURRENT_SIGMA_A = 0.5
 
 
 @dataclass(frozen=True)
@@ -54,30 +58,30 @@ class EmonReading:
 
 
 class EmonInterface:
-    """EMON access to one node board's domain sensors."""
+    """EMON access to one node board's domain sensors.
+
+    Each domain rail carries a voltage and a current sensor, both
+    sample-and-hold on the domain's generation grid (period
+    :data:`GENERATION_PERIOD_S`, offset by the domain's
+    ``sample_phase``) with Gaussian noise hashed from (sensor seed,
+    generation index).  The 14 sensors are read as one bank: one noise
+    draw and one utilization evaluation per domain cover a whole grid
+    of read times.
+    """
 
     def __init__(self, node_board: NodeBoard, clock: VirtualClock,
                  rng: RngRegistry | None = None):
         self.node_board = node_board
         self.clock = clock
         registry = rng if rng is not None else node_board.rng
-        self._voltage_sensors: dict[BgqDomain, SampledSensor] = {}
-        self._current_sensors: dict[BgqDomain, SampledSensor] = {}
-        for spec in BGQ_DOMAINS:
-            self._voltage_sensors[spec.domain] = SampledSensor(
-                truth=_VoltageSignal(node_board, spec.domain),
-                update_interval=GENERATION_PERIOD_S,
-                noise=GaussianNoise(0.002),
-                seed=registry.seed(f"emon.{spec.domain.value}.v"),
-                phase=spec.sample_phase,
-            )
-            self._current_sensors[spec.domain] = SampledSensor(
-                truth=_CurrentSignal(node_board, spec.domain),
-                update_interval=GENERATION_PERIOD_S,
-                noise=GaussianNoise(0.5),
-                seed=registry.seed(f"emon.{spec.domain.value}.i"),
-                phase=spec.sample_phase,
-            )
+        #: Sensor seeds, shaped (voltage|current, domain, 1) to
+        #: broadcast against a (domain, time) grid of sample indices.
+        self._seeds = np.array(
+            [[registry.seed(f"emon.{spec.domain.value}.{kind}")
+              for spec in BGQ_DOMAINS] for kind in ("v", "i")],
+            dtype=np.uint64)[:, :, None]
+        self._phases = np.array(
+            [spec.sample_phase for spec in BGQ_DOMAINS])[:, None]
 
     def collect(self, process: Process | None = None) -> list[EmonReading]:
         """One EMON collection: all 7 domains, oldest-generation data.
@@ -115,14 +119,26 @@ class EmonInterface:
         """Yield ``(domain, sample_time, voltage, current)`` arrays over
         ``times``, one per domain in :data:`BGQ_DOMAINS` order."""
         times = np.asarray(times, dtype=np.float64)
-        for spec in BGQ_DOMAINS:
-            v_sensor = self._voltage_sensors[spec.domain]
-            # Oldest generation: one full period behind the current one.
-            stale_t = np.maximum(
-                v_sensor.last_update_time(times) - GENERATION_PERIOD_S, 0.0
-            )
-            yield (spec.domain, stale_t, v_sensor.read(stale_t),
-                   self._current_sensors[spec.domain].read(stale_t))
+        if np.any(times < 0.0):
+            raise SensorError("cannot read sensor before t=0")
+        # Oldest generation: one full period behind the one visible at
+        # each read time, per domain phase (rows) and read (columns).
+        visible = np.floor((times - self._phases) / GENERATION_PERIOD_S)
+        stale_t = np.maximum(
+            visible.astype(np.int64) * GENERATION_PERIOD_S + self._phases
+            - GENERATION_PERIOD_S, 0.0)
+        # The hardware sample that generation holds; before the first
+        # refresh the register holds the power-on sample at t=0.
+        index = np.floor(
+            (stale_t - self._phases) / GENERATION_PERIOD_S).astype(np.int64)
+        update_t = np.maximum(index * GENERATION_PERIOD_S + self._phases, 0.0)
+        noise = hash_normal(self._seeds, np.maximum(index, 0))
+        volt_noise = VOLTAGE_SIGMA_V * noise[0]
+        amp_noise = CURRENT_SIGMA_A * noise[1]
+        for d, spec in enumerate(BGQ_DOMAINS):
+            volts, amps = self.node_board.domain_rail(spec.domain, update_t[d])
+            yield (spec.domain, stale_t[d], volts + volt_noise[d],
+                   amps + amp_noise[d])
 
     def collect_power_w(self, process: Process | None = None) -> dict[BgqDomain, float]:
         """Convenience: per-domain power (V x I) from one collection."""
@@ -135,22 +151,3 @@ class EmonInterface:
             raise SensorError("empty EMON collection")
         return sum(r.power_w for r in readings)
 
-
-class _VoltageSignal:
-    """Live rail-voltage view of one domain."""
-
-    def __init__(self, node_board: NodeBoard, domain: BgqDomain):
-        self.node_board, self.domain = node_board, domain
-
-    def value(self, t):
-        return self.node_board.domain_voltage(self.domain, t)
-
-
-class _CurrentSignal:
-    """Live rail-current view of one domain."""
-
-    def __init__(self, node_board: NodeBoard, domain: BgqDomain):
-        self.node_board, self.domain = node_board, domain
-
-    def value(self, t):
-        return self.node_board.domain_current(self.domain, t)

@@ -87,15 +87,23 @@ class NodeBoard:
         """True DC power of one domain rail (W)."""
         return self._models[domain].power(t)
 
-    def domain_voltage(self, domain: BgqDomain, t):
-        """Rail voltage: nominal with utilization-proportional droop."""
+    def domain_rail(self, domain: BgqDomain, t):
+        """``(voltage, current)`` of one domain rail from a single
+        utilization evaluation: nominal voltage with
+        utilization-proportional droop, and the current that
+        :meth:`domain_power`'s affine watts imply at that voltage."""
         spec = domain_spec(domain)
         util = self.board.utilization(spec.component, t)
-        return spec.nominal_v * (1.0 - spec.droop * util)
+        volts = spec.nominal_v * (1.0 - spec.droop * util)
+        return volts, (spec.idle_w + spec.dynamic_w * util) / volts
+
+    def domain_voltage(self, domain: BgqDomain, t):
+        """Rail voltage: nominal with utilization-proportional droop."""
+        return self.domain_rail(domain, t)[0]
 
     def domain_current(self, domain: BgqDomain, t):
         """Rail current implied by power and voltage."""
-        return self.domain_power(domain, t) / self.domain_voltage(domain, t)
+        return self.domain_rail(domain, t)[1]
 
     def total_power(self, t):
         """DC power of the whole node card — the top line of Figure 2."""

@@ -31,6 +31,7 @@ this down against one-tick blocks fired event by event.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,22 +104,43 @@ class _Agent:
 
 @dataclass
 class MoneqResult:
-    """Everything finalize produces."""
+    """Everything finalize produces.
 
-    traces: dict[str, TraceSet]
+    ``records`` holds each agent's filled record view — ``time_s`` then
+    one column per backend field — with no copy.  ``traces`` is built
+    from it on first access, so a caller that reads only the output
+    files pays nothing for the trace containers.
+    """
+
+    records: dict[str, np.ndarray]
     overhead: OverheadReport
     output_paths: list[str]
     tags: list
 
+    @cached_property
+    def traces(self) -> dict[str, TraceSet]:
+        """Agent label -> one :class:`TraceSeries` per field (watts for
+        ``*_w`` fields), each holding its own copy of the columns."""
+        traces: dict[str, TraceSet] = {}
+        for label, records in self.records.items():
+            trace_set = TraceSet()
+            for name in records.dtype.names[1:]:
+                units = "W" if name.endswith("_w") else ""
+                trace_set.add(name, TraceSeries(
+                    records["time_s"].copy(), records[name].copy(), name, units,
+                ))
+            traces[label] = trace_set
+        return traces
+
     def trace(self, field_name: str, agent: str | None = None) -> TraceSeries:
         """One field's series; agent defaults to the only agent."""
         if agent is None:
-            if len(self.traces) != 1:
+            if len(self.records) != 1:
                 raise MoneqStateError(
-                    f"session has {len(self.traces)} agents; name one of "
-                    f"{sorted(self.traces)}"
+                    f"session has {len(self.records)} agents; name one of "
+                    f"{sorted(self.records)}"
                 )
-            agent = next(iter(self.traces))
+            agent = next(iter(self.records))
         return self.traces[agent][field_name]
 
     def tag_window(self, tag_name: str, field_name: str,
@@ -292,7 +314,7 @@ class MoneqSession:
 
         markers = self.tags.markers()
         agent_files: dict[str, str] = {}
-        traces: dict[str, TraceSet] = {}
+        records: dict[str, np.ndarray] = {}
         collection_cost = 0.0
         for agent in self.agents:
             filled = agent.filled()
@@ -300,13 +322,7 @@ class MoneqSession:
                 agent.backend.label, agent.backend.platform,
                 agent.backend.fields(), filled, markers,
             )
-            trace_set = TraceSet()
-            for name in agent.backend.fields():
-                units = "W" if name.endswith("_w") else ""
-                trace_set.add(name, TraceSeries(
-                    filled["time_s"].copy(), filled[name].copy(), name, units,
-                ))
-            traces[agent.backend.label] = trace_set
+            records[agent.backend.label] = filled
             collection_cost = max(
                 collection_cost, agent.count * agent.backend.query_latency_s
             )
@@ -324,7 +340,7 @@ class MoneqSession:
             memory_bytes_per_agent=self.config.memory_bytes_per_agent(max_fields),
         )
         return MoneqResult(
-            traces=traces, overhead=overhead, output_paths=paths,
+            records=records, overhead=overhead, output_paths=paths,
             tags=list(self.tags.closed),
         )
 

@@ -2,10 +2,11 @@
 
 These measure the *simulator's* speed, not the modeled hardware.  Every
 bench is one row of :data:`BENCHES`: a callable, its keyword sizes for
-the ``full`` and ``smoke`` profiles, and an absolute floor per profile
-on the ratio it reports.  Every row's committed baseline lives in one
+the ``full`` and ``smoke`` profiles, and an absolute bound per profile
+on the figure it reports (:attr:`Bench.metric`): a floor on a ratio,
+or a ceiling on a cost.  Every row's committed baseline lives in one
 trajectory file, :data:`TRAJECTORY_PATH`, shaped ``{profile: {bench:
-{wall_s, speedup_vs_scalar, spread, ...detail}}}``.
+{wall_s, <metric>, spread, ...detail}}}``.
 
 ``python -m repro bench [name...] [--smoke] [--check]`` is the one
 front door.  Without ``--check`` it measures the named rows (default:
@@ -15,10 +16,11 @@ nothing is written.  ``benchmarks/bench_registry.py`` holds a live
 full-profile run of every row to the same table.
 
 Every bench returns a dict whose first two keys are ``wall_s`` (the
-optimized path's wall) and ``speedup_vs_scalar`` (the reference wall
-over the optimized wall, where "scalar" is the pre-optimization path);
-extra keys are detail.  A ``byte_identical`` key, where present, must
-be True.
+optimized path's wall) and its metric — ``speedup_vs_scalar`` (the
+reference wall over the optimized wall, where "scalar" is the
+pre-optimization path) for every row but ``pack_overhead``, whose
+``pack_ms`` is a cost; extra keys are detail.  A ``byte_identical``
+key, where present, must be True.
 """
 
 from __future__ import annotations
@@ -58,13 +60,16 @@ class _Paired(NamedTuple):
     candidate_s: float
     reference: object
     candidate: object
+    #: Median per-pair ``candidate - reference`` wall.
+    extra_s: float
 
 
 def _paired(reference: Callable[[], object], candidate: Callable[[], object],
             pairs: int) -> _Paired:
     """Time ``reference`` then ``candidate``, ``pairs`` times over, and
     return the median per-pair ``reference / candidate`` wall ratio
-    (plus the median walls and the last pair's results).
+    (plus the median walls, the last pair's results and the median
+    per-pair ``candidate - reference`` difference).
 
     Both sides of a pair see the same machine: a noisy neighbour or a
     frequency step lands on one pair, and the median drops that pair.
@@ -85,8 +90,9 @@ def _paired(reference: Callable[[], object], candidate: Callable[[], object],
     finally:
         gc.enable()
     ratio = statistics.median(r / c for r, c in zip(ref_walls, cand_walls))
+    extra = statistics.median(c - r for r, c in zip(ref_walls, cand_walls))
     return _Paired(ratio, statistics.median(ref_walls),
-                   statistics.median(cand_walls), ref, cand)
+                   statistics.median(cand_walls), ref, cand, extra)
 
 
 def _nvml_session(agents: int, ticks: int, block_ticks: int, seed: int):
@@ -273,14 +279,15 @@ def bench_chaos_hotpath(rows: int = 200_000, pairs: int = 5,
     }
 
 
-def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 5) -> dict:
-    """Dispatch overhead of the scenario-pack layer: ``run_pack``
-    (resolve the catalog manifest, validate, compile, dispatch) versus
+def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 31) -> dict:
+    """The scenario-pack layer's own cost per run: ``run_pack``
+    (resolve the catalog manifest, validate, compile, dispatch) minus
     the same compiled spec run straight through the engine.
 
-    ``speedup_vs_scalar`` is ``wall(engine only) / wall(run_pack)`` —
-    ~1.0 when the pack layer is thin.  The measured work on both
-    sides is the live session itself; the floor catches the pack layer growing per-run work (re-validation
+    ``pack_ms`` is the median per-pair wall difference in milliseconds.
+    It is absolute on purpose: a ratio against the engine run would
+    fall whenever the live session both sides share got faster.  The
+    ceiling catches the pack layer growing per-run work (re-validation
     in a loop, manifest re-reads, O(catalog) scans)."""
     from repro.exec.engine import Engine
     from repro.packs import catalog
@@ -300,7 +307,7 @@ def bench_pack_overhead(pack: str = "phi-micsmc", pairs: int = 5) -> dict:
     timed = _paired(engine_only, through_packs, pairs)
     return {
         "wall_s": timed.candidate_s,
-        "speedup_vs_scalar": timed.ratio,
+        "pack_ms": timed.extra_s * 1e3,
         "engine_wall_s": timed.reference_s,
         "pack": pack,
     }
@@ -370,10 +377,18 @@ class Bench:
     #: Keyword sizes per profile.
     full: dict[str, object]
     smoke: dict[str, object]
-    #: Absolute floor on ``speedup_vs_scalar``, per profile.
+    #: Absolute floor on ``metric``, per profile.
     floors: dict[str, float]
     #: Floors on detail keys, enforced in every profile.
     detail_floors: dict[str, float] = field(default_factory=dict)
+    #: The result key the row is held to, recorded by and printed as.
+    metric: str = "speedup_vs_scalar"
+    #: Printed after ``metric``'s value.
+    unit: str = "x"
+    #: Absolute ceiling on ``metric``, per profile, for a row that
+    #: reports a cost (lower is better) rather than a ratio; such a row
+    #: has no ``floors``.
+    ceilings: dict[str, float] = field(default_factory=dict)
 
     def measure(self, profile: str) -> dict:
         # Collect the cyclic garbage earlier rows left (the service
@@ -408,11 +423,13 @@ BENCHES: dict[str, Bench] = {
         bench_chaos_hotpath, full={"rows": 200_000, "pairs": 5},
         smoke={"rows": 50_000, "pairs": 5},
         floors={"full": 0.25, "smoke": 0.25}),
-    # engine-only/run_pack is <= ~1 by definition: 0.80 still separates
-    # a thin dispatch from a pack layer doing per-run heavy lifting.
+    # The pack layer's own ms per run, held under what it cost when
+    # the row was a ratio (wall_s - engine_wall_s of that baseline:
+    # 0.436 ms full, 0.418 ms smoke).
     "pack_overhead": Bench(
-        bench_pack_overhead, full={"pairs": 9}, smoke={"pairs": 5},
-        floors={"full": 0.80, "smoke": 0.80}),
+        bench_pack_overhead, full={"pairs": 41}, smoke={"pairs": 31},
+        floors={}, metric="pack_ms", unit=" ms",
+        ceilings={"full": 0.43, "smoke": 0.41}),
     # The aggregate cache cold/warm through HTTP (~2.5-3x; the
     # store-level ~85x is mostly absorbed by dispatch + JSON): 1.5x
     # still separates a live cache from a dead one.
@@ -441,15 +458,19 @@ def load(path: str = TRAJECTORY_PATH) -> dict[str, dict[str, dict]]:
 
 
 def floor_failures(name: str, result: dict, profile: str) -> list[str]:
-    """Where ``result`` misses its row's absolute floors, or reports
+    """Where ``result`` misses its row's absolute floor or ceiling, or reports
     output bytes that diverged from the reference path."""
     bench = BENCHES[name]
-    speed = result["speedup_vs_scalar"]
+    value = result[bench.metric]
     failures = []
-    floor = bench.floors[profile]
-    if speed < floor:
-        failures.append(f"{name}: {profile} speedup {speed:.3f}x below the "
-                        f"{floor:g}x floor")
+    if bench.ceilings:
+        ceiling = bench.ceilings[profile]
+        if value > ceiling:
+            failures.append(f"{name}: {profile} {bench.metric} {value:.3f} "
+                            f"above the {ceiling:g} ceiling")
+    elif value < bench.floors[profile]:
+        failures.append(f"{name}: {profile} speedup {value:.3f}x below the "
+                        f"{bench.floors[profile]:g}x floor")
     for key, floor in bench.detail_floors.items():
         if result[key] < floor:
             failures.append(f"{name}: {key} {result[key]:.3f}x below the "
@@ -468,15 +489,18 @@ def check(names: list[str], profile: str, path: str = TRAJECTORY_PATH
     Past the absolute floors, a fresh speedup must stay within
     ``min(90%, max(slack, 2 x spread))`` of the committed median — the
     profile's slack, widened for a bench whose committed run-to-run
-    spread is larger.  The check fails both ways: a named bench with no
-    committed baseline, and a committed baseline whose row is gone.
+    spread is larger.  A cost row (one with ceilings) must instead
+    stay under its committed median plus the same slack.  The check
+    fails both ways: a named bench with no committed baseline, and a
+    committed baseline whose row is gone.
     """
     committed = load(path).get(profile, {})
     failures = [f"{name}: {profile} baseline in {path} but no longer "
                 f"benched" for name in committed if name not in BENCHES]
     results = {}
     for name in names:
-        result = results[name] = BENCHES[name].measure(profile)
+        bench = BENCHES[name]
+        result = results[name] = bench.measure(profile)
         failures += floor_failures(name, result, profile)
         baseline = committed.get(name)
         if baseline is None:
@@ -485,20 +509,26 @@ def check(names: list[str], profile: str, path: str = TRAJECTORY_PATH
             continue
         slack = min(0.90, max(PROFILES[profile].slack,
                               2.0 * baseline["spread"]))
-        floor = baseline["speedup_vs_scalar"] * (1.0 - slack)
-        if result["speedup_vs_scalar"] < floor:
+        value, median = result[bench.metric], baseline[bench.metric]
+        if bench.ceilings:
+            ceiling = median * (1.0 + slack)
+            if value > ceiling:
+                failures.append(
+                    f"{name}: {profile} {bench.metric} {value:.3f} rose "
+                    f"above {ceiling:.3f} (committed median {median:.3f} "
+                    f"+ {slack:.0%})")
+        elif value < median * (1.0 - slack):
             failures.append(
-                f"{name}: {profile} speedup "
-                f"{result['speedup_vs_scalar']:.3f}x fell below "
-                f"{floor:.3f}x (committed median "
-                f"{baseline['speedup_vs_scalar']:.3f}x - {slack:.0%})")
+                f"{name}: {profile} speedup {value:.3f}x fell below "
+                f"{median * (1.0 - slack):.3f}x (committed median "
+                f"{median:.3f}x - {slack:.0%})")
     return failures, results
 
 
 def record(names: list[str], profile: str, path: str = TRAJECTORY_PATH
            ) -> tuple[list[str], dict[str, dict]]:
     """Measure each named bench ``reps`` times and record its median
-    ``wall_s`` and ``speedup_vs_scalar``, the relative ``spread``
+    ``wall_s`` and ``metric``, the relative ``spread``
     ``(max - min) / median`` and the last run's detail under
     ``profile`` in the trajectory file; other entries are kept and rows
     no longer in :data:`BENCHES` dropped.
@@ -510,15 +540,16 @@ def record(names: list[str], profile: str, path: str = TRAJECTORY_PATH
     reps = PROFILES[profile].reps
     entries: dict[str, dict] = {}
     for name in names:
+        metric = BENCHES[name].metric
         runs = [BENCHES[name].measure(profile) for _ in range(reps)]
-        speeds = [r["speedup_vs_scalar"] for r in runs]
-        mid = statistics.median(speeds)
+        values = [r[metric] for r in runs]
+        mid = statistics.median(values)
         entry = {key: round(value, 6) if isinstance(value, float) else value
                  for key, value in runs[-1].items()}
         entry["wall_s"] = round(statistics.median(r["wall_s"] for r in runs),
                                 6)
-        entry["speedup_vs_scalar"] = round(mid, 3)
-        entry["spread"] = round((max(speeds) - min(speeds)) / mid, 3)
+        entry[metric] = round(mid, 3)
+        entry["spread"] = round((max(values) - min(values)) / mid, 3)
         entries[name] = entry
     failures = [failure for name, entry in entries.items()
                 for failure in floor_failures(name, entry, profile)]

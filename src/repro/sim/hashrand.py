@@ -14,24 +14,29 @@ from __future__ import annotations
 import numpy as np
 
 _MASK_INT = 0xFFFFFFFFFFFFFFFF
-_MASK = np.uint64(_MASK_INT)
 # SplitMix64 constants (Steele, Lea, Flood 2014).
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(n) for n in (11, 27, 30, 31))
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer over uint64 input.
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place over a uint64 array of at least
+    one dimension (returned).
 
-    uint64 wraparound is the point of the algorithm, so overflow warnings
-    are suppressed locally.
+    Wraparound mod 2**64 is the point of the algorithm, and uint64
+    *array* arithmetic wraps silently, so no masking or ``errstate`` is
+    needed; only numpy scalars warn on overflow, hence the ``ndim >= 1``
+    contract.
     """
-    with np.errstate(over="ignore"):
-        z = (x + _GAMMA) & _MASK
-        z = ((z ^ (z >> np.uint64(30))) * _MIX1) & _MASK
-        z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _MASK
-        return z ^ (z >> np.uint64(31))
+    z += _GAMMA
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
 
 def hash_u64(seed: int | np.ndarray,
@@ -41,17 +46,26 @@ def hash_u64(seed: int | np.ndarray,
     ``seed`` and ``index`` are integers or integer arrays that broadcast
     against each other, so one call hashes a whole block of sensors (an
     array of seeds) at one sample index.  Both wrap mod 2**64: a Python
-    int hashes exactly as the same value in a one-element array.
+    int hashes exactly as the same value in a one-element array.  Two
+    scalar inputs give a numpy ``uint64`` scalar, anything else an array
+    of the broadcast shape.
     """
     if isinstance(index, int):
         index &= _MASK_INT
-    idx = np.asarray(index, dtype=np.uint64)
+    # A fresh array of at least one dimension: the kernel works in place.
+    z = np.array(index, dtype=np.uint64, ndmin=1)
     if isinstance(seed, int):
         s = np.uint64(seed & _MASK_INT)
     else:
         s = np.asarray(seed).astype(np.uint64, copy=False)
     # Two rounds: fold the seed in, then finalize the combination.
-    return _splitmix64(_splitmix64(idx) ^ s)
+    _splitmix64(z)
+    if s.ndim == 0:
+        z ^= s
+    else:
+        z = z ^ s
+    _splitmix64(z)
+    return z[0] if s.ndim == 0 and np.ndim(index) == 0 else z
 
 
 def hash_uniform(seed: int | np.ndarray,
@@ -60,8 +74,7 @@ def hash_uniform(seed: int | np.ndarray,
     broadcast of seed and index."""
     bits = hash_u64(seed, index)
     # Use the top 53 bits for a full-precision double in [0, 1).
-    with np.errstate(over="ignore"):
-        return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return (bits >> _S11).astype(np.float64) * (2.0 ** -53)
 
 
 def hash_normal(seed: int | np.ndarray,

@@ -46,7 +46,7 @@ class PeriodicTimer:
             raise ConfigError(f"timer interval must be positive, got {interval}")
         self.queue = queue
         self.interval = float(interval)
-        self.handler = handler
+        self.handler: Callable[[float, int], None] | None = handler
         self.ticks_fired = 0
         self.ticks_coalesced = 0
         self._armed = True
@@ -67,8 +67,11 @@ class PeriodicTimer:
         return self._armed
 
     def cancel(self) -> None:
-        """Stop the timer; the pending tick is dropped."""
+        """Stop the timer; the pending tick is dropped, and so is the
+        handler, so an owner whose bound method it was (owner -> timer
+        -> handler -> owner) is freed by reference counting."""
         self._armed = False
+        self.handler = None
         if self._event is not None:
             self._event.cancel()
             self._event = None

@@ -51,7 +51,9 @@ class ShardMap:
         if self.n_shards == 1:
             return 0
         key = shard_key(location, self.depth)
-        return zlib.crc32(key.encode("utf-8")) % self.n_shards
+        # "surrogatepass": a lone surrogate hashes like any other code
+        # point, so every shard count accepts what one shard does.
+        return zlib.crc32(key.encode("utf-8", "surrogatepass")) % self.n_shards
 
     def shards_for_prefix(self, location_prefix: str) -> list[int]:
         """Shards a location-prefix query must visit.

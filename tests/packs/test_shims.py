@@ -126,11 +126,11 @@ def test_fleet_sweep_table_is_byte_identical(canned_fleet, capsys):
     out = capsys.readouterr().out
     assert out.replace(perfbench.TRAJECTORY_PATH, "<trajectory>") == (
         "[repro bench] smoke profile checked against <trajectory>\n"
-        "bench  wall     vs scalar  detail"
+        "bench  wall     figure    detail"
         "                                         \n"
-        "-----  -------  ---------  "
+        "-----  -------  --------  "
         "-----------------------------------------------\n"
-        "fleet  50.0 ms  1000.00x   "
+        "fleet  50.0 ms  1000.00x  "
         "sites=2, cache_reduction=8, byte_identical=True\n"
     )
 

@@ -1,6 +1,9 @@
 """Unit and property tests for counter-based randomness."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +101,110 @@ def test_seed_array_broadcasts_against_index_array():
     assert block.shape == (3, 7)
     for row, seed in zip(block, [3, 77, 2**63 + 9]):
         np.testing.assert_array_equal(row, hash_normal(seed, idx))
+
+
+# -- the kernel against a pure-Python SplitMix64 --------------------------
+
+_M64 = 2**64 - 1
+
+
+def _splitmix_ref(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _u64_ref(seed: int, index: int) -> int:
+    return _splitmix_ref(_splitmix_ref(index % 2**64) ^ (seed % 2**64))
+
+
+def _uniform_ref(seed: int, index: int) -> float:
+    return (_u64_ref(seed, index) >> 11) * 2.0 ** -53
+
+
+def _normal_ref(seed: int, index: int) -> float:
+    u1 = max(_uniform_ref(seed, index), 1e-300)
+    u2 = _uniform_ref(seed ^ 0x5DEECE66D, index)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _check_against_reference(seed, index, seeds, indices, shape):
+    """Every hash of (seed, index) matches the int reference at each
+    element of the broadcast; ``seeds``/``indices`` are the element
+    values as Python ints, shaped like the result."""
+    bits = hash_u64(seed, index)
+    uniform = hash_uniform(seed, index)
+    normal = hash_normal(seed, index)
+    for value in (bits, uniform, normal):
+        assert np.shape(value) == shape
+    if shape == ():
+        assert type(bits) is np.uint64
+        assert type(uniform) is np.float64 and type(normal) is np.float64
+    else:
+        assert isinstance(bits, np.ndarray) and bits.dtype == np.uint64
+        assert uniform.dtype == np.float64 and normal.dtype == np.float64
+    pairs = list(np.broadcast(np.asarray(seeds, dtype=object),
+                              np.asarray(indices, dtype=object)))
+    assert np.ravel(bits).tolist() == [_u64_ref(s, i) for s, i in pairs]
+    assert np.ravel(uniform).tolist() == [_uniform_ref(s, i)
+                                          for s, i in pairs]
+    # Box-Muller goes through log and cos, which numpy may vectorize to
+    # within an ulp of Python's math module.
+    np.testing.assert_allclose(np.ravel(normal),
+                               [_normal_ref(s, i) for s, i in pairs],
+                               rtol=1e-12, atol=1e-12)
+
+
+WIDE = [-(2**63), -(2**40) - 7, -5, -1, 0, 1, 2**31, 2**63 - 1, 2**63,
+        2**64 - 1, 2**64, 2**64 + 3, 2**70 + 11]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1, 2**64 + 5, -(2**70)])
+@pytest.mark.parametrize("index", WIDE)
+def test_int_inputs_match_the_reference_as_numpy_scalars(seed, index):
+    _check_against_reference(seed, index, seed, index, ())
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_d_inputs_match_the_reference_as_numpy_scalars():
+    for seed, index in ((np.array(9, dtype=np.uint64), np.array(-4)),
+                        (np.uint64(2**63 + 1), np.int64(12)),
+                        (5, np.array(2**64 - 2, dtype=np.uint64)),
+                        (np.array(-2, dtype=np.int64), 3)):
+        _check_against_reference(seed, index, int(seed), int(index), ())
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_d_indices_match_the_reference():
+    indices = np.array([i % 2**64 for i in WIDE], dtype=np.uint64)
+    _check_against_reference(11, indices, 11, indices.tolist(),
+                             (len(WIDE),))
+    signed = np.arange(-6, 40)
+    _check_against_reference(2**64 + 9, signed, 2**64 + 9, signed.tolist(),
+                             (46,))
+
+
+@pytest.mark.filterwarnings("error")
+def test_seed_column_broadcasts_against_an_index_row():
+    seed_values = [3, 2**63 + 9, 2**64 - 1, 0]
+    seeds = np.array(seed_values, dtype=np.uint64)[:, None]
+    indices = np.arange(-3, 9)
+    grid_seeds = [[s] * len(indices) for s in seed_values]
+    grid_indices = [indices.tolist()] * len(seed_values)
+    _check_against_reference(seeds, indices, grid_seeds, grid_indices,
+                             (4, 12))
+    # A one-element index still broadcasts to the seeds' shape.
+    _check_against_reference(seeds, 5, [[s] for s in seed_values],
+                             [[5]] * 4, (4, 1))
+    _check_against_reference(seeds[:, 0], np.int64(-7), seed_values,
+                             [-7] * 4, (4,))
+
+
+def test_inputs_are_left_unchanged():
+    indices = np.arange(10, dtype=np.uint64)
+    seeds = np.array([1, 2], dtype=np.uint64)[:, None]
+    hash_normal(seeds, indices)
+    assert indices.tolist() == list(range(10))
+    assert seeds.ravel().tolist() == [1, 2]

@@ -1,5 +1,8 @@
 """Unit tests for the periodic (virtual SIGALRM) timer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConfigError
@@ -100,3 +103,28 @@ def test_tick_count_matches_runtime_over_interval(queue):
     PeriodicTimer(queue, interval=0.560, handler=handler)
     queue.run_until(202.78)
     assert len(ticks) == int(202.78 / 0.560)
+
+
+def test_cancel_releases_an_owner_held_through_its_handler(queue):
+    """owner -> timer -> bound handler -> owner is no cycle once the
+    timer is cancelled, so the owner goes with its last reference."""
+    class Owner:
+        def __init__(self):
+            self.ticks = 0
+            self.timer = PeriodicTimer(queue, 0.5, self.on_tick)
+
+        def on_tick(self, t, index):
+            self.ticks += 1
+
+    owner = Owner()
+    queue.run_until(1.0)
+    assert owner.ticks == 2
+    owner.timer.cancel()
+    alive = weakref.ref(owner)
+    gc.disable()
+    try:
+        del owner
+        assert alive() is None
+    finally:
+        gc.enable()
+    queue.run_until(3.0)  # the dropped tick never fires

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.store import QUERY_KINDS, ShardMap, plan_query, shard_key
+from repro.store import (
+    QUERY_KINDS,
+    Reading,
+    ShardedStore,
+    ShardMap,
+    plan_query,
+    shard_key,
+)
 
 
 class TestShardKey:
@@ -52,6 +59,22 @@ class TestShardMap:
         assert shard_map.shards_for_prefix("R0") == list(range(8))
         assert shard_map.shards_for_prefix("R05") == list(range(8))
         assert shard_map.shards_for_prefix("") == list(range(8))
+
+
+    @pytest.mark.parametrize("location", ["R\ud800-x", "\udfff",
+                                          "R01-\ud800", "R\u00e9-M0"])
+    def test_every_shard_count_accepts_what_one_shard_does(self, location):
+        """A location's code points, lone surrogates included, route on
+        any shard count: the 1- and 4-shard stores hold the same row."""
+        reading = Reading(1.0, location, "bpm", {"w": 2.0})
+        held = []
+        for n_shards in (1, 4):
+            store = ShardedStore(("t",), n_shards=n_shards)
+            store.ingest("t", reading)
+            held.append(store.range("t", 0.0, 2.0))
+            assert store.range("t", 0.0, 2.0, location) == [reading]
+        assert held[0] == held[1] == [reading]
+        assert ShardMap(4).shard_of(location) == ShardMap(4).shard_of(location)
 
 
 class TestPlanner:
