@@ -12,11 +12,13 @@ paper's Figure 5.
 
 from __future__ import annotations
 
+from typing import Callable, Hashable
+
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.devices.load import LoadBoard
-from repro.sim.integrate import CumulativeIntegral
+from repro.errors import ConfigError
+from repro.sim.integrate import StampedHistory
 from repro.sim.signals import Signal
 
 
@@ -99,6 +101,8 @@ class LimitedSignal:
         self.inner = inner
         self._times: list[float] = [0.0]
         self._limits: list[float] = [float(default_limit)]
+        #: Bumped on every limit write; cached histories key on it.
+        self.version = 0
 
     def set_limit(self, t: float, limit: float) -> None:
         """Apply ``limit`` from time ``t`` forward."""
@@ -110,6 +114,7 @@ class LimitedSignal:
             )
         self._times.append(float(t))
         self._limits.append(float(limit))
+        self.version += 1
 
     def current_limit(self, t: float) -> float:
         idx = int(np.searchsorted(self._times, t, side="right")) - 1
@@ -117,22 +122,36 @@ class LimitedSignal:
 
     def value(self, t: np.ndarray | float) -> np.ndarray:
         times = np.asarray(t, dtype=np.float64)
+        if len(self._limits) == 1:
+            return np.minimum(self.inner.value(times), self._limits[0])
         idx = np.clip(np.searchsorted(self._times, times, side="right") - 1, 0, None)
         limits = np.asarray(self._limits, dtype=np.float64)[idx]
         return np.minimum(self.inner.value(times), limits)
 
 
-class ThermalModel:
+def history_stamp(board: LoadBoard,
+                  cap: LimitedSignal) -> Callable[[], tuple[int, int]]:
+    """A stamp for a device's cached histories: the versions of its load
+    board and of its power cap.  It holds no reference to the device, so
+    a device whose histories keep it is still freed by reference
+    counting."""
+    return lambda: (board.version, cap.version)
+
+
+class ThermalModel(StampedHistory):
     """First-order RC thermal node driven by a power signal.
 
     dT/dt = (P(t) - (T - T_ambient)/R) / C, solved on a cached grid like
     the energy integrals.  ``temperature(t)`` is exact for the cached
-    grid resolution and deterministic.
+    grid resolution and deterministic.  With a ``stamp`` callable (see
+    :class:`~repro.sim.integrate.StampedHistory`) the cached history is
+    rebuilt, from the same power-on temperature, whenever the stamp
+    changes.
     """
 
     def __init__(self, power: Signal, ambient_c: float = 25.0,
                  r_c_per_w: float = 0.35, c_j_per_c: float = 180.0,
-                 dt: float = 0.05):
+                 dt: float = 0.05, stamp: Callable[[], Hashable] | None = None):
         if r_c_per_w <= 0.0 or c_j_per_c <= 0.0:
             raise ConfigError("thermal R and C must be positive")
         self.power = power
@@ -140,14 +159,16 @@ class ThermalModel:
         self.r = float(r_c_per_w)
         self.c = float(c_j_per_c)
         self.dt = float(dt)
+        # Power-on initial condition: the steady state of the power at
+        # construction, before anything is scheduled.
+        self._initial_c = (
+            ambient_c + float(self.power.value(np.asarray(0.0))) * self.r)
+        super().__init__(stamp)
+
+    def _reset(self) -> None:
         self._grid_n = 0
         self._times = np.zeros(1)
-        self._temps = np.array([ambient_c + self._steady_delta(0.0)])
-
-    def _steady_delta(self, t: float) -> float:
-        """Steady-state rise above ambient for the power at time t —
-        the power-on initial condition."""
-        return float(self.power.value(np.asarray(0.0))) * self.r if t == 0.0 else 0.0
+        self._temps = np.array([self._initial_c])
 
     def _extend(self, t_end: float) -> None:
         target = max(t_end * 1.1, self._times[-1] + 16 * self.dt)
@@ -158,15 +179,17 @@ class ThermalModel:
         new_times = self.dt * np.arange(
             self._grid_n + 1, self._grid_n + n_new + 1
         ).astype(np.float64)
-        powers = self.power.value(new_times)
-        temps = np.empty(n_new)
-        temp = self._temps[-1]
+        # The recurrence is sequential, so it runs on Python floats (the
+        # same IEEE arithmetic as numpy scalars, without their overhead).
+        ambient, r = self.ambient_c, self.r
+        temp = float(self._temps[-1])
         # Exact exponential step for piecewise-constant power.
-        decay = np.exp(-self.dt / (self.r * self.c))
-        for i in range(n_new):
-            steady = self.ambient_c + powers[i] * self.r
+        decay = float(np.exp(-self.dt / (self.r * self.c)))
+        temps = []
+        for power in self.power.value(new_times).tolist():
+            steady = ambient + power * r
             temp = steady + (temp - steady) * decay
-            temps[i] = temp
+            temps.append(temp)
         self._times = np.concatenate((self._times, new_times))
         self._temps = np.concatenate((self._temps, temps))
         self._grid_n += n_new
@@ -174,6 +197,7 @@ class ThermalModel:
     def temperature(self, t: np.ndarray | float) -> np.ndarray:
         """Temperature in Celsius at time(s) ``t``."""
         times = np.asarray(t, dtype=np.float64)
+        self._refresh()
         t_max = float(np.max(times, initial=0.0))
         if t_max > self._times[-1]:
             self._extend(t_max)
@@ -191,30 +215,3 @@ class TemperatureSignal:
 
     def value(self, t: np.ndarray | float) -> np.ndarray:
         return self.model.temperature(t)
-
-
-class BoardTrackingIntegral:
-    """Cumulative integral that invalidates when the load board mutates.
-
-    Energy counters wrap this so scheduling a new workload after a
-    counter was already read does not leave stale cached energy history.
-    """
-
-    def __init__(self, signal: Signal, board: LoadBoard, dt: float = 1e-3):
-        self.signal = signal
-        self.board = board
-        self.dt = dt
-        self._version = board.version
-        self._integral = CumulativeIntegral(signal, dt=dt)
-
-    def _fresh(self) -> CumulativeIntegral:
-        if self.board.version != self._version:
-            self._integral = CumulativeIntegral(self.signal, dt=self.dt)
-            self._version = self.board.version
-        return self._integral
-
-    def value(self, t: np.ndarray | float) -> np.ndarray:
-        return self._fresh().value(t)
-
-    def between(self, t0: float, t1: float) -> float:
-        return self._fresh().between(t0, t1)

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.load import LoadBoard
-from repro.devices.power import ComponentPowerModel, LimitedSignal, ThermalModel
+from repro.devices.power import (
+    ComponentPowerModel,
+    LimitedSignal,
+    ThermalModel,
+    history_stamp,
+)
 from repro.errors import ConfigError, DeviceError
 from repro.sim.noise import UniformNoise
 from repro.sim.rng import RngRegistry
@@ -107,6 +112,7 @@ class GpuDevice:
         self.thermal = ThermalModel(
             self.power_signal, ambient_c=model.ambient_c,
             r_c_per_w=model.thermal_r_c_per_w, c_j_per_c=model.thermal_c_j_per_c,
+            stamp=history_stamp(self.board, self.power_signal),
         )
         self._allocated_bytes = 0
         self._power_limit_w = model.tdp_w

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.devices.load import LoadBoard
-from repro.devices.power import BoardTrackingIntegral, ComponentPowerModel, LimitedSignal
+from repro.devices.power import ComponentPowerModel, LimitedSignal, history_stamp
 from repro.errors import DriverError, SensorError
 from repro.obs.instruments import RAPL_WRAPAROUNDS
 from repro.rapl.domains import RaplDomain
@@ -30,8 +30,14 @@ from repro.rapl.msr import (
     encode_power_limit,
     encode_units,
 )
+from repro.sim.hashrand import hash_normal
+from repro.sim.integrate import CumulativeIntegral
 from repro.sim.rng import RngRegistry
 from repro.workloads.base import Component
+
+
+#: The energy-status counters are 32 bits wide.
+ENERGY_MODULUS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -113,19 +119,32 @@ class CpuPackage:
             RaplDomain.PP1: _Pp1Signal(self.board, model.pp1_w),
             RaplDomain.DRAM: _DramSignal(self.board, model.dram_idle_w, model.dram_w),
         }
-        jitter_s = model.update_jitter_cycles / model.base_clock_hz
-        self._counters = {
-            domain: _JitteredCounter(
-                signal=self._domain_signals[domain],
-                board=self.board,
-                units=self.units,
-                update_interval=model.counter_update_s,
-                jitter_s=jitter_s,
-                seed=self.rng.seed(f"rapl.{model.name}.{socket}.{domain.value}"),
-                domain=domain.value,
-            )
-            for domain in RaplDomain
-        }
+        # The energy bank: the four 32-bit energy-status counters, one
+        # row per domain in RaplDomain order, over one shared 1 ms grid
+        # of cumulative energy.
+        self._rows = {domain: row for row, domain in enumerate(RaplDomain)}
+        self._stamp = history_stamp(self.board, self.pkg_signal)
+        self._energy = CumulativeIntegral(
+            _DomainStack(tuple(self._domain_signals[d] for d in RaplDomain)),
+            dt=1e-3, stamp=self._stamp,
+        )
+        #: Update-jitter seeds, shaped (domain, 1) to broadcast against
+        #: a grid of update indices.
+        self._seeds = np.array(
+            [self.rng.seed(f"rapl.{model.name}.{socket}.{domain.value}")
+             for domain in RaplDomain], dtype=np.uint64)[:, None]
+        self._update_s = float(model.counter_update_s)
+        self._jitter_scale = (
+            float(model.update_jitter_cycles / model.base_clock_hz) / 2.0)
+        # Wraparound events are emitted per domain; the bank knows the
+        # true (unwrapped) accumulation, so it can report the exact wrap
+        # count even where consumers only see a modular value.
+        self._wraps = {domain: RAPL_WRAPAROUNDS.labels(domain.value)
+                       for domain in RaplDomain}
+        # The last block read, so the access paths polling one tick grid
+        # share one evaluation.
+        self._block_key: tuple | None = None
+        self._block: np.ndarray | None = None
         # Power-limit register state (limit #1 per domain; only PKG has
         # electrical effect).
         self._limits: dict[RaplDomain, int] = {
@@ -141,31 +160,85 @@ class CpuPackage:
 
     # -- counter access -----------------------------------------------------
 
+    def energy_quanta(self, times: np.ndarray) -> np.ndarray:
+        """Unwrapped accumulated energy in counter quanta of every domain
+        at each time in ``times``: a read-only ``(4, n)`` int64 block,
+        rows in :class:`RaplDomain` order.  Every counter view reads
+        through it.
+
+        The SDM-documented update cadence is ~1 ms, but "the updates are
+        not accurate enough for short-term energy measurements ...
+        within the range of +/-50,000 cycles".  Each update boundary is
+        perturbed by a deterministic per-domain, per-index offset, so
+        sub-millisecond reads see the documented error while >=60 ms
+        reads are accurate: both paper claims.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        key = self._block_key
+        stamp = self._stamp()
+        if (key is not None and key[0] == stamp
+                and key[1].shape == times.shape
+                and np.array_equal(key[1], times)):
+            return self._block
+        if np.any(times < 0.0):
+            raise SensorError("cannot read counter before t=0")
+        k = np.floor(times / self._update_s).astype(np.int64)
+        jitter = hash_normal(self._seeds, k) * self._jitter_scale
+        # Jitter never reorders updates or reaches past the read time.
+        update_t = np.minimum(
+            np.maximum(k * self._update_s + jitter, 0.0), times)
+        update_t = np.where(k <= 0, 0.0, update_t)
+        grid_t, cumulative = self._energy.grid(
+            float(np.max(update_t, initial=0.0)))
+        energy = np.empty_like(update_t)
+        for row in range(len(RaplDomain)):
+            energy[row] = np.interp(update_t[row], grid_t, cumulative[row])
+        block = np.floor(energy / self.units.energy_j + 1e-9).astype(np.int64)
+        block.flags.writeable = False
+        self._block_key = (stamp, times.copy())
+        self._block = block
+        return block
+
     def energy_raw(self, domain: RaplDomain, t: float) -> int:
         """32-bit energy-status counter contents at virtual time ``t``."""
         return int(self.energy_raw_block(domain, np.array([t]))[0])
 
     def energy_raw_block(self, domain: RaplDomain, times: np.ndarray) -> np.ndarray:
-        """Counter contents at each time in ``times`` as an int64 array;
-        :meth:`energy_raw` is the one-element case."""
-        return self._counters[domain].raw_block(times)
+        """Counter contents (the wrapped quanta) at each time in
+        ``times`` as an int64 array; :meth:`energy_raw` is the
+        one-element case."""
+        return self.energy_quanta(times)[self._rows[domain]] % ENERGY_MODULUS
 
     def energy_joules_between(self, domain: RaplDomain, t0: float, t1: float) -> float:
-        """Single-wrap-corrected energy between two reads (what every
-        RAPL consumer computes); wrong if more than one wrap elapsed."""
-        return self._counters[domain].delta(t0, t1)
+        """Single-wrap-corrected energy between two reads, as every RAPL
+        consumer decodes it.
+
+        The decode stays faithfully wrong past one wrap (the paper's
+        erroneous-data failure), but the *true* wrap count for the
+        interval is emitted to ``repro_rapl_wraparounds_total``, one
+        increment per wrap, so multi-wrap sampling is observable even
+        though it is not recoverable.
+        """
+        if t1 < t0:
+            raise SensorError(f"reads out of order: {t0} > {t1}")
+        q0, q1 = self.energy_quanta(np.array([t0, t1]))[self._rows[domain]].tolist()
+        wraps = q1 // ENERGY_MODULUS - q0 // ENERGY_MODULUS
+        if wraps > 0:
+            self._wraps[domain].inc(wraps)
+        return (q1 - q0) % ENERGY_MODULUS * self.units.energy_j
 
     def wrap_period_at(self, mean_power_w: float) -> float:
         """Seconds until counter wrap at a mean power — the origin of the
         paper's ~60 s maximum sampling interval."""
-        return self._counters[RaplDomain.PKG].wrap_period(mean_power_w)
+        if mean_power_w <= 0.0:
+            return float("inf")
+        return ENERGY_MODULUS * self.units.energy_j / mean_power_w
 
     def wraps_between(self, domain: RaplDomain, t0: float, t1: float) -> int:
         """True number of 32-bit counter wraps in [t0, t1] — what the
         wraparound metric reports when the interval is decoded."""
-        counter = self._counters[domain]
-        q0, q1 = counter._quanta(np.array([t0, t1])) // counter.modulus
-        return int(q1 - q0)
+        q0, q1 = self.energy_quanta(np.array([t0, t1]))[self._rows[domain]].tolist()
+        return q1 // ENERGY_MODULUS - q0 // ENERGY_MODULUS
 
     # -- MSR register file ------------------------------------------------
 
@@ -235,73 +308,12 @@ class _Pp1Signal:
         return np.zeros_like(np.asarray(t, dtype=np.float64))
 
 
-class _JitteredCounter:
-    """Energy counter whose update instants jitter by +/- tens of us.
+class _DomainStack:
+    """The four domain power signals as one ``(4, n)`` signal, so the
+    bank integrates them on one grid."""
 
-    The SDM-documented cadence is ~1 ms but "the updates are not accurate
-    enough for short-term energy measurements ... within the range of
-    +/-50,000 cycles".  We perturb each update boundary by a deterministic
-    per-index offset, so sub-millisecond reads see the documented error
-    while >=60 ms reads are accurate — both paper claims.
-    """
+    def __init__(self, signals: tuple):
+        self.signals = signals
 
-    def __init__(self, signal, board: LoadBoard, units: RaplUnits,
-                 update_interval: float, jitter_s: float, seed: int,
-                 domain: str = ""):
-        from repro.sim.hashrand import hash_normal
-
-        self._hash_normal = hash_normal
-        self.signal = signal
-        self.units = units
-        self.update_interval = float(update_interval)
-        self.jitter_s = float(jitter_s)
-        self.seed = seed
-        self.modulus = 1 << 32
-        self._integral = BoardTrackingIntegral(signal, board, dt=1e-3)
-        # Wraparound events are emitted against this label; the counter
-        # knows its true (unwrapped) accumulation, so it can report the
-        # exact wrap count even where consumers only see a modular value.
-        self._wraps = RAPL_WRAPAROUNDS.labels(domain or "unknown")
-
-    def wrap_period(self, mean_rate: float) -> float:
-        if mean_rate <= 0.0:
-            return float("inf")
-        return self.modulus * self.units.energy_j / mean_rate
-
-    def _quanta(self, times: np.ndarray) -> np.ndarray:
-        """Unwrapped accumulated energy in counter quanta at each time in
-        ``times`` (int64): the one read every counter view goes through."""
-        times = np.asarray(times, dtype=np.float64)
-        if np.any(times < 0.0):
-            raise SensorError("cannot read counter before t=0")
-        k = np.floor(times / self.update_interval).astype(np.int64)
-        jitter = self._hash_normal(self.seed, k) * (self.jitter_s / 2.0)
-        # Jitter never reorders updates or reaches past the read time.
-        update_t = np.minimum(
-            np.maximum(k * self.update_interval + jitter, 0.0), times
-        )
-        update_t = np.where(k <= 0, 0.0, update_t)
-        energy = self._integral.value(update_t)
-        return np.floor(energy / self.units.energy_j + 1e-9).astype(np.int64)
-
-    def raw_block(self, times: np.ndarray) -> np.ndarray:
-        """Register contents (the wrapped quanta) at each time in ``times``."""
-        return self._quanta(times) % self.modulus
-
-    def delta(self, t0: float, t1: float) -> float:
-        """Single-wrap-corrected delta, as every RAPL consumer decodes it.
-
-        The decode stays faithfully wrong past one wrap — that is the
-        paper's erroneous-data failure — but the *true* wrap count for
-        the interval is emitted to ``repro_rapl_wraparounds_total``, one
-        increment per wrap, so multi-wrap sampling is observable even
-        though it is not recoverable.
-        """
-        if t1 < t0:
-            raise SensorError(f"reads out of order: {t0} > {t1}")
-        q0, q1 = (int(q) for q in self._quanta(np.array([t0, t1])))
-        wraps = q1 // self.modulus - q0 // self.modulus
-        if wraps > 0:
-            self._wraps.inc(wraps)
-        diff = (q1 - q0) % self.modulus
-        return diff * self.units.energy_j
+    def value(self, t):
+        return np.stack([signal.value(t) for signal in self.signals])

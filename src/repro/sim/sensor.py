@@ -115,7 +115,6 @@ class CounterSensor:
         width_bits: int = 32,
         update_interval: float = 1e-3,
         dt: float = 1e-3,
-        integral: object | None = None,
     ):
         if unit <= 0.0:
             raise SensorError(f"counter unit must be positive, got {unit}")
@@ -128,9 +127,7 @@ class CounterSensor:
         self.width_bits = int(width_bits)
         self.modulus = 1 << width_bits
         self.update_interval = float(update_interval)
-        # An external integral (e.g. a board-tracking one that invalidates
-        # on schedule changes) may be supplied; it needs .value(t) only.
-        self._integral = integral if integral is not None else CumulativeIntegral(truth, dt=dt)
+        self._integral = CumulativeIntegral(truth, dt=dt)
 
     @property
     def wrap_value(self) -> float:

@@ -14,15 +14,16 @@ import numpy as np
 
 from repro.devices.load import LoadBoard
 from repro.devices.power import (
-    BoardTrackingIntegral,
     ComponentPowerModel,
     LimitedSignal,
     ThermalModel,
+    history_stamp,
 )
 from repro.errors import DeviceError
 from repro.host.process import ProcessTable
 from repro.host.vfs import VirtualFileSystem
 from repro.sim.clock import VirtualClock
+from repro.sim.integrate import CumulativeIntegral
 from repro.sim.noise import GaussianNoise
 from repro.sim.rng import RngRegistry
 from repro.sim.sensor import SampledSensor
@@ -87,14 +88,16 @@ class PhiCard:
         # internally for power consumption limitation".
         self.power_signal = LimitedSignal(self._power_model.signal())
         self._power_limit_w = model.tdp_w
+        stamp = history_stamp(self.board, self.power_signal)
         self.thermal = ThermalModel(
             self.power_signal, ambient_c=model.ambient_c,
             r_c_per_w=model.thermal_r_c_per_w, c_j_per_c=model.thermal_c_j_per_c,
+            stamp=stamp,
         )
         # The card's internal RAPL counter: same 2^-16 J / 32-bit scheme
         # as the host CPUs.
-        self.energy_integral = BoardTrackingIntegral(
-            self.power_signal, self.board, dt=1e-3
+        self.energy_integral = CumulativeIntegral(
+            self.power_signal, dt=1e-3, stamp=stamp
         )
         self.power_gauge = SampledSensor(
             truth=self.power_signal,

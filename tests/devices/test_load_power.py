@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 
 from repro.devices.load import LoadBoard
-from repro.devices.power import (
-    BoardTrackingIntegral,
-    ComponentPowerModel,
-    LimitedSignal,
-    ThermalModel,
-)
+from repro.devices.power import ComponentPowerModel, LimitedSignal, ThermalModel
 from repro.errors import ConfigError
+from repro.sim.integrate import CumulativeIntegral
 from repro.sim.signals import ConstantSignal
 from repro.workloads.base import Component, Phase, PhasedWorkload
 
@@ -130,6 +126,23 @@ class TestLimitedSignal:
         with pytest.raises(ConfigError):
             LimitedSignal(ConstantSignal(1.0)).set_limit(0.0, 0.0)
 
+    def test_version_bumps_on_limit_write(self):
+        sig = LimitedSignal(ConstantSignal(1.0))
+        assert sig.version == 0
+        sig.set_limit(1.0, 0.5)
+        sig.set_limit(2.0, 0.7)
+        assert sig.version == 2
+
+    def test_single_limit_is_a_plain_clamp(self):
+        board = LoadBoard()
+        board.schedule(cpu_workload(duration=4.0, level=0.8), t_start=1.0)
+        inner = ComponentPowerModel(board, 10.0, {Component.CPU_CORES: 40.0}).signal()
+        t = np.linspace(0.0, 6.0, 97)
+        for limit in (np.inf, 25.0):
+            sig = LimitedSignal(inner, default_limit=limit)
+            np.testing.assert_array_equal(
+                sig.value(t), np.minimum(inner.value(t), limit))
+
 
 class TestThermalModel:
     def test_steady_state_at_constant_power(self):
@@ -156,12 +169,32 @@ class TestThermalModel:
         with pytest.raises(ConfigError):
             ThermalModel(ConstantSignal(1.0), r_c_per_w=0.0)
 
+    def test_recurrence_matches_numpy_scalar_steps(self):
+        """The Python-float recurrence is the same IEEE arithmetic as
+        stepping on numpy scalars, bit for bit."""
+        board = LoadBoard()
+        board.schedule(cpu_workload(duration=30.0, level=0.7), t_start=3.0)
+        power = ComponentPowerModel(board, 40.0, {Component.CPU_CORES: 80.0}).signal()
+        thermal = ThermalModel(power, ambient_c=25.0)
+        t = np.linspace(0.0, 40.0, 333)
+        got = thermal.temperature(t)
+        grid = thermal.dt * np.arange(0, int(np.ceil(40.0 * 1.1 / thermal.dt)) + 1)
+        temps = [25.0 + float(power.value(np.asarray(0.0))) * thermal.r]
+        decay = np.exp(-thermal.dt / (thermal.r * thermal.c))
+        temp = np.float64(temps[0])
+        for p in power.value(grid[1:]):
+            steady = thermal.ambient_c + p * thermal.r
+            temp = steady + (temp - steady) * decay
+            temps.append(temp)
+        np.testing.assert_array_equal(got, np.interp(t, grid, temps))
 
-class TestBoardTrackingIntegral:
+
+class TestStampedIntegral:
     def test_invalidates_on_schedule_change(self):
         board = LoadBoard()
         model = ComponentPowerModel(board, 10.0, {Component.CPU_CORES: 40.0})
-        integral = BoardTrackingIntegral(model.signal(), board, dt=0.01)
+        integral = CumulativeIntegral(model.signal(), dt=0.01,
+                                      stamp=lambda: board.version)
         # Read while idle: 10 W x 10 s.
         assert integral.value(10.0) == pytest.approx(100.0, rel=1e-6)
         # Now a workload is scheduled over [0, 10]; cached idle history
