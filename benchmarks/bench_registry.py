@@ -1,10 +1,10 @@
 """Every row of the bench registry, live at full size.
 
 One test per row of :data:`repro.perfbench.BENCHES`, held to the row's
-own full-profile floors — the block engine >= 10x over one-tick blocks,
-a full MonEQ session > 1.5x, the 4096-rank fan-in scaling at >= 0.5 of
-linear from 512 ranks, the fleet sweep >= 2x realtime, and the rest —
-so no floor is restated here.  ``python -m repro bench`` runs the same measurements
+own full-profile bounds — the block engine >= 10x over one-tick
+blocks, a full MonEQ session <= 15.75 us per tick, the 4096-rank
+fan-in scaling at >= 0.5 of linear from 512 ranks, the fleet sweep
+>= 2x realtime, and the rest — so no bound is restated here.  ``python -m repro bench`` runs the same measurements
 outside pytest and records them in ``BENCH_trajectory.json``.
 """
 

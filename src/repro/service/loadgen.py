@@ -128,8 +128,8 @@ def bench_service(racks: int = 64, shards: int = 64, requests: int = 400,
 
     return {
         "wall_s": time.perf_counter() - started,
-        "speedup_vs_scalar": cache_ratio,
         "sustained_qps": mixed["qps"],
+        "cache_cold_warm": cache_ratio,
         "requests": requests,
         "query_wall_s": mixed["wall_s"],
         "rows_returned": mixed["rows"],

@@ -9,11 +9,16 @@ kept current by folding only the records ingested since the last read
 — so a cycle's rollup costs O(new records + matching windows), however
 long the history grows.
 
-The fold reads the shard table's columns.  Values are taken out as
-Python floats and added one by one in (timestamp, ingest sequence)
-order — never with ``np.sum``, whose pairwise order would change the
-low bits of a total — and min/max keep the plain ``<``/``>`` folds,
-whose NaN behaviour ``np.minimum`` and ``np.fmin`` would not reproduce.
+A keying holds its windows as columns: a row per (location, window)
+that holds data — ``key`` (window index × 2**24 + location id),
+``count``, ``min``, ``max``, ``total`` and ``last_t``, 48 bytes —
+sorted by key.  The fold is vectorized in the plain fold's order: a
+cell is seeded with its first value (so a ``-0.0`` total stays
+``-0.0``) and ``np.add.at`` adds the rest one by one in (timestamp,
+ingest sequence) order, never in ``np.sum``'s pairwise order; min and
+max keep the ``<``/``>`` folds' rules — a NaN sticks only as a cell's
+first value, and on a ``-0.0``/``0.0`` tie the earlier value wins —
+which ``np.minimum`` and ``np.fmin`` each break.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.obs.instruments import (
     STORE_CACHE_HITS,
     STORE_CACHE_INVALIDATIONS,
@@ -101,63 +108,267 @@ def merge_partials(partials: list[Aggregate],
 #: recently read keying is evicted.
 MAX_KEYINGS = 16
 
+#: A cell's key is ``window index * _LOC_SPAN + location id``, so a
+#: shard table may hold up to this many locations ...
+_LOC_SPAN = 1 << 24
+#: ... and window indexes stay below this in magnitude, which keeps
+#: every key inside int64.
+_MAX_INDEX = 1 << 38
 
-class _Keying:
-    """One ``(table, field, window_s)`` entry: the location → window
-    index → ``(count, min, max, total, last_timestamp)`` map, plus the
-    ingest watermark it is current up to."""
-
-    __slots__ = ("built", "watermark", "folded")
-
-    def __init__(self, built: dict[str, dict[int, tuple]], watermark: int,
-                 folded: int):
-        self.built = built
-        #: The next global ingest sequence not yet folded.
-        self.watermark = watermark
-        #: Records of the table folded so far (with or without the field).
-        self.folded = folded
+_COLUMNS = {"key": np.int64, "count": np.int64, "min": np.float64,
+            "max": np.float64, "total": np.float64, "last_t": np.float64}
 
 
-def _fold(by_window: dict[int, tuple], idx: int, value: float,
-          timestamp: float) -> None:
-    """Fold one value into its window's accumulator.  Accumulators are
-    tuples of atoms, which the garbage collector stops tracking, so a
-    long-lived cache adds no work to every full collection."""
-    acc = by_window.get(idx)
-    if acc is None:
-        by_window[idx] = (1, value, value, value, timestamp)
+class Cells:
+    """One ``(table, field, window_s)`` keying: a row per (location,
+    window) that holds data, as parallel columns sorted by ``key`` and
+    grown a quarter at a time, plus the ingest watermark they are
+    current up to."""
+
+    __slots__ = (*_COLUMNS, "n", "window_s", "watermark", "folded",
+                 "_names")
+
+    def __init__(self, window_s: float):
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.empty(0, dtype))
+        self.n = 0
+        self.window_s = window_s
+        #: The next global ingest sequence not yet folded, and the
+        #: records of the table folded so far (with or without the field).
+        self.watermark = self.folded = 0
+        self._names = None
+
+    def select(self, window_s: float, t0: float, t1: float,
+               location_prefix: str, locations: list[str]) -> list[tuple]:
+        """The windows intersecting ``[t0, t1]`` for locations matching
+        ``location_prefix`` (``locations`` names the table's location
+        ids), as ``(index * window_s, location, count, min, max,
+        total)`` partials in (window, location id) order.
+
+        The window range is one ``searchsorted`` on the keys, and the
+        locations matching the prefix are one run of the sorted names,
+        found by bisection — so a query's cost follows the matching
+        cells, never the width of ``[t0, t1]`` or the number of
+        locations the shard holds.
+        """
+        if location_prefix:
+            if self._names is None or len(self._names[0]) != len(locations):
+                order = sorted(range(len(locations)),
+                               key=locations.__getitem__)
+                rank = np.empty(len(order), np.int64)
+                rank[order] = np.arange(len(order))
+                self._names = ([locations[i] for i in order], rank)
+            names, rank = self._names
+            head = itemgetter(slice(len(location_prefix)))
+            first = bisect_left(names, location_prefix, key=head)
+            stop = bisect_right(names, location_prefix, first, key=head)
+            if first == stop:
+                return []
+        lo, hi = (min(max(window_index(t, window_s), -_MAX_INDEX), _MAX_INDEX)
+                  for t in (t0, t1))
+        a, b = self.key[:self.n].searchsorted(
+            [lo * _LOC_SPAN, (hi + 1) * _LOC_SPAN])
+        index, loc = np.divmod(self.key[a:b], _LOC_SPAN)
+        cells = slice(a, b)
+        if location_prefix:
+            picked = ((rank[loc] >= first) & (rank[loc] < stop)).nonzero()[0]
+            index, loc, cells = index[picked], loc[picked], picked + a
+        return list(zip([i * window_s for i in index.tolist()],
+                        map(locations.__getitem__, loc.tolist()),
+                        self.count[cells].tolist(),
+                        self.min[cells].tolist(),
+                        self.max[cells].tolist(),
+                        self.total[cells].tolist()))
+
+    def fold(self, records, rows: np.ndarray, field: str) -> None:
+        """Fold the ``rows`` of a table snapshot that carry ``field``:
+        each cell's rows in (timestamp, sequence) order — a fresh
+        build's run order — or in ingest order after those folded.
+
+        A cell whose rows all sort at or after the one folded before
+        them folds them in place; a cell where one sorts behind (a late
+        backfill) is rebuilt from the sorted run instead, one
+        ``repro_store_cache_invalidations_total`` each.
+        """
+        rows, values = records.field(field, rows)
+        if not len(rows):
+            return
+        t = records.t[rows]
+        keys = self._keys(records, rows, t)
+        head = cell_of = np.arange(len(keys))  # one row per cell ...
+        if not (keys[1:] > keys[:-1]).all():  # ... unless keys repeat
+            order = keys.argsort(kind="stable")
+            keys, values, t = keys[order], values[order], t[order]
+            head, cell_of = _groups(keys)
+        n = self.n
+        seeds = behind = None
+        if n and keys[0] <= self.key[n - 1]:  # else every cell is new
+            at = self.key[:n].searchsorted(keys[head])
+            held = at < n
+            held[held] = self.key[at[held]] == keys[head[held]]
+            at = at[held]
+            seeds = (held, self.count[at], self.min[at], self.max[at],
+                     self.total[at])
+        if seeds is not None or len(head) < len(keys):  # any row late?
+            before = np.empty_like(t)  # the timestamp folded before it
+            before[1:] = t[:-1]
+            before[head] = -np.inf
+            if seeds is not None:
+                before[head[held]] = self.last_t[at]
+            behind = t < before
+        self._put(*_fold_cells(keys, values, t, head, cell_of, seeds))
+        if behind is not None and behind.any():  # refold the late cells
+            late = np.unique(cell_of[behind])
+            STORE_CACHE_INVALIDATIONS.inc(len(late))
+            self._rebuild(records, field, keys[head[late]])
+
+    def _rebuild(self, records, field: str, cells: np.ndarray) -> None:
+        """Refold whole ``cells`` from the (timestamp, sequence)-ordered
+        run, exactly as a fresh build would."""
+        index = np.unique(cells // _LOC_SPAN)
+        # t / window_s rounds by far less than a window, so each
+        # window's rows lie within a window of its nominal edges.
+        lo = records.t.searchsorted((index - 1) * self.window_s)
+        hi = records.t.searchsorted((index + 2) * self.window_s, "right")
+        span = np.unique(np.concatenate([
+            np.arange(a, b) for a, b in zip(lo.tolist(), hi.tolist())]))
+        rows, values = records.field(field, span)
+        t = records.t[rows]
+        keys = self._keys(records, rows, t)
+        order = keys.argsort(kind="stable")
+        order = order[np.isin(keys[order], cells)]
+        keys, values, t = keys[order], values[order], t[order]
+        self._put(*_fold_cells(keys, values, t, *_groups(keys)))
+
+    def _keys(self, records, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The cell key of each of ``rows`` (timestamps ``t``)."""
+        # The run is in timestamp order: its ends bound every index.
+        reach = max(-math.floor(records.t[0] / self.window_s),
+                    math.floor(records.t[-1] / self.window_s))
+        if reach >= _MAX_INDEX or len(records.locations) > _LOC_SPAN:
+            raise ConfigError(
+                f"cannot key {self.window_s} s aggregate windows over "
+                f"timestamps [{records.t[0]}, {records.t[-1]}] and "
+                f"{len(records.locations)} locations: window indexes must "
+                f"stay below 2**38 and locations below 2**24")
+        index = np.floor(t / self.window_s).astype(np.int64)
+        return index * _LOC_SPAN + records.loc[rows]
+
+    def _put(self, keys: np.ndarray, *columns: np.ndarray) -> None:
+        """Write whole cells, ``keys`` ascending: the cells held are
+        overwritten, the others inserted in key order."""
+        n = self.n
+        columns = (keys, *columns)
+        at = np.full(len(keys), n)
+        if n and keys[0] <= self.key[n - 1]:  # else every cell is new
+            at = self.key[:n].searchsorted(keys)
+            held = at < n
+            held[held] = self.key[at[held]] == keys[held]
+            for name, column in zip(_COLUMNS, columns):
+                getattr(self, name)[at[held]] = column[held]
+            at, columns = at[~held], [column[~held] for column in columns]
+        m = len(at)
+        if m and at[0] == n:  # every new cell sorts after the held ones
+            if n + m > len(self.key):
+                self._grow(max(n + m, n + n // 4, 64))
+            for name, column in zip(_COLUMNS, columns):
+                getattr(self, name)[n:n + m] = column
+        elif m:
+            for name, column in zip(_COLUMNS, columns):
+                setattr(self, name,
+                        np.insert(getattr(self, name)[:n], at, column))
+        self.n = n + m
+
+    def _grow(self, capacity: int) -> None:
+        for name in _COLUMNS:
+            grown = np.empty(capacity, _COLUMNS[name])
+            grown[:self.n] = getattr(self, name)[:self.n]
+            setattr(self, name, grown)
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal (sorted) ``keys`` starts, and the run
+    each key is in."""
+    starts = np.empty(len(keys), bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts.nonzero()[0], starts.cumsum() - 1
+
+
+def _fold_cells(keys: np.ndarray, values: np.ndarray, t: np.ndarray,
+                head: np.ndarray, cell_of: np.ndarray,
+                seeds: tuple | None = None) -> tuple[np.ndarray, ...]:
+    """Fold rows grouped into cells (``head`` and ``cell_of`` from
+    :func:`_groups`; each cell's rows in fold order) into one
+    accumulator per cell, returned as ``(key, count, min, max, total,
+    last_t)`` columns.
+
+    ``seeds`` — a mask over the cells, then their ``count``, ``min``,
+    ``max`` and ``total`` — starts those cells from accumulators folded
+    earlier; every other cell starts from its first row.
+    """
+    ends = np.append(head[1:], len(keys))
+    count = ends - head
+    low, high, total = values[head], values[head], values[head]
+    rest = np.ones(len(keys), bool)
+    rest[head] = False
+    if seeds is not None:
+        held, held_count, held_low, held_high, held_total = seeds
+        rest[head[held]] = True
+        count[held] += held_count
+        low[held], high[held], total[held] = held_low, held_high, held_total
+    _fold_into(low, high, total, cell_of[rest], values[rest])
+    return keys[head], count, low, high, total, t[ends - 1]
+
+
+def _fold_into(low: np.ndarray, high: np.ndarray, total: np.ndarray,
+               at: np.ndarray, values: np.ndarray) -> None:
+    """Fold ``values`` into the accumulators ``at`` — each
+    accumulator's values in the order given — exactly as the plain
+    ``total += value``, ``value < low`` and ``value > high`` folds
+    would."""
+    if not len(at):
         return
-    count, low, high, total, _ = acc
-    by_window[idx] = (count + 1,
-                      value if value < low else low,
-                      value if value > high else high,
-                      total + value, timestamp)
+    nan = np.isnan(values)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python
+        np.add.at(total, at, values)
+    for acc, extreme, skip in ((low, np.minimum, np.inf),
+                               (high, np.maximum, -np.inf)):
+        seen = np.where(nan, skip, values)  # a later NaN is skipped ...
+        seed = acc.copy()
+        with np.errstate(invalid="ignore"):
+            extreme.at(acc, at, seen)  # ... and a NaN seed propagates
+        zero = acc == 0.0
+        if not zero.any():
+            continue
+        # Tied extremes differ only as -0.0 against 0.0: the earliest
+        # wins, the seed first.
+        from_seed = zero & (seed == 0.0)
+        acc[from_seed] = seed[from_seed]
+        later = zero & ~from_seed
+        if later.any():
+            hits = np.flatnonzero((seen == 0.0) & later[at])
+            cells, first = np.unique(at[hits], return_index=True)
+            acc[cells] = seen[hits[first]]
 
 
 class AggregateCache:
     """Per-shard cache of per-(location, window) field aggregates.
 
-    One cache instance serves one shard.  Entries are keyed by
-    ``(table, field, window_s)``; each maps location → window index →
-    ``(count, min, max, total, last_timestamp)``, folded in (timestamp,
-    ingest sequence) order — the order a fresh build from the shard's
-    sorted run uses, so the float ``total`` is the same to the bit.
-
-    A keying survives ingests.  Each read first folds the records the
-    shard ingested since the keying's watermark.  A record that sorts
-    behind its window's last folded key (a late backfill) rebuilds only
-    that (location, window) from the sorted run.  At most
-    :data:`MAX_KEYINGS` keyings stay cached, least recently read first
-    out.
+    One cache instance serves one shard; each ``(table, field,
+    window_s)`` keying is a :class:`Cells`.  A keying survives ingests:
+    each read first folds the records the shard ingested since its
+    watermark.  At most :data:`MAX_KEYINGS` keyings stay cached, least
+    recently read first out.
     """
 
     def __init__(self):
-        self._entries: OrderedDict[tuple[str, str, float], _Keying] = \
+        self._entries: OrderedDict[tuple[str, str, float], Cells] = \
             OrderedDict()
 
     def windows(self, table: str, field: str, window_s: float,
-                records) -> dict[str, dict[int, tuple]]:
-        """The (location → window → accumulator) map for one keying.
+                records) -> Cells:
+        """The :class:`Cells` of one keying, current with ``records``.
 
         ``records`` is a snapshot of the shard table (its length is
         the table's row count): a miss folds its (timestamp,
@@ -165,112 +376,28 @@ class AggregateCache:
         keying's watermark.
         """
         key = (table, field, float(window_s))
-        keying = self._entries.get(key)
-        if keying is not None:
+        cells = self._entries.get(key)
+        if cells is not None:
             self._entries.move_to_end(key)
-            fresh = records.rows_since(keying.watermark)
-            if keying.folded + len(fresh) == len(records):
+            fresh = (records.rows_since(cells.watermark)
+                     if cells.folded < len(records) else ())
+            if cells.folded + len(fresh) == len(records):
                 STORE_CACHE_HITS.inc()
-                self._fold_tail(keying, field, window_s, records, fresh)
-                return keying.built
+                if len(fresh):
+                    cells.fold(records, fresh, field)
+                    cells.watermark = int(records.seq[fresh[-1]]) + 1
+                    cells.folded += len(fresh)
+                return cells
             # A record landed behind the watermark (a writer that took
             # its sequence number before the last read but inserted
             # after it): refold from scratch rather than miss it.
         STORE_CACHE_MISSES.inc()
-        built: dict[str, dict[int, tuple]] = {}
-        _fold_rows(built, records, np.arange(len(records)), field, window_s)
-        self._entries[key] = _Keying(built, records.next_seq, len(records))
+        cells = Cells(float(window_s))
+        cells.fold(records, np.arange(len(records)), field)
+        cells.watermark = records.next_seq
+        cells.folded = len(records)
+        self._entries[key] = cells
         if len(self._entries) > MAX_KEYINGS:
             self._entries.popitem(last=False)
             STORE_CACHE_INVALIDATIONS.inc()
-        return built
-
-    @staticmethod
-    def _fold_tail(keying: _Keying, field: str, window_s: float,
-                   records, fresh: np.ndarray) -> None:
-        """Fold the rows ingested since the watermark, in ingest order,
-        and advance the watermark past them."""
-        if not len(fresh):
-            return
-        built = keying.built
-        locations = records.locations
-        rebuilt: set[tuple[int, int]] = set()
-        rows, values = records.field(field, fresh)
-        for loc, timestamp, value in zip(records.loc[rows].tolist(),
-                                         records.t[rows].tolist(),
-                                         values.tolist()):
-            idx = window_index(timestamp, window_s)
-            if rebuilt and (loc, idx) in rebuilt:
-                continue  # the rebuild already read it from the run
-            by_window = built.setdefault(locations[loc], {})
-            acc = by_window.get(idx)
-            # Every folded record has a smaller sequence, so a tie on
-            # timestamp still sorts this one after them.
-            if acc is None or timestamp >= acc[4]:
-                _fold(by_window, idx, value, timestamp)
-                continue
-            del by_window[idx]
-            _rebuild_window(built, records, loc, field, idx, window_s)
-            rebuilt.add((loc, idx))
-            STORE_CACHE_INVALIDATIONS.inc()
-        keying.watermark = int(records.seq[fresh[-1]]) + 1
-        keying.folded += len(fresh)
-
-    @staticmethod
-    def select(built: dict[str, dict[int, tuple]], window_s: float,
-               t0: float, t1: float, location_prefix: str) -> list[tuple]:
-        """The windows intersecting ``[t0, t1]`` for locations matching
-        ``location_prefix``, as ``(window_start, location, count, min,
-        max, total)`` partials (per location, in window order).
-
-        Per location it walks whichever is shorter: the requested span
-        of window indexes, or the windows that exist — so a query's
-        cost follows the data, never the width of ``[t0, t1]``.
-        """
-        lo = window_index(t0, window_s)
-        hi = window_index(t1, window_s)
-        out: list[tuple] = []
-        for location, by_window in built.items():
-            if not location.startswith(location_prefix):
-                continue
-            if hi - lo < len(by_window):
-                indexes = range(lo, hi + 1)
-            else:
-                present = sorted(by_window)
-                indexes = present[bisect_left(present, lo):
-                                  bisect_right(present, hi)]
-            for idx in indexes:
-                acc = by_window.get(idx)
-                if acc is not None:
-                    out.append((idx * window_s, location, *acc[:4]))
-        return out
-
-
-def _fold_rows(built: dict[str, dict[int, tuple]], records,
-               rows: np.ndarray, field: str, window_s: float) -> None:
-    """Fold the ``rows`` of a table snapshot that carry ``field``, in
-    the given order, as Python floats (so totals add exactly as a fold
-    over the original records)."""
-    rows, values = records.field(field, rows)
-    locations = records.locations
-    for loc, timestamp, value in zip(records.loc[rows].tolist(),
-                                     records.t[rows].tolist(),
-                                     values.tolist()):
-        _fold(built.setdefault(locations[loc], {}),
-              window_index(timestamp, window_s), value, timestamp)
-
-
-def _rebuild_window(built: dict[str, dict[int, tuple]], records, loc: int,
-                    field: str, idx: int, window_s: float) -> None:
-    """Refold one (location, window) from the (timestamp, sequence)-
-    ordered run, exactly as a fresh build would."""
-    t = records.t
-
-    def index_of(row: int) -> int:
-        return window_index(float(t[row]), window_s)
-
-    lo = bisect_left(range(len(t)), idx, key=index_of)
-    hi = bisect_right(range(len(t)), idx, lo=lo, key=index_of)
-    rows = np.arange(lo, hi)
-    _fold_rows(built, records, rows[records.loc[lo:hi] == loc], field,
-               window_s)
+        return cells

@@ -823,11 +823,10 @@ class ShardedStore:
         for index in plan.shards:
             shard = self._shards[index]
             with shard.lock:
-                built = shard.cache.windows(
-                    table, field_name, window_s, shard.tables[table].view()
-                )
-                out.extend(AggregateCache.select(
-                    built, window_s, t0, t1, location_prefix))
+                view = shard.tables[table].view()
+                cells = shard.cache.windows(table, field_name, window_s, view)
+                out.extend(cells.select(window_s, t0, t1, location_prefix,
+                                        view.locations))
         out.sort(key=itemgetter(0, 1))
         STORE_QUERIES.labels("aggregate").inc()
         STORE_QUERY_ROWS.inc(len(out))

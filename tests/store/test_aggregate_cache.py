@@ -8,7 +8,7 @@ from repro.obs.instruments import (
     STORE_CACHE_INVALIDATIONS,
     STORE_CACHE_MISSES,
 )
-from repro.store import AggregateCache, Reading, ShardedStore, window_index
+from repro.store import Reading, ShardedStore, window_index
 from repro.store.aggregate import MAX_KEYINGS
 
 TABLES = ("bpm",)
@@ -183,30 +183,53 @@ class TestCacheLifecycle:
             "bpm", "input_power_w", 0.0, 200.0, windows[0])
 
 
-class _CountingWindows(dict):
+class _CountingNames(list):
+    """A table's location names that count the lookups made of them."""
+
     lookups = 0
 
-    def get(self, key, default=None):
+    def __getitem__(self, index):
         type(self).lookups += 1
-        return super().get(key, default)
+        return super().__getitem__(index)
+
+
+def _cells(samples, window_s=60.0):
+    """One shard's cells for ``samples`` and the table's names, counting."""
+    store = _store_with(samples)
+    shard = store._shards[0]
+    view = shard.tables["bpm"].view()
+    cells = shard.cache.windows("bpm", "input_power_w", window_s, view)
+    _CountingNames.lookups = 0
+    return cells, _CountingNames(view.locations)
 
 
 class TestSelectCost:
     def test_wide_span_walks_only_existing_windows(self):
-        acc = (1, 2.0, 2.0, 2.0, 0.0)
-        built = {LOC: _CountingWindows({0: acc, 5: acc, 9: acc})}
-        _CountingWindows.lookups = 0
-        out = AggregateCache.select(built, 60.0, -1e12, 1e12, "")
+        cells, names = _cells([(i * 60.0, LOC, 2.0) for i in (0, 5, 9)])
+        out = cells.select(60.0, -1e12, 1e12, "", names)
         assert [start for start, *_ in out] == [0.0, 300.0, 540.0]
-        assert _CountingWindows.lookups <= 3
+        assert _CountingNames.lookups <= 3
 
     def test_narrow_span_walks_only_the_span(self):
-        acc = (1, 2.0, 2.0, 2.0, 0.0)
-        built = {LOC: _CountingWindows({i: acc for i in range(100)})}
-        _CountingWindows.lookups = 0
-        out = AggregateCache.select(built, 60.0, 60.0, 120.0, "")
+        cells, names = _cells([(i * 60.0, LOC, 2.0) for i in range(100)])
+        out = cells.select(60.0, 60.0, 120.0, "", names)
         assert [start for start, *_ in out] == [60.0, 120.0]
-        assert _CountingWindows.lookups == 2
+        assert _CountingNames.lookups == 2
+
+    def test_prefix_cost_follows_the_matching_cells(self):
+        # 50 locations hold the old window; two hold the newest one.
+        samples = [(30.0, f"R{i:02d}-M0-N00", 1.0) for i in range(50)]
+        samples += [(6000.0 + i, LOC, 2.0) for i in range(3)]
+        samples += [(6000.0, "R01-M0-N00", 3.0)]
+        cells, names = _cells(samples)
+        cells.select(60.0, 0.0, 60.0, "R4", names)  # sorts the names once
+        _CountingNames.lookups = 0
+        out = cells.select(60.0, 6000.0, 6060.0, "R00", names)
+        assert [(start, location, count) for start, location, count, *_
+                in out] == [(6000.0, LOC, 3)]
+        assert _CountingNames.lookups == 1  # the one cell out
+        assert cells.select(60.0, -1e12, 1e12, "R9", names) == []
+        assert _CountingNames.lookups == 1
 
 
 class TestNonFiniteInput:
@@ -223,3 +246,11 @@ class TestNonFiniteInput:
         store = _store_with([(10.0, LOC, 1.0)])
         with pytest.raises(ConfigError):
             store.aggregate("bpm", "input_power_w", t0, t1, window)
+
+    def test_window_too_small_for_the_stored_timestamps(self):
+        # Window indexes past 2**38 would overflow the cells' int64 keys.
+        store = _store_with([(10.0, LOC, 1.0), (1e9, LOC, 2.0)])
+        with pytest.raises(ConfigError, match="cannot key"):
+            store.aggregate("bpm", "input_power_w", 0.0, 20.0, 1e-3)
+        assert len(store.aggregate("bpm", "input_power_w", 0.0, 20.0,
+                                   1.0)) == 1
