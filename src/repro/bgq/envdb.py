@@ -35,7 +35,7 @@ import numpy as np
 from repro.bgq.bpm import BpmBlock, BulkPowerModule
 from repro.errors import ConfigError
 from repro.obs.instruments import ENVDB_POLLS, ENVDB_QUERY_ROWS, ENVDB_RECORDS, collector
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.hashrand import hash_normal
 from repro.store import Aggregate, Batch, BatchBlock, Reading, ShardedStore
 
@@ -91,6 +91,8 @@ class EnvironmentalDatabase:
         self._bpms: list[BulkPowerModule] = []
         self._polls = 0
         self._started = False
+        #: The pending sweep while the poller runs.
+        self._next: Event | None = None
 
     # -- sensor registration --------------------------------------------------
 
@@ -148,7 +150,15 @@ class EnvironmentalDatabase:
         if self._started:
             raise ConfigError("environmental poller already started")
         self._started = True
-        self.queue.schedule_in(self.poll_interval_s, self._sweep)
+        self._next = self.queue.schedule_in(self.poll_interval_s, self._sweep)
+
+    def stop(self) -> None:
+        """Stop the poller by cancelling its pending sweep.  A cancelled
+        event drops its callback, so the queue no longer reaches this
+        database and a finished rig is freed by reference counting."""
+        if self._next is not None:
+            self._next.cancel()
+            self._next = None
 
     def _sweep(self, t: float) -> None:
         self._polls += 1
@@ -175,7 +185,7 @@ class EnvironmentalDatabase:
         if self._bpms:
             self.store.ingest_batch(self._batch(t, columns),
                                     self.poll_interval_s)
-        self.queue.schedule_in(self.poll_interval_s, self._sweep)
+        self._next = self.queue.schedule_in(self.poll_interval_s, self._sweep)
 
     def _batch(self, t: float,
                columns: dict[str, dict[str, np.ndarray]]) -> Batch:

@@ -204,9 +204,6 @@ class FaultPlan:
 
     # -- timeline ------------------------------------------------------------
 
-    def record(self, event: FaultEvent) -> None:
-        self.timeline.append(event)
-
     def timeline_lines(self) -> list[str]:
         """Stable text rendering of the fault timeline — what the
         determinism property tests compare byte for byte."""

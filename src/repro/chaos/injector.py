@@ -67,10 +67,15 @@ _DELIVERED, _DARK, _STALE = 0, 1, 2
 
 class ChannelInjector:
     """Per-(mechanism, device) fault machinery, stateful only via its
-    plan (exchange counter, retry counter, jitter stream, breaker)."""
+    plan (exchange counter, retry counter, jitter stream, breaker).
+
+    The plan holds its injectors, so an injector holds what it writes
+    of the plan (its stats and timeline), not the plan itself.
+    """
 
     def __init__(self, plan: FaultPlan, channel, mechanism: str, label: str):
-        self.plan = plan
+        self.stats = plan.stats
+        self.timeline = plan.timeline
         self.mechanism = mechanism
         self.label = label
         self.queries_per_tick = 1
@@ -146,13 +151,13 @@ class ChannelInjector:
 
     def _cross_one(self, t: float, rule_index: int) -> int:
         """Resolve one tick's crossing; returns its verdict."""
-        stats = self.plan.stats
+        stats = self.stats
         if not self.breaker.allow():
             # Open breaker: fail fast, no retries, no new fault draw.
             stats.dark += 1
             CHAOS_DARK_READS.labels(self.mechanism).inc()
             self._errors.labels(self.mechanism, BREAKER_OPEN_KIND).inc()
-            self.plan.record(FaultEvent(
+            self.timeline.append(FaultEvent(
                 t, self.mechanism, self.label, BREAKER_OPEN_KIND,
                 attempts=0, outcome="breaker_open",
             ))
@@ -174,7 +179,7 @@ class ChannelInjector:
             CHAOS_STALE_READS.labels(self.mechanism).inc()
             self._errors.labels(self.mechanism, rule.kind).inc()
             self.breaker.record_success()
-            self.plan.record(FaultEvent(
+            self.timeline.append(FaultEvent(
                 t, self.mechanism, self.label, rule.kind,
                 attempts=0, outcome="stale",
             ))
@@ -205,7 +210,7 @@ class ChannelInjector:
         if outcome == "recovered":
             stats.recovered += 1
             self.breaker.record_success()
-            self.plan.record(FaultEvent(
+            self.timeline.append(FaultEvent(
                 t, self.mechanism, self.label, rule.kind,
                 attempts=attempts, outcome=outcome,
             ))
@@ -218,7 +223,7 @@ class ChannelInjector:
         RETRY_EXHAUSTED.labels(self.mechanism).inc()
         CHAOS_DARK_READS.labels(self.mechanism).inc()
         self._errors.labels(self.mechanism, rule.kind).inc()
-        self.plan.record(FaultEvent(
+        self.timeline.append(FaultEvent(
             t, self.mechanism, self.label, rule.kind,
             attempts=attempts, outcome=outcome,
         ))

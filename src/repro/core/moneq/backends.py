@@ -366,7 +366,7 @@ class PhiMicsmcBackend(Mechanism):
         super().__init__(
             MICSMC_SPEC, SmcSensorSource(smc, MICSMC_SENSORS),
             label=label if label is not None else (
-                f"mic{smc.card.mic_index}-micsmc"
+                f"mic{smc.mic_index}-micsmc"
             ),
         )
         self.smc = smc
@@ -408,7 +408,7 @@ class PhiIpmbBackend(Mechanism):
         super().__init__(
             IPMB_SPEC, SmcSensorSource(smc, IPMB_SENSORS),
             label=label if label is not None else (
-                f"mic{smc.card.mic_index}-bmc"
+                f"mic{smc.mic_index}-bmc"
             ),
         )
         self.bmc = bmc

@@ -14,13 +14,16 @@ paper's 0.03 ms to the node clock and the calling process.
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 from repro.errors import AccessDeniedError, DriverError, VfsError
 from repro.host.node import Node
 from repro.host.permissions import Credentials
 from repro.host.process import Process
+from repro.host.vfs import VirtualFileSystem
 from repro.obs.instruments import collector
 from repro.rapl.package import CpuPackage
+from repro.sim.clock import VirtualClock
 
 _OBS = collector("rapl_msr")
 
@@ -28,9 +31,9 @@ _OBS = collector("rapl_msr")
 class _MsrCharDevice:
     """Backend for one ``/dev/cpu/<n>/msr`` node."""
 
-    def __init__(self, node: Node, package: CpuPackage, cpu_index: int,
-                 process: Process | None = None):
-        self.node = node
+    def __init__(self, clock: VirtualClock, package: CpuPackage,
+                 cpu_index: int, process: Process | None = None):
+        self.clock = clock
         self.package = package
         self.cpu_index = cpu_index
         #: Process charged for query latency; set per-open by callers
@@ -42,12 +45,12 @@ class _MsrCharDevice:
             raise DriverError(f"msr reads must be 8 bytes, got {size}")
         # Charge the query cost before the value is produced: the value
         # returned is the register contents at completion time.
-        self.node.clock.advance(CpuPackage.MSR_READ_LATENCY_S)
+        self.clock.advance(CpuPackage.MSR_READ_LATENCY_S)
         if self.process is not None and self.process.alive:
             self.process.charge(CpuPackage.MSR_READ_LATENCY_S)
         _OBS.record_query(CpuPackage.MSR_READ_LATENCY_S)
         try:
-            value = self.package.read_msr(offset, self.node.clock.now)
+            value = self.package.read_msr(offset, self.clock.now)
         except DriverError:
             _OBS.record_error("unimplemented_msr")
             raise
@@ -60,24 +63,29 @@ class _MsrCharDevice:
         if len(data) != 8:
             raise DriverError(f"msr writes must be 8 bytes, got {len(data)}")
         (value,) = struct.unpack("<Q", data)
-        self.node.clock.advance(CpuPackage.MSR_READ_LATENCY_S)
-        self.package.write_msr(offset, value, self.node.clock.now)
+        self.clock.advance(CpuPackage.MSR_READ_LATENCY_S)
+        self.package.write_msr(offset, value, self.clock.now)
         return 8
 
 
 class MsrDriver:
-    """Loaded state of the msr module on one node."""
+    """Loaded state of the msr module on one node.
 
-    def __init__(self, node: Node):
-        self.node = node
+    It holds the node's filesystem and clock, not the node: the node's
+    kernel holds the driver, so a reference back would close a cycle.
+    """
+
+    def __init__(self, vfs: VirtualFileSystem, clock: VirtualClock,
+                 packages: list[CpuPackage]):
+        self.vfs = vfs
         self.devices: list[_MsrCharDevice] = []
         cpu_index = 0
-        for package in node.devices("cpu"):
+        for package in packages:
             for _ in range(package.logical_cpus):
-                dev = _MsrCharDevice(node, package, cpu_index)
+                dev = _MsrCharDevice(clock, package, cpu_index)
                 path_dir = f"/dev/cpu/{cpu_index}"
-                node.vfs.mkdir(path_dir, parents=True)
-                node.vfs.create_chardev(f"{path_dir}/msr", dev, mode=0o600)
+                vfs.mkdir(path_dir, parents=True)
+                vfs.create_chardev(f"{path_dir}/msr", dev, mode=0o600)
                 self.devices.append(dev)
                 cpu_index += 1
         if cpu_index == 0:
@@ -87,8 +95,8 @@ class MsrDriver:
         """Remove the chardev nodes (kernel rmmod)."""
         for i in range(len(self.devices)):
             try:
-                self.node.vfs.remove(f"/dev/cpu/{i}/msr")
-                self.node.vfs.remove(f"/dev/cpu/{i}")
+                self.vfs.remove(f"/dev/cpu/{i}/msr")
+                self.vfs.remove(f"/dev/cpu/{i}")
             except VfsError:  # pragma: no cover - defensive
                 pass
         self.devices.clear()
@@ -97,7 +105,7 @@ class MsrDriver:
         """The paper's deployment step: read-only, world-readable nodes so
         an unprivileged profiler can poll."""
         for i in range(len(self.devices)):
-            self.node.vfs.chmod(f"/dev/cpu/{i}/msr", 0o444)
+            self.vfs.chmod(f"/dev/cpu/{i}/msr", 0o444)
 
     def attach_process(self, process: Process) -> None:
         """Account subsequent query latency to ``process``."""
@@ -107,8 +115,10 @@ class MsrDriver:
 
 def install_msr_driver(node: Node) -> None:
     """Register the msr module with the node's kernel (available for
-    ``modprobe("msr")``; not yet loaded)."""
-    node.kernel.register_module("msr", lambda: MsrDriver(node))
+    ``modprobe("msr")``; not yet loaded), built for the CPU packages
+    attached now."""
+    node.kernel.register_module("msr", partial(
+        MsrDriver, node.vfs, node.clock, node.devices("cpu")))
 
 
 def read_msr_userspace(node: Node, cpu: int, address: int,

@@ -316,4 +316,10 @@ class _DomainStack:
         self.signals = signals
 
     def value(self, t):
-        return np.stack([signal.value(t) for signal in self.signals])
+        # Each row is written as it is computed, so only one domain's
+        # values are alive beside the result.
+        times = np.asarray(t, dtype=np.float64)
+        out = np.empty((len(self.signals),) + times.shape)
+        for row, signal in zip(out, self.signals):
+            row[...] = signal.value(times)
+        return out

@@ -18,11 +18,15 @@ Layout mirrors the kernel:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import DriverError, KernelTooOldError
 from repro.host.kernel import KernelVersion
 from repro.host.node import Node
+from repro.host.vfs import VirtualFileSystem
 from repro.rapl.domains import RaplDomain
 from repro.rapl.package import CpuPackage
+from repro.sim.clock import VirtualClock
 
 #: First kernel with the intel-rapl powercap driver.
 POWERCAP_MIN_VERSION = KernelVersion(3, 13)
@@ -32,36 +36,41 @@ SUBDOMAINS = (RaplDomain.PP0, RaplDomain.PP1, RaplDomain.DRAM)
 
 
 class PowercapDriver:
-    """Loaded state of the intel-rapl powercap driver on one node."""
+    """Loaded state of the intel-rapl powercap driver on one node.
 
-    def __init__(self, node: Node):
-        if node.kernel.version < POWERCAP_MIN_VERSION:
+    Like the msr driver it holds the node's filesystem and clock, not
+    the node, and its sysfs providers hold only the package and clock.
+    """
+
+    def __init__(self, kernel_version: KernelVersion, vfs: VirtualFileSystem,
+                 clock: VirtualClock, packages: list[CpuPackage]):
+        if kernel_version < POWERCAP_MIN_VERSION:
             raise KernelTooOldError(
                 f"powercap needs Linux >= {POWERCAP_MIN_VERSION}, node runs "
-                f"{node.kernel.version}"
+                f"{kernel_version}"
             )
-        packages = node.devices("cpu")
         if not packages:
             raise DriverError("intel-rapl: no CPU packages on this node")
-        self.node = node
+        self.vfs = vfs
         self.zones: list[str] = []
-        node.vfs.mkdir("/sys/class/powercap", parents=True)
+        vfs.mkdir("/sys/class/powercap", parents=True)
         for index, package in enumerate(packages):
             base = f"/sys/class/powercap/intel-rapl:{index}"
             self._make_zone(base, package, RaplDomain.PKG,
-                            f"package-{index}")
+                            f"package-{index}", clock)
             for sub, domain in enumerate(SUBDOMAINS):
-                self._make_zone(f"{base}:{sub}", package, domain, domain.value)
+                self._make_zone(f"{base}:{sub}", package, domain,
+                                domain.value, clock)
 
     def _make_zone(self, base: str, package: CpuPackage, domain: RaplDomain,
-                   name: str) -> None:
-        vfs = self.node.vfs
+                   name: str, clock: VirtualClock) -> None:
+        vfs = self.vfs
         vfs.mkdir(base, parents=True)
         vfs.create_dynamic(f"{base}/name", lambda name=name: f"{name}\n",
                            mode=0o444)
         vfs.create_dynamic(
             f"{base}/energy_uj",
-            self._energy_provider(package, domain),
+            _energy_provider(package, domain, clock),
             mode=0o444,  # world-readable: no chmod ritual
         )
         vfs.create_dynamic(
@@ -78,26 +87,31 @@ class PowercapDriver:
         )
         self.zones.append(base)
 
-    def _energy_provider(self, package: CpuPackage, domain: RaplDomain):
-        def produce() -> str:
-            raw = package.energy_raw(domain, self.node.clock.now)
-            micro_j = int(raw * package.units.energy_j * 1e6)
-            return f"{micro_j}\n"
-
-        return produce
-
     def unload(self) -> None:
         """rmmod: tear the sysfs tree down (leaf files then zones)."""
         for base in sorted(self.zones, key=len, reverse=True):
             for leaf in ("name", "energy_uj", "power_limit_uw", "enabled"):
-                self.node.vfs.remove(f"{base}/{leaf}")
-            self.node.vfs.remove(base)
+                self.vfs.remove(f"{base}/{leaf}")
+            self.vfs.remove(base)
         self.zones.clear()
 
 
+def _energy_provider(package: CpuPackage, domain: RaplDomain,
+                     clock: VirtualClock):
+    def produce() -> str:
+        raw = package.energy_raw(domain, clock.now)
+        micro_j = int(raw * package.units.energy_j * 1e6)
+        return f"{micro_j}\n"
+
+    return produce
+
+
 def install_powercap_driver(node: Node) -> None:
-    """Register for ``modprobe("intel_rapl")``."""
-    node.kernel.register_module("intel_rapl", lambda: PowercapDriver(node))
+    """Register for ``modprobe("intel_rapl")``, built for the node's
+    kernel and the CPU packages attached now."""
+    node.kernel.register_module("intel_rapl", partial(
+        PowercapDriver, node.kernel.version, node.vfs, node.clock,
+        node.devices("cpu")))
 
 
 def read_energy_uj(node: Node, zone: str, creds=None) -> int:

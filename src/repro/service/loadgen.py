@@ -125,6 +125,7 @@ def bench_service(racks: int = 64, shards: int = 64, requests: int = 400,
     stream = _get_ok(client, "/v2/stream/tail", {
         "table": "bpm", "cursor": 0, "batches": 3, "page": 4096})
     streamed = sum(1 for line in stream.lines() if "marker" not in line)
+    machine.envdb.stop()
 
     return {
         "wall_s": time.perf_counter() - started,

@@ -24,12 +24,16 @@ class Event:
 
     time: float
     seq: int
-    callback: Callable[[float], None] = field(compare=False)
+    callback: Callable[[float], None] | None = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:
-        """Mark the event so it is skipped when popped."""
+        """Mark the event so it is skipped when popped, and drop its
+        callback: a cancelled event waits in the heap until it reaches
+        the top, and the callback's owner (a timer, a poller) usually
+        holds the queue, so keeping it would close a cycle."""
         self.cancelled = True
+        self.callback = None
 
 
 class EventQueue:

@@ -104,8 +104,12 @@ class CumulativeIntegral(StampedHistory):
             # Trapezoid over each new step, from the last grid point.
             eval_times = times[lo - 1:hi]
             values = self.signal.value(eval_times)
-            steps = (0.5 * (values[..., 1:] + values[..., :-1])
-                     * np.diff(eval_times))
+            # In place, but the same operations in the same order as
+            # 0.5 * (a + b) * dt, so the grid stays bit for bit.
+            steps = values[..., 1:] + values[..., :-1]
+            del values
+            steps *= 0.5
+            steps *= np.diff(eval_times)
             if cumulative is None:
                 cumulative = np.empty(steps.shape[:-1] + (size,))
                 cumulative[..., :start] = self._cumulative

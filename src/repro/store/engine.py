@@ -49,7 +49,7 @@ from repro.obs.instruments import (
     STORE_QUERY_ROWS,
     STORE_RECORDS,
 )
-from repro.store.aggregate import Aggregate, AggregateCache
+from repro.store.aggregate import Aggregate, AggregateCache, aggregates
 from repro.store.planner import QueryPlan, plan_query
 from repro.store.reading import Reading
 from repro.store.shards import ShardMap
@@ -835,13 +835,8 @@ class ShardedStore:
     def aggregate(self, table: str, field_name: str, t0: float, t1: float,
                   window_s: float, location_prefix: str = "") -> list[Aggregate]:
         """:meth:`partials` as min/mean/max :class:`Aggregate` windows."""
-        return [
-            Aggregate(location=location, field=field_name,
-                      window_start=start, window_s=window_s, count=count,
-                      minimum=low, maximum=high, total=total)
-            for start, location, count, low, high, total in self.partials(
-                table, field_name, t0, t1, window_s, location_prefix)
-        ]
+        return aggregates(field_name, window_s, self.partials(
+            table, field_name, t0, t1, window_s, location_prefix))
 
     def tail(self, table: str, cursor: int = 0, location_prefix: str = "",
              limit: int | None = None) -> TailBatch:

@@ -63,19 +63,19 @@ XEON_PHI_SE10P = PhiModel(
 )
 
 
-class PhiCard:
-    """One coprocessor card."""
+class PhiSensors:
+    """What a card's SMC measures: power, thermals, fan, rails and the
+    power cap, as functions of the card's physical models.
 
-    def __init__(self, model: PhiModel = XEON_PHI_SE10P,
-                 rng: RngRegistry | None = None, mic_index: int = 0,
-                 clock: VirtualClock | None = None):
+    It holds the models, never the card.  The card's uOS files (MICRAS)
+    read these sensors, so a path back to the card would close a cycle
+    through ``card.uos_vfs``.
+    """
+
+    def __init__(self, model: PhiModel, power_seed: int):
         self.model = model
-        self.rng = rng if rng is not None else RngRegistry()
-        self.mic_index = mic_index
-        #: Shared with the host when attached via ScifNetwork.
-        self.clock = clock if clock is not None else VirtualClock()
         self.board = LoadBoard()
-        self._power_model = ComponentPowerModel(
+        self.power_model = ComponentPowerModel(
             self.board,
             idle_w=model.idle_w,
             dynamic_w={
@@ -86,53 +86,31 @@ class PhiCard:
         )
         # Card power is clampable: "the Xeon Phi actually uses RAPL
         # internally for power consumption limitation".
-        self.power_signal = LimitedSignal(self._power_model.signal())
-        self._power_limit_w = model.tdp_w
-        stamp = history_stamp(self.board, self.power_signal)
+        self.power_signal = LimitedSignal(self.power_model.signal())
+        #: The active card power cap (defaults to TDP).
+        self.power_limit_w = model.tdp_w
+        self.stamp = history_stamp(self.board, self.power_signal)
         self.thermal = ThermalModel(
             self.power_signal, ambient_c=model.ambient_c,
             r_c_per_w=model.thermal_r_c_per_w, c_j_per_c=model.thermal_c_j_per_c,
-            stamp=stamp,
-        )
-        # The card's internal RAPL counter: same 2^-16 J / 32-bit scheme
-        # as the host CPUs.
-        self.energy_integral = CumulativeIntegral(
-            self.power_signal, dt=1e-3, stamp=stamp
+            stamp=self.stamp,
         )
         self.power_gauge = SampledSensor(
             truth=self.power_signal,
             update_interval=model.smc_update_s,
             noise=GaussianNoise(model.smc_noise_w),
-            seed=self.rng.seed(f"phi.{model.name}.{mic_index}.power"),
+            seed=power_seed,
             quantum=1e-6,  # MICRAS reports microwatts
         )
-        # Coprocessor uOS.
-        self.uos_vfs = VirtualFileSystem()
-        self.uos_vfs.mkdir("/sys", parents=True)
-        self.uos_processes = ProcessTable()
-
-    @property
-    def total_threads(self) -> int:
-        return self.model.cores * self.model.threads_per_core
-
-    def true_power(self, t: np.ndarray | float) -> np.ndarray:
-        """Unquantized card power (board level, after any cap)."""
-        return self.power_signal.value(t)
-
-    @property
-    def power_limit_w(self) -> float:
-        """The active card power cap (defaults to TDP)."""
-        return self._power_limit_w
 
     def set_power_limit(self, watts: float, t: float) -> None:
-        """Apply a card power cap from time ``t`` — the RAPL-internal
-        limiting the SMC exposes."""
+        """Apply a card power cap from time ``t``."""
         if not 0.3 * self.model.tdp_w <= watts <= self.model.tdp_w:
             raise DeviceError(
                 f"{self.model.name}: limit {watts} W outside "
                 f"[{0.3 * self.model.tdp_w:.0f}, {self.model.tdp_w:.0f}] W"
             )
-        self._power_limit_w = float(watts)
+        self.power_limit_w = float(watts)
         self.power_signal.set_limit(t, watts)
 
     def die_temperature_c(self, t: np.ndarray | float) -> np.ndarray:
@@ -153,17 +131,61 @@ class PhiCard:
         duty = np.clip((self.die_temperature_c(t) - 45.0) / 50.0, 0.0, 1.0)
         return np.rint(2700 + duty * 3300)
 
-    def rapl_counter_raw(self, t: float) -> int:
-        """The card-internal 32-bit RAPL energy counter."""
-        energy = float(self.energy_integral.value(max(t, 0.0)))
-        return int(energy / RAPL_ENERGY_UNIT_J + 1e-9) % (1 << 32)
-
     def core_rail_voltage(self, t: np.ndarray | float) -> np.ndarray:
         """VDD rail: nominal 1.0 V with load droop."""
         return 1.00 - 0.035 * self.board.utilization(Component.PHI_CORES, t)
 
     def core_rail_current(self, t: np.ndarray | float) -> np.ndarray:
         """Current on the core rail implied by core power and voltage."""
-        watts = self._power_model.component_power(Component.PHI_CORES, t,
-                                                  idle_share=0.55)
+        watts = self.power_model.component_power(Component.PHI_CORES, t,
+                                                 idle_share=0.55)
         return watts / self.core_rail_voltage(t)
+
+
+class PhiCard:
+    """One coprocessor card."""
+
+    def __init__(self, model: PhiModel = XEON_PHI_SE10P,
+                 rng: RngRegistry | None = None, mic_index: int = 0,
+                 clock: VirtualClock | None = None):
+        self.model = model
+        self.rng = rng if rng is not None else RngRegistry()
+        self.mic_index = mic_index
+        #: Shared with the host when attached via ScifNetwork.
+        self.clock = clock if clock is not None else VirtualClock()
+        self.sensors = PhiSensors(
+            model, self.rng.seed(f"phi.{model.name}.{mic_index}.power"))
+        self.board = self.sensors.board
+        self.power_signal = self.sensors.power_signal
+        # The card's internal RAPL counter: same 2^-16 J / 32-bit scheme
+        # as the host CPUs.
+        self.energy_integral = CumulativeIntegral(
+            self.power_signal, dt=1e-3, stamp=self.sensors.stamp
+        )
+        # Coprocessor uOS.
+        self.uos_vfs = VirtualFileSystem()
+        self.uos_vfs.mkdir("/sys", parents=True)
+        self.uos_processes = ProcessTable()
+
+    @property
+    def total_threads(self) -> int:
+        return self.model.cores * self.model.threads_per_core
+
+    def true_power(self, t: np.ndarray | float) -> np.ndarray:
+        """Unquantized card power (board level, after any cap)."""
+        return self.power_signal.value(t)
+
+    @property
+    def power_limit_w(self) -> float:
+        """The active card power cap (defaults to TDP)."""
+        return self.sensors.power_limit_w
+
+    def set_power_limit(self, watts: float, t: float) -> None:
+        """Apply a card power cap from time ``t`` — the RAPL-internal
+        limiting the SMC exposes."""
+        self.sensors.set_power_limit(watts, t)
+
+    def rapl_counter_raw(self, t: float) -> int:
+        """The card-internal 32-bit RAPL energy counter."""
+        energy = float(self.energy_integral.value(max(t, 0.0)))
+        return int(energy / RAPL_ENERGY_UNIT_J + 1e-9) % (1 << 32)

@@ -145,7 +145,7 @@ class HostMicrasAgent:
             "uptime_s": self.uptime_s(),
             "config": dict(self.config.values),
             "power_w": round(float(self.card.true_power(t)), 1),
-            "die_temp_c": round(float(self.card.die_temperature_c(t)), 1),
+            "die_temp_c": round(float(self.card.sensors.die_temperature_c(t)), 1),
             "errors_logged": len(self._log),
             "errors_dropped": self._dropped,
         }

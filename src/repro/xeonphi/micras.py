@@ -19,6 +19,7 @@ from __future__ import annotations
 from repro.errors import SensorError
 from repro.host.process import Process
 from repro.obs.instruments import collector
+from repro.sim.clock import VirtualClock
 from repro.xeonphi.card import PhiCard
 from repro.xeonphi.smc import SystemManagementController
 
@@ -65,16 +66,10 @@ class MicrasDaemon:
         for filename, (sensor, unit, scale) in self.FILES.items():
             vfs.create_dynamic(
                 f"/sys/class/micras/{filename}",
-                provider=self._provider(sensor, unit, scale),
+                provider=_provider(self.smc, self.card.clock, sensor, unit,
+                                   scale),
             )
         self._mounted = True
-
-    def _provider(self, sensor: str, unit: str, scale: float):
-        def produce() -> str:
-            value = self.smc.read_sensor(sensor, self.card.clock.now)
-            return f"{int(round(value * scale))} {unit}\n"
-
-        return produce
 
     # -- device-side read path ---------------------------------------------
 
@@ -107,3 +102,15 @@ class MicrasDaemon:
         text = self.read(filename, reader)
         _, _, scale = self.FILES[filename]
         return int(text.split()[0]) / scale
+
+
+def _provider(smc: SystemManagementController, clock: VirtualClock,
+              sensor: str, unit: str, scale: float):
+    """One pseudo-file's content producer.  It lives in the card's uOS
+    filesystem, so it holds the SMC and the clock, never the daemon or
+    the card."""
+    def produce() -> str:
+        value = smc.read_sensor(sensor, clock.now)
+        return f"{int(round(value * scale))} {unit}\n"
+
+    return produce

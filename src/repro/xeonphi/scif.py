@@ -18,7 +18,6 @@ pseudo-file read.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro.errors import ScifDisconnectedError, ScifError
 from repro.obs.instruments import SCIF_BYTES, SCIF_MESSAGES, collector
@@ -40,28 +39,31 @@ def message_latency(payload_bytes: int = 64, bandwidth_Bps: float = 6.0e9) -> fl
     return 2 * USER_KERNEL_CROSSING_S + PCIE_HOP_S + payload_bytes / bandwidth_Bps
 
 
-@dataclass
-class _Mailbox:
-    """Per-connection one-directional queue."""
+class _Connection:
+    """What two connected endpoints share: whether the connection is
+    still up.  Each end holds it and the other end's inbox, never the
+    other end, so a connected pair is no reference cycle."""
 
-    messages: deque = field(default_factory=deque)
+    up = True
 
 
 class ScifEndpoint:
     """One side of a SCIF connection (same class host- and card-side —
     the symmetry property)."""
 
-    def __init__(self, network: "ScifNetwork", node_id: int, port: int):
-        self.network = network
+    def __init__(self, clock: VirtualClock, node_id: int, port: int):
+        self.clock = clock
         self.node_id = node_id
         self.port = port
-        self.peer: "ScifEndpoint | None" = None
-        self._inbox = _Mailbox()
+        self.inbox: deque[bytes] = deque()
+        self._connection: _Connection | None = None
+        self._peer_inbox: deque[bytes] | None = None
         self.closed = False
 
     @property
     def connected(self) -> bool:
-        return self.peer is not None and not self.closed
+        return (self._connection is not None and self._connection.up
+                and not self.closed)
 
     def send(self, payload: bytes) -> None:
         """Deliver to the peer, charging the transit latency to the
@@ -71,8 +73,8 @@ class ScifEndpoint:
             raise ScifDisconnectedError(
                 f"endpoint {self.node_id}:{self.port} is not connected"
             )
-        self.network.clock.advance(message_latency(len(payload)))
-        self.peer._inbox.messages.append(payload)
+        self.clock.advance(message_latency(len(payload)))
+        self._peer_inbox.append(payload)
         SCIF_MESSAGES.inc()
         SCIF_BYTES.inc(len(payload))
 
@@ -81,18 +83,23 @@ class ScifEndpoint:
         if self.closed:
             _OBS.record_error("disconnected")
             raise ScifDisconnectedError("endpoint closed")
-        if not self._inbox.messages:
+        if not self.inbox:
             raise ScifError(
                 f"recv on empty endpoint {self.node_id}:{self.port} "
                 "(simulated SCIF is rendezvous-free: send before recv)"
             )
-        return self._inbox.messages.popleft()
+        return self.inbox.popleft()
 
     def close(self) -> None:
         self.closed = True
-        if self.peer is not None:
-            self.peer.peer = None
-            self.peer = None
+        if self._connection is not None:
+            self._connection.up = False
+            self._connection = self._peer_inbox = None
+
+    def _join(self, peer: "ScifEndpoint") -> None:
+        """Connect this end to ``peer``."""
+        self._connection = peer._connection = _Connection()
+        self._peer_inbox, peer._peer_inbox = peer.inbox, self.inbox
 
 
 class ScifNetwork:
@@ -115,7 +122,7 @@ class ScifNetwork:
         key = (node_id, port)
         if key in self._listeners:
             raise ScifError(f"port {port} already bound on node {node_id}")
-        endpoint = ScifEndpoint(self, node_id, port)
+        endpoint = ScifEndpoint(self.clock, node_id, port)
         self._listeners[key] = endpoint
         return endpoint
 
@@ -128,11 +135,10 @@ class ScifNetwork:
         listener = self._listeners.get((to_node, to_port))
         if listener is None:
             raise ScifError(f"connection refused: no listener at {to_node}:{to_port}")
-        if listener.peer is not None:
+        if listener.connected:
             raise ScifError(f"listener {to_node}:{to_port} already connected")
-        local = ScifEndpoint(self, from_node, port=0)
-        local.peer = listener
-        listener.peer = local
+        local = ScifEndpoint(self.clock, from_node, port=0)
+        local._join(listener)
         # Connection setup costs one round trip.
         self.clock.advance(2 * message_latency(0))
         return local

@@ -36,31 +36,37 @@ _UOS_RESIDENCY_B = 512.0 * 1024**2
 
 
 class SystemManagementController:
-    """SMC for one card: named sensor reads at a virtual time."""
+    """SMC for one card: named sensor reads at a virtual time.
+
+    It holds the card's :class:`~repro.xeonphi.card.PhiSensors`, not the
+    card, so the MICRAS files on the card's uOS may read through it.
+    """
 
     def __init__(self, card: PhiCard):
-        self.card = card
+        self.mic_index = card.mic_index
+        self.sensors = sensors = card.sensors
         # Every reader takes a float or an array of times and returns
         # values shaped like it, as the sensor models do.
         self._readers: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-            "power_w": card.power_gauge.read,
-            "die_temp_c": card.die_temperature_c,
-            "intake_temp_c": card.intake_temperature_c,
-            "exhaust_temp_c": card.exhaust_temperature_c,
-            "gddr_temp_c": lambda t: card.die_temperature_c(t) - 8.0,
-            "fan_rpm": card.fan_speed_rpm,
-            "core_voltage_v": card.core_rail_voltage,
-            "core_current_a": card.core_rail_current,
+            "power_w": sensors.power_gauge.read,
+            "die_temp_c": sensors.die_temperature_c,
+            "intake_temp_c": sensors.intake_temperature_c,
+            "exhaust_temp_c": sensors.exhaust_temperature_c,
+            "gddr_temp_c": lambda t: sensors.die_temperature_c(t) - 8.0,
+            "fan_rpm": sensors.fan_speed_rpm,
+            "core_voltage_v": sensors.core_rail_voltage,
+            "core_current_a": sensors.core_rail_current,
             "memory_used_b": lambda t: np.full(np.shape(t), _UOS_RESIDENCY_B),
             "memory_free_b": lambda t: np.full(
-                np.shape(t), float(card.model.gddr_bytes) - _UOS_RESIDENCY_B),
-            "power_limit_w": lambda t: np.full(np.shape(t), card.power_limit_w),
+                np.shape(t), float(sensors.model.gddr_bytes) - _UOS_RESIDENCY_B),
+            "power_limit_w": lambda t: np.full(np.shape(t),
+                                               sensors.power_limit_w),
         }
 
     def set_power_limit(self, watts: float, t: float) -> None:
         """Write the card power cap through the SMC (the set half of the
         Table I 'Get/Set Power Limit' row)."""
-        self.card.set_power_limit(watts, t)
+        self.sensors.set_power_limit(watts, t)
 
     def sensor_names(self) -> list[str]:
         return list(SMC_SENSORS)
@@ -74,7 +80,7 @@ class SystemManagementController:
         reader = self._readers.get(name)
         if reader is None:
             raise SensorError(
-                f"SMC of {self.card.model.name}: no sensor {name!r}; "
+                f"SMC of {self.sensors.model.name}: no sensor {name!r}; "
                 f"have {sorted(self._readers)}"
             )
         return reader(np.asarray(times, dtype=np.float64))

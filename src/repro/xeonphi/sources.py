@@ -58,7 +58,7 @@ class SmcSensorSource(SensorSource):
     def cache_plan(self) -> CachePlan:
         # Only power is sample-and-hold (the SMC's power gauge refresh
         # window); the temperatures are continuous thermal models.
-        gauge = self.smc.card.power_gauge
+        gauge = self.smc.sensors.power_gauge
         held = FieldPlan(gauge.update_interval, gauge.phase)
         return CachePlan(self.smc, {
             name: held if sensor == "power_w" else FieldPlan()

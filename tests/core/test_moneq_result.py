@@ -2,8 +2,10 @@
 
 ``MoneqResult`` keeps each agent's filled records as a view and builds
 its traces on first access, so a caller that reads only the output files
-(``execute_scenario``) never builds a trace; and a finalized session is
-freed by reference counting, with no cycle left for the collector.
+(``execute_scenario``) never builds a trace; and a finalized session,
+with the testbed it ran on, is freed by reference counting: no object
+graph the program builds has a cycle, so a collection right after
+finds nothing to free.
 """
 
 import gc
@@ -14,9 +16,14 @@ import pytest
 
 from repro.api.packs import all_packs, execute_scenario
 from repro.core.moneq import finalize, initialize
+from repro.core.moneq.backends import NvmlBackend
+from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
+from repro.packs import schema
+from repro.packs.runtime import build_testbed
 from repro.sim.trace import TraceSeries, TraceSet
-from repro.testbeds import multi_device_node
+from repro.testbeds import gpu_node, multi_device_node
+from repro.workloads.vectoradd import VectorAddWorkload
 
 LIVE_PACKS = sorted(name for name, spec in all_packs().items()
                     if spec.kind in ("session", "chaos"))
@@ -36,16 +43,55 @@ def sessions(monkeypatch):
     return refs
 
 
-@pytest.mark.parametrize("pack", LIVE_PACKS)
-def test_a_scenario_session_is_freed_without_the_collector(pack, sessions):
+@pytest.fixture
+def no_collector():
+    """The cycle collector off, from a clean start."""
     gc.collect()
     gc.disable()
-    try:
-        execute_scenario(all_packs()[pack], seed=5)
-        assert len(sessions) == 1
-        assert sessions[0]() is None
-    finally:
-        gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("pack", LIVE_PACKS)
+def test_a_scenario_session_is_freed_without_the_collector(
+        pack, sessions, no_collector):
+    execute_scenario(all_packs()[pack], seed=5)
+    assert len(sessions) == 1
+    assert sessions[0]() is None
+    assert gc.collect() == 0
+
+
+def _shared_gpu_session(consumers: int = 8, ticks: int = 100) -> None:
+    """Many NVML consumers of one GPU in one block-sampled session,
+    finalized: the shape of e2ebench's shared-device session."""
+    node, gpu, _ = gpu_node(seed=9)
+    gpu.board.schedule(VectorAddWorkload(), t_start=0.0)
+    backends = []
+    for i in range(consumers):
+        backend = NvmlBackend(gpu)
+        backend.label = f"{backend.label}.{i}"
+        backends.append(backend)
+    poll = backends[0].min_interval_s
+    session = MoneqSession(
+        backends, node.events, vfs=node.vfs,
+        config=MoneqConfig(polling_interval_s=poll, block_ticks=256))
+    node.events.run_until(ticks * poll + poll / 2)
+    session.finalize()
+
+
+def test_a_shared_gpu_session_is_freed_without_the_collector(
+        sessions, no_collector):
+    _shared_gpu_session()
+    assert len(sessions) == 1
+    assert sessions[0]() is None
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("kind", ["fleet", "gpu", "phi", "rapl"])
+def test_a_testbed_is_freed_without_the_collector(kind, no_collector):
+    node = weakref.ref(build_testbed(schema.TestbedSpec(kind=kind), seed=3)[0])
+    assert node() is None
+    assert gc.collect() == 0
 
 
 def test_a_scenario_run_builds_no_trace(monkeypatch):

@@ -40,7 +40,7 @@ def phi_energy():
 
 def phi_thermal():
     card, _, component, cap = phi_energy()
-    return card, card.die_temperature_c, component, cap
+    return card, card.sensors.die_temperature_c, component, cap
 
 
 def nvml_thermal():

@@ -1,11 +1,14 @@
 """The load generator at reduced scale (the smoke-bench profile)."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro import perfbench
+from repro.bgq.machine import BgqMachine
 from repro.service import ServiceClient, bench_service
 from repro.service.loadgen import _aggregate_cache_ratio
 
@@ -40,6 +43,27 @@ class TestBenchService:
         service = committed["full"]["service"]
         assert service["requests"] == 10 and service["spread"] == 0.0
         assert service["sustained_qps"] > 0
+
+
+def test_the_service_row_frees_its_rig_without_the_collector(monkeypatch):
+    """The row stops its rig's poller, so nothing is left in a cycle
+    (the pending sweep held the envdb, which holds the queue)."""
+    machines = []
+    init = BgqMachine.__init__
+
+    def tracked(self, *args, **kwargs):
+        machines.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BgqMachine, "__init__", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        perfbench.BENCHES["service"].measure("smoke")
+        assert len(machines) == 1
+        assert machines[0]() is None
+    finally:
+        gc.enable()
 
 
 class _StubStore:

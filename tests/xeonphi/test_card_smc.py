@@ -54,14 +54,15 @@ class TestCardModel:
     def test_voltage_droops_under_load(self, card):
         card.board.schedule(OffloadGaussianWorkload(datagen_seconds=10.0))
         t_busy = 10.0 + card.board.scheduled[0].workload.metadata["transfer_seconds"] + 5.0
-        assert card.core_rail_voltage(t_busy) < card.core_rail_voltage(1.0)
+        rail = card.sensors.core_rail_voltage
+        assert rail(t_busy) < rail(1.0)
 
     def test_exhaust_between_intake_and_die(self, card):
         card.board.schedule(OffloadGaussianWorkload(datagen_seconds=10.0))
         t = 150.0
-        intake = card.intake_temperature_c(t)
-        exhaust = card.exhaust_temperature_c(t)
-        die = float(card.die_temperature_c(t))
+        intake = card.sensors.intake_temperature_c(t)
+        exhaust = card.sensors.exhaust_temperature_c(t)
+        die = float(card.sensors.die_temperature_c(t))
         assert intake < exhaust < die
 
 
