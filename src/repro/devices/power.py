@@ -12,7 +12,7 @@ paper's Figure 5.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
@@ -50,21 +50,29 @@ class ComponentPowerModel:
         """Power with every component at utilization 1.0."""
         return self.idle_w + sum(self.dynamic_w.values())
 
-    def power(self, t: np.ndarray | float) -> np.ndarray:
-        """True device power at time(s) ``t``."""
+    def power(self, t: np.ndarray | float,
+              utilization: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+        """True device power at time(s) ``t``.  ``utilization`` may give
+        each component's utilization at ``t`` already evaluated."""
         times = np.asarray(t, dtype=np.float64)
         total = np.full_like(times, self.idle_w)
         for component, watts in self.dynamic_w.items():
-            total = total + watts * self.board.utilization(component, times)
+            util = (self.board.utilization(component, times)
+                    if utilization is None else utilization[component])
+            total = total + watts * util
         return total
 
     def component_power(self, component: str, t: np.ndarray | float,
-                        idle_share: float = 0.0) -> np.ndarray:
+                        idle_share: float = 0.0,
+                        utilization: np.ndarray | None = None) -> np.ndarray:
         """Power attributable to one component: an optional share of the
-        idle floor plus its dynamic contribution."""
-        times = np.asarray(t, dtype=np.float64)
+        idle floor plus its dynamic contribution (from ``utilization``
+        at ``t`` when it is given)."""
+        if utilization is None:
+            utilization = self.board.utilization(
+                component, np.asarray(t, dtype=np.float64))
         watts = self.dynamic_w.get(component, 0.0)
-        return idle_share * self.idle_w + watts * self.board.utilization(component, times)
+        return idle_share * self.idle_w + watts * utilization
 
     def signal(self) -> "PowerSignal":
         """Live signal view of total power."""
@@ -122,11 +130,15 @@ class LimitedSignal:
 
     def value(self, t: np.ndarray | float) -> np.ndarray:
         times = np.asarray(t, dtype=np.float64)
+        return self.clamp(times, self.inner.value(times))
+
+    def clamp(self, times: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``values`` of the inner signal at ``times``, under the cap."""
         if len(self._limits) == 1:
-            return np.minimum(self.inner.value(times), self._limits[0])
+            return np.minimum(values, self._limits[0])
         idx = np.clip(np.searchsorted(self._times, times, side="right") - 1, 0, None)
         limits = np.asarray(self._limits, dtype=np.float64)[idx]
-        return np.minimum(self.inner.value(times), limits)
+        return np.minimum(values, limits)
 
 
 def history_stamp(board: LoadBoard,
@@ -141,12 +153,12 @@ def history_stamp(board: LoadBoard,
 class ThermalModel(StampedHistory):
     """First-order RC thermal node driven by a power signal.
 
-    dT/dt = (P(t) - (T - T_ambient)/R) / C, solved on a cached grid like
-    the energy integrals.  ``temperature(t)`` is exact for the cached
-    grid resolution and deterministic.  With a ``stamp`` callable (see
-    :class:`~repro.sim.integrate.StampedHistory`) the cached history is
-    rebuilt, from the same power-on temperature, whenever the stamp
-    changes.
+    dT/dt = (P(t) - (T - T_ambient)/R) / C, solved on a ``dt`` grid like
+    the energy integrals (see :class:`~repro.sim.integrate.StampedHistory`:
+    evaluated as far as it is read, checkpointed per slice).
+    ``temperature(t)`` is exact for the grid resolution and
+    deterministic.  With a ``stamp`` callable the history is rebuilt,
+    from the same power-on temperature, whenever the stamp changes.
     """
 
     def __init__(self, power: Signal, ambient_c: float = 25.0,
@@ -158,50 +170,34 @@ class ThermalModel(StampedHistory):
         self.ambient_c = float(ambient_c)
         self.r = float(r_c_per_w)
         self.c = float(c_j_per_c)
-        self.dt = float(dt)
         # Power-on initial condition: the steady state of the power at
         # construction, before anything is scheduled.
-        self._initial_c = (
+        self._origin = (
             ambient_c + float(self.power.value(np.asarray(0.0))) * self.r)
-        super().__init__(stamp)
+        super().__init__(dt, stamp)
 
-    def _reset(self) -> None:
-        self._grid_n = 0
-        self._times = np.zeros(1)
-        self._temps = np.array([self._initial_c])
-
-    def _extend(self, t_end: float) -> None:
-        target = max(t_end * 1.1, self._times[-1] + 16 * self.dt)
-        n_new = int(np.ceil((target - self._times[-1]) / self.dt))
+    def _evaluate(self, k0: int, k1: int, start,
+                  into: Callable[[tuple], np.ndarray]) -> None:
         # Index-based grid points (dt * k), like CumulativeIntegral: the
-        # cached temperature history is bit-identical regardless of how
-        # reads were chunked (one tick at a time vs one long block).
-        new_times = self.dt * np.arange(
-            self._grid_n + 1, self._grid_n + n_new + 1
-        ).astype(np.float64)
+        # temperature history is bit-identical regardless of how reads
+        # were chunked (one tick at a time vs one long block).
+        times = self.dt * np.arange(k0 + 1, k1 + 1, dtype=np.float64)
         # The recurrence is sequential, so it runs on Python floats (the
         # same IEEE arithmetic as numpy scalars, without their overhead).
         ambient, r = self.ambient_c, self.r
-        temp = float(self._temps[-1])
+        temp = float(start)
         # Exact exponential step for piecewise-constant power.
         decay = float(np.exp(-self.dt / (self.r * self.c)))
         temps = []
-        for power in self.power.value(new_times).tolist():
+        for power in self.power.value(times).tolist():
             steady = ambient + power * r
             temp = steady + (temp - steady) * decay
             temps.append(temp)
-        self._times = np.concatenate((self._times, new_times))
-        self._temps = np.concatenate((self._temps, temps))
-        self._grid_n += n_new
+        into(())[...] = temps
 
     def temperature(self, t: np.ndarray | float) -> np.ndarray:
         """Temperature in Celsius at time(s) ``t``."""
-        times = np.asarray(t, dtype=np.float64)
-        self._refresh()
-        t_max = float(np.max(times, initial=0.0))
-        if t_max > self._times[-1]:
-            self._extend(t_max)
-        return np.interp(times, self._times, self._temps)
+        return self._sample(np.asarray(t, dtype=np.float64))
 
     def signal(self) -> "TemperatureSignal":
         return TemperatureSignal(self)

@@ -110,7 +110,9 @@ def canonical_config(config: object) -> str:
     """Stable JSON text of a config dataclass (``{}`` for ``None``).
 
     Key order is sorted and separators are fixed, so the same logical
-    config always gives the same text.
+    config always gives the same text.  Fields declared
+    ``compare=False`` are derived from the others, not part of the
+    config's identity, and are left out.
     """
     if config is None:
         return "{}"
@@ -118,7 +120,10 @@ def canonical_config(config: object) -> str:
         raise ConfigError(
             f"config must be a dataclass or None, got {type(config).__name__}"
         )
-    return json.dumps(dataclasses.asdict(config), sort_keys=True,
+    identity = {field.name: getattr(config, field.name)
+                for field in dataclasses.fields(config) if field.compare}
+    # A nested dataclass serializes as its field dict, as asdict() gives.
+    return json.dumps(identity, default=dataclasses.asdict, sort_keys=True,
                       separators=(",", ":"))
 
 

@@ -81,6 +81,7 @@ def _compile(raw: dict, scenario: ScenarioSpec, seed: int | None,
         seed=scenario.seed if seed is None else seed,
         duration_s=(scenario.duration_s if duration_s is None
                     else duration_s),
+        scenario=scenario,
         rate=rate,
     )
     digest = hashlib.sha256(

@@ -23,9 +23,8 @@ chaos catalog built, bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.chaos.faults import FaultEvent, FaultPlan, FaultRule
 from repro.errors import PackError
@@ -42,11 +41,16 @@ from repro.packs.schema import (
 @dataclass(frozen=True)
 class PackRunConfig:
     """The engine-facing config of a compiled pack: the canonical
-    manifest text plus the run-time overrides."""
+    manifest text plus the run-time overrides.
+
+    ``scenario`` is the validated manifest, handed over by the compiler
+    so a run does not validate it again.  It is not part of the config's
+    identity (``compare=False``): that stays the manifest text."""
 
     manifest: str
     seed: int
     duration_s: float
+    scenario: ScenarioSpec = field(compare=False, repr=False)
     rate: float | None = None
 
 
@@ -313,9 +317,7 @@ def scenario_payload(spec: ScenarioSpec, run: ScenarioRun) -> dict:
 
 def run_part(part: str, config: PackRunConfig) -> dict:
     """Engine contract: execute the compiled pack's single part."""
-    from repro.packs.manifest import scenario_from_mapping
-
-    spec = scenario_from_mapping(json.loads(config.manifest))
+    spec = config.scenario
     if spec.kind == "fleet":
         from repro import perfbench
 

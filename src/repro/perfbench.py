@@ -147,6 +147,9 @@ def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
                 f"block run collected {session.agents[0].count} ticks, "
                 f"wanted {ticks}"
             )
+        # Finalized (untimed), a session's armed timer no longer holds
+        # it in a cycle: it is freed by reference counting.
+        session.finalize()
 
         slice_horizon = scalar_ticks * NVML_POWER_UPDATE_S + NVML_POWER_UPDATE_S / 2
         node, session = _nvml_session(agents, scalar_ticks, 1, seed)
@@ -156,6 +159,7 @@ def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
                 f"one-tick slice collected {session.agents[0].count} ticks, "
                 f"wanted {scalar_ticks}"
             )
+        session.finalize()
         scalar_est = wall_slice * (ticks / scalar_ticks)
 
         byte_identical = (_nvml_outputs(8, 400, 1, seed)
@@ -332,9 +336,14 @@ def bench_fleet(sites: int = 10, racks: int = MIRA_RACKS,
     many times fewer access-channel crossings the channel cache leaves
     on the shared-device consumer pattern, and ``byte_identical`` that
     it stays invisible in the MonEQ outputs."""
-    from repro.fleet import cache_ablation, fleet_sweep
+    from repro.fleet import build_fleet, cache_ablation, fleet_sweep
 
-    report = fleet_sweep(n_sites=sites, racks=racks, duration_s=60.0)
+    fleet = build_fleet(n_sites=sites, racks=racks)
+    report = fleet_sweep(fleet, duration_s=60.0)
+    # Stopped pollers leave no pending sweep holding a site, so the
+    # fleet is freed by reference counting, not by a later collection.
+    for site in fleet.sites.values():
+        site.envdb.stop()
     ablation = cache_ablation(consumers=8, ticks=ticks)
     return {
         "wall_s": report.wall_s,

@@ -39,6 +39,9 @@ from repro.workloads.base import Component
 #: The energy-status counters are 32 bits wide.
 ENERGY_MODULUS = 1 << 32
 
+#: PP0's share of the package idle floor.
+_PP0_IDLE_SHARE = 0.35
+
 
 @dataclass(frozen=True)
 class CpuModel:
@@ -111,23 +114,15 @@ class CpuPackage:
         )
         # Package truth, clampable by the PKG power limit.
         self.pkg_signal = LimitedSignal(self._power_model.signal())
-        self._domain_signals = {
-            RaplDomain.PKG: self.pkg_signal,
-            RaplDomain.PP0: self._power_model.component_signal(
-                Component.CPU_CORES, idle_share=0.35
-            ),
-            RaplDomain.PP1: _Pp1Signal(self.board, model.pp1_w),
-            RaplDomain.DRAM: _DramSignal(self.board, model.dram_idle_w, model.dram_w),
-        }
-        # The energy bank: the four 32-bit energy-status counters, one
-        # row per domain in RaplDomain order, over one shared 1 ms grid
-        # of cumulative energy.
+        # The four domains' true power, one row each in RaplDomain order.
+        self._domain_power = _BankSignal(self._power_model, self.pkg_signal,
+                                         model)
+        # The energy bank: the four 32-bit energy-status counters, over
+        # one shared 1 ms grid of cumulative energy.
         self._rows = {domain: row for row, domain in enumerate(RaplDomain)}
         self._stamp = history_stamp(self.board, self.pkg_signal)
-        self._energy = CumulativeIntegral(
-            _DomainStack(tuple(self._domain_signals[d] for d in RaplDomain)),
-            dt=1e-3, stamp=self._stamp,
-        )
+        self._energy = CumulativeIntegral(self._domain_power, dt=1e-3,
+                                          stamp=self._stamp)
         #: Update-jitter seeds, shaped (domain, 1) to broadcast against
         #: a grid of update indices.
         self._seeds = np.array(
@@ -156,7 +151,7 @@ class CpuPackage:
 
     def true_power(self, domain: RaplDomain, t: np.ndarray | float) -> np.ndarray:
         """Unquantized domain power at time(s) ``t``."""
-        return self._domain_signals[domain].value(t)
+        return self._domain_power.value(t)[self._rows[domain]]
 
     # -- counter access -----------------------------------------------------
 
@@ -188,11 +183,7 @@ class CpuPackage:
         update_t = np.minimum(
             np.maximum(k * self._update_s + jitter, 0.0), times)
         update_t = np.where(k <= 0, 0.0, update_t)
-        grid_t, cumulative = self._energy.grid(
-            float(np.max(update_t, initial=0.0)))
-        energy = np.empty_like(update_t)
-        for row in range(len(RaplDomain)):
-            energy[row] = np.interp(update_t[row], grid_t, cumulative[row])
+        energy = self._energy.value(update_t)
         block = np.floor(energy / self.units.energy_j + 1e-9).astype(np.int64)
         block.flags.writeable = False
         self._block_key = (stamp, times.copy())
@@ -284,42 +275,37 @@ class CpuPackage:
         return decode_power_limit(self._limits[domain], self.units)
 
 
-class _DramSignal:
-    """DRAM plane power: background + dynamic, outside the package."""
+class _BankSignal:
+    """The four domains' power as one ``(4, n)`` signal, rows in
+    :class:`RaplDomain` order, so the bank integrates them on one grid.
 
-    def __init__(self, board: LoadBoard, idle_w: float, dyn_w: float):
-        self.board, self.idle_w, self.dyn_w = board, idle_w, dyn_w
+    PKG is the package total under its power limit; PP0 the cores plus
+    a share of the idle floor; PP1 (uncore device / integrated GPU)
+    reads 0, since no workload component maps there in the server
+    experiments (the paper's "not useful in server platforms"); DRAM is
+    background plus dynamic power, outside the package.  Each load-board
+    component's utilization is evaluated once per call and shared by
+    the domains that draw on it."""
 
-    def value(self, t):
-        return self.idle_w + self.dyn_w * self.board.utilization(Component.CPU_DRAM, t)
-
-
-class _Pp1Signal:
-    """PP1 (uncore device / integrated GPU) power.
-
-    No workload component maps here in the server experiments, so it
-    reads ~0 — the paper's "not useful in server platforms".
-    """
-
-    def __init__(self, board: LoadBoard, dyn_w: float):
-        self.board, self.dyn_w = board, dyn_w
+    def __init__(self, power: ComponentPowerModel, pkg: LimitedSignal,
+                 model: CpuModel):
+        self.power, self.pkg, self.model = power, pkg, model
 
     def value(self, t):
-        return np.zeros_like(np.asarray(t, dtype=np.float64))
-
-
-class _DomainStack:
-    """The four domain power signals as one ``(4, n)`` signal, so the
-    bank integrates them on one grid."""
-
-    def __init__(self, signals: tuple):
-        self.signals = signals
-
-    def value(self, t):
-        # Each row is written as it is computed, so only one domain's
-        # values are alive beside the result.
-        times = np.asarray(t, dtype=np.float64)
-        out = np.empty((len(self.signals),) + times.shape)
-        for row, signal in zip(out, self.signals):
-            row[...] = signal.value(times)
-        return out
+        shape = np.shape(t)
+        # Flat, so each row is an array to write into even for a scalar.
+        times = np.asarray(t, dtype=np.float64).reshape(-1)
+        out = np.empty((len(RaplDomain), times.size))
+        pkg, pp0, pp1, dram = out
+        board = self.power.board
+        util = {component: board.utilization(component, times)
+                for component in self.power.dynamic_w}
+        pkg[...] = self.pkg.clamp(times, self.power.power(times, util))
+        pp0[...] = self.power.component_power(
+            Component.CPU_CORES, times, _PP0_IDLE_SHARE,
+            util[Component.CPU_CORES])
+        pp1[...] = 0.0
+        del util
+        dram[...] = self.model.dram_idle_w + self.model.dram_w * board.utilization(
+            Component.CPU_DRAM, times)
+        return out.reshape((len(RaplDomain),) + shape)

@@ -108,3 +108,24 @@ def test_pack_runs_metric_counts_dispatches():
     before = PACK_RUNS.samples().get(key, 0.0)
     run_pack("phi-micsmc")
     assert PACK_RUNS.samples().get(key, 0.0) == before + 1
+
+
+def test_run_pack_validates_the_manifest_once(monkeypatch):
+    """The compiled config hands its validated scenario to the engine
+    run, so each ``run_pack`` validates its manifest once."""
+    from repro.packs import manifest
+    from repro.packs import run as pack_run
+
+    calls = []
+    validate = manifest.scenario_from_mapping
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(manifest, "scenario_from_mapping", counted)
+    monkeypatch.setattr(pack_run, "scenario_from_mapping", counted)
+    first = run_pack("phi-micsmc")
+    for _ in range(299):
+        assert run_pack("phi-micsmc").exp_id == first.exp_id
+    assert len(calls) == 300

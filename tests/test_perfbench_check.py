@@ -206,3 +206,20 @@ def test_committed_trajectory_meets_every_floor():
 def test_only_the_trajectory_file_is_committed():
     stale = sorted(p.name for p in REPO_ROOT.glob("BENCH_*.json"))
     assert stale == [perfbench.TRAJECTORY_PATH]
+
+
+@pytest.mark.parametrize("name", ["moneq_block", "fleet"])
+def test_rows_free_their_objects_by_reference_counting(name):
+    """A row leaves nothing for the cycle collector: its sessions are
+    finalized and its sites' pollers stopped, so the next row's timing
+    never includes a collection of this row's cycles."""
+    import gc
+
+    bench = perfbench.BENCHES[name]
+    gc.collect()
+    gc.disable()
+    try:
+        bench.run(**bench.smoke)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
